@@ -11,19 +11,12 @@
 //!   clone.
 //! * `mixed_rw_rNwM` — wall clock of a whole mixed scenario (N readers +
 //!   M writers to completion, isolation invariants verified online).
-//! * `commit_pipeline_w{W}_{disjoint,contended}_{pipelined,single_lock}`
-//!   — the staged-pipeline A/B (ARCHITECTURE.md, "The commit
-//!   pipeline"): W writer threads × 64 commits each, write-sets either
-//!   disjoint (one slot per writer — sharded validation never
-//!   serializes) or fully contended (every writer the same slot —
-//!   first-committer-wins retries), under the pipelined path vs the
-//!   legacy single-lock gate (`CommitMode::SingleLock`). Caveat: on a
-//!   single-CPU host the writer threads time-slice instead of running
-//!   in parallel, publications almost never interleave with an open
-//!   begin→publish window, and the A/B ratio collapses to scheduler
-//!   noise — the pipelined gains (overlapped validation/fsync, no
-//!   gate convoy, bounded straggler replays) need real parallelism to
-//!   show up in wall clock.
+//! * `commit_w{W}_{disjoint,contended}` — commit throughput under
+//!   racing writers (ARCHITECTURE.md, "The commit protocol"): W writer
+//!   threads × 64 commits each, write-sets either disjoint (one slot per
+//!   writer — every commit but the first of a race rebases under the
+//!   ticket) or fully contended (every writer the same slot —
+//!   first-committer-wins aborts and retries).
 //!
 //! Run with `-- --quick` to merge median ns/op into `BENCH_derive.json`.
 
@@ -31,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mad_core::derive::{derive_molecules, DeriveOptions, Strategy};
 use mad_core::structure::path;
 use mad_model::Value;
-use mad_txn::{CommitMode, DbHandle, Transaction};
+use mad_txn::{DbHandle, Transaction};
 use mad_workload::{mixed_database, run_mixed, MixedParams};
 use std::time::Duration;
 
@@ -144,58 +137,50 @@ fn bench(c: &mut Criterion) {
     }
 
     // ------------------------------------------------------------------
-    // the staged-pipeline A/B: W writer threads race 64 small commits
-    // each over one handle; one iteration is the whole race (64 per
-    // thread keeps the spawn cost — identical in both arms — from
-    // compressing the measured ratio)
+    // W writer threads race 64 small commits each over one handle; one
+    // iteration is the whole race (64 per thread keeps the spawn cost
+    // from dominating the measurement)
     const PIPE_COMMITS: usize = 64;
-    for mode in [CommitMode::Pipelined, CommitMode::SingleLock] {
-        for contended in [false, true] {
-            for writers in [1usize, 4, 8, 16] {
-                let handle = populated_handle(40);
-                handle.set_commit_mode(mode);
-                let name = format!(
-                    "commit_pipeline_w{writers}_{}_{}",
-                    if contended { "contended" } else { "disjoint" },
-                    match mode {
-                        CommitMode::Pipelined => "pipelined",
-                        CommitMode::SingleLock => "single_lock",
-                    }
-                );
-                group.bench_function(name, |b| {
-                    b.iter(|| {
-                        std::thread::scope(|scope| {
-                            for w in 0..writers {
-                                let handle = &handle;
-                                scope.spawn(move || {
-                                    let slot = if contended {
-                                        0
-                                    } else {
-                                        1 + u32::try_from(w).unwrap()
-                                    };
-                                    let mut done = 0usize;
-                                    let mut v = 0.0f64;
-                                    while done < PIPE_COMMITS {
-                                        let mut t = Transaction::begin(handle);
-                                        t.update_attr(
-                                            mad_model::AtomId::new(state, slot),
-                                            1,
-                                            Value::from(v),
-                                        )
-                                        .unwrap();
-                                        v += 1.0;
-                                        match t.commit() {
-                                            Ok(_) => done += 1,
-                                            Err(e) if e.is_conflict() => {}
-                                            Err(e) => panic!("pipeline bench commit: {e}"),
-                                        }
+    for contended in [false, true] {
+        for writers in [1usize, 4, 8, 16] {
+            let handle = populated_handle(40);
+            let name = format!(
+                "commit_w{writers}_{}",
+                if contended { "contended" } else { "disjoint" },
+            );
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    std::thread::scope(|scope| {
+                        for w in 0..writers {
+                            let handle = &handle;
+                            scope.spawn(move || {
+                                let slot = if contended {
+                                    0
+                                } else {
+                                    1 + u32::try_from(w).unwrap()
+                                };
+                                let mut done = 0usize;
+                                let mut v = 0.0f64;
+                                while done < PIPE_COMMITS {
+                                    let mut t = Transaction::begin(handle);
+                                    t.update_attr(
+                                        mad_model::AtomId::new(state, slot),
+                                        1,
+                                        Value::from(v),
+                                    )
+                                    .unwrap();
+                                    v += 1.0;
+                                    match t.commit() {
+                                        Ok(_) => done += 1,
+                                        Err(e) if e.is_conflict() => {}
+                                        Err(e) => panic!("pipeline bench commit: {e}"),
                                     }
-                                });
-                            }
-                        })
+                                }
+                            });
+                        }
                     })
-                });
-            }
+                })
+            });
         }
     }
 

@@ -5,7 +5,7 @@
 //! The analyzer is hand-rolled in the same offline discipline as the
 //! rest of the tree: no `syn`, no external crates — a Rust token lexer
 //! in the style of the MQL lexer ([`lexer`]), a token-tree/item scanner
-//! ([`tree`]), and six lints that enforce the project invariants
+//! ([`tree`]), and five lints that enforce the project invariants
 //! declared in the normative tables of `ARCHITECTURE.md`:
 //!
 //! * **lock-order** ([`locks`]) — every lexically nested
@@ -14,10 +14,6 @@
 //!   one level of interprocedural propagation through a call-graph
 //!   approximation. A violation is a statically detected deadlock
 //!   candidate on the commit path.
-//! * **shard** ([`shards`]) — indexed shard-lock acquisitions
-//!   (`shards[i].lock()`) are confined to the blessed shard modules,
-//!   which in turn may contain no blocking calls; the ascending
-//!   shard-order discipline is only auditable in one place.
 //! * **layering** ([`layering`]) — `Cargo.toml` dependencies and
 //!   `use mad_*` imports may only point downward in the crate DAG.
 //! * **panic-ratchet** ([`panics`]) — `unwrap`/`expect`/`panic!`/
@@ -46,7 +42,6 @@ pub mod lexer;
 pub mod locks;
 pub mod panics;
 pub mod ratchet;
-pub mod shards;
 pub mod spec;
 pub mod tree;
 pub mod wiretags;
@@ -119,7 +114,7 @@ impl ParsedFile {
 }
 
 /// The annotation kinds the lints understand.
-pub const ALLOW_KINDS: &[&str] = &["panic", "cast", "lock", "reg-block", "shard"];
+pub const ALLOW_KINDS: &[&str] = &["panic", "cast", "lock", "reg-block"];
 
 /// Parse one source file; lexer/tree problems become diagnostics.
 pub fn parse_file(src: &SrcFile, diags: &mut Vec<Diagnostic>) -> ParsedFile {
@@ -193,11 +188,6 @@ pub struct Config {
     /// blocking call may run (the event loop would stall every
     /// connection). Checked by name within `lock_crates`.
     pub registration_locks: Vec<String>,
-    /// The blessed shard modules: the only files (workspace-relative)
-    /// in `lock_crates` allowed to contain indexed shard-lock
-    /// acquisitions (`shards[i].lock()`), and in which no blocking call
-    /// may appear. Checked by [`shards`].
-    pub shard_modules: Vec<String>,
     /// Wire-codec files (workspace-relative) for the cast lint.
     pub codec_files: Vec<String>,
     /// Enums whose wire codecs must stay exhaustive.
@@ -213,7 +203,6 @@ impl Default for Config {
                 .map(|s| s.to_string())
                 .collect(),
             registration_locks: vec!["reg".to_string()],
-            shard_modules: vec!["crates/txn/src/shard.rs".to_string()],
             codec_files: [
                 "crates/net/src/frame.rs",
                 "crates/wal/src/record.rs",
@@ -366,7 +355,6 @@ pub fn analyze(
     mut diags: Vec<Diagnostic>,
 ) -> Analysis {
     locks::check(files, spec, cfg, &mut diags);
-    shards::check(files, cfg, &mut diags);
     layering::check(files, crates, spec, &mut diags);
     let panic_counts = panics::audit(files, &mut diags);
     casts::check(files, cfg, &mut diags);

@@ -68,9 +68,8 @@ enum StmtKind {
 }
 
 /// Calls that can block the calling thread; never allowed while a
-/// readiness-registration guard is held (here) nor anywhere inside a
-/// shard module ([`crate::shards`]).
-pub(crate) const BLOCKING_CALLS: [&str; 10] = [
+/// readiness-registration guard is held.
+const BLOCKING_CALLS: [&str; 10] = [
     "wait",
     "wait_timeout",
     "recv",
@@ -139,13 +138,10 @@ fn collect_direct(nodes: &[Node], spec: &Spec, out: &mut BTreeMap<String, u32>) 
 }
 
 /// If `nodes[i]` starts an acquisition, return the lock name, line, and
-/// the number of nodes the acquisition expression spans. Three forms:
+/// the number of nodes the acquisition expression spans. Two forms:
 ///
 /// * `NAME.lock()` / `.read()` / `.write()` with *empty* parens
 ///   (4 nodes),
-/// * the indexed shard form `NAME[expr].lock()` / `.read()` / `.write()`
-///   — `mad-txn`'s sharded conflict index and registry — which ranks
-///   every element of the shard vector under the one name (5 nodes),
 /// * the free function `lock(&path.to.NAME)` — `mad-net`'s
 ///   poison-ignoring helper — whose lock name is the last path segment
 ///   of the argument (2 nodes).
@@ -161,22 +157,16 @@ fn acquisition_at(nodes: &[Node], i: usize) -> Option<(String, u32, usize)> {
             }
         }
     }
-    // indexed form: `NAME[expr].lock()` — the subscript group sits
-    // between the name and the method chain
-    let (dot, consumed) = match nodes.get(i + 1) {
-        Some(Node::Group { delim: '[', .. }) => (i + 2, 5usize),
-        _ => (i + 1, 4usize),
-    };
-    if !nodes.get(dot)?.is_punct('.') {
+    if !nodes.get(i + 1)?.is_punct('.') {
         return None;
     }
-    let method = nodes.get(dot + 1)?.ident()?;
+    let method = nodes.get(i + 2)?.ident()?;
     if !matches!(method, "lock" | "read" | "write") {
         return None;
     }
-    match nodes.get(dot + 2)? {
+    match nodes.get(i + 3)? {
         Node::Group { delim: '(', children, .. } if children.is_empty() => {
-            Some((name.to_string(), head.line(), consumed))
+            Some((name.to_string(), head.line(), 4))
         }
         _ => None,
     }
@@ -608,46 +598,6 @@ mod tests {
         assert_eq!(d[0].line, 3);
         assert_eq!(d[0].lint, "lock-order");
         assert!(d[0].message.contains("`state` (rank 1) while holding `published` (rank 2"));
-    }
-
-    #[test]
-    fn indexed_shard_acquisition_participates_in_rank_order() {
-        // `NAME[i].lock()` ranks under NAME, so taking a lower-ranked
-        // lock while an indexed shard guard is held is flagged
-        let d = run(
-            "fn bad(&self) {\n\
-             let g = self.published[i].lock().unwrap();\n\
-             let st = self.state.lock().unwrap();\n}",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].lint, "lock-order");
-        assert!(d[0].message.contains("`published`"), "{d:?}");
-    }
-
-    #[test]
-    fn holding_two_shards_of_one_vector_is_flagged_as_self_deadlock() {
-        // equal rank = the ascending-shard-order hazard: two guards of
-        // the same shard vector held together can deadlock against a
-        // thread locking them in the opposite index order
-        let d = run(
-            "fn bad(&self) {\n\
-             let a = self.repl[i].lock().unwrap();\n\
-             let b = self.repl[j].lock().unwrap();\n}",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("re-acquired"), "{d:?}");
-    }
-
-    #[test]
-    fn one_shard_at_a_time_is_clean() {
-        let d = run(
-            "fn ok(&self) {\n\
-             for i in order {\n\
-             let g = self.repl[i].lock().unwrap();\n\
-             probe(&g);\n\
-             }\n}",
-        );
-        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]

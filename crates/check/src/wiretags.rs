@@ -226,7 +226,6 @@ mod tests {
         Config {
             lock_crates: vec![],
             registration_locks: vec![],
-            shard_modules: vec![],
             codec_files: vec![],
             wire_enums: vec![WireEnum {
                 enum_name: "Msg",
@@ -332,7 +331,6 @@ fn read_msg(r: &mut Reader) -> Result<Msg> {
         let cfg = Config {
             lock_crates: vec![],
             registration_locks: vec![],
-            shard_modules: vec![],
             codec_files: vec![],
             wire_enums: vec![WireEnum {
                 enum_name: "Msg",

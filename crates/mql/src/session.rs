@@ -1448,6 +1448,14 @@ mod tests {
             "autocommit DML validates once: {}",
             trace.render()
         );
+        // the publish stage owns the ticket wait and says whether the
+        // commit queued or paid a rebase (neither, single session)
+        let publish: Vec<_> =
+            trace.stages.iter().filter(|s| s.kind == trace::StageKind::Publish).collect();
+        assert_eq!(publish.len(), 1, "{}", trace.render());
+        let info = |name: &str| publish[0].info.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
+        assert!(info("wait_ns").is_some(), "{}", trace.render());
+        assert_eq!(info("rebased"), Some(0), "{}", trace.render());
         // the shared registry accumulates commit counters
         let StatementResult::Stats(text) = s.execute("SHOW STATS txn").unwrap() else {
             panic!()

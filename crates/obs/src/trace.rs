@@ -33,10 +33,11 @@ pub enum StageKind {
     Derive,
     /// DML application to the write overlay.
     Apply,
-    /// Commit validation against the sharded conflict index (hash
-    /// probes, retry count in the info).
+    /// Commit validation against the conflict log, under the commit
+    /// ticket (hash probes in the info).
     Validate,
-    /// Op-log replay after a conflict (the contended commit path).
+    /// Op-log replay onto the current image by a commit whose begin
+    /// image went stale (at most once per commit, under the ticket).
     Replay,
     /// WAL record framing + buffered append.
     WalAppend,
@@ -45,8 +46,9 @@ pub enum StageKind {
     FsyncWait,
     /// Waiting for the replication ack quorum.
     ReplWait,
-    /// Publication under the commit ticket: epoch-cell swap + feed push
-    /// (conflict-shard updates in the info).
+    /// Waiting for the commit ticket, then the publication under it:
+    /// conflict-log append, image swap, feed push (`wait_ns` and
+    /// `rebased` in the info).
     Publish,
 }
 
@@ -89,8 +91,7 @@ pub struct StmtTrace {
     pub text: String,
     /// Total wall time from `begin` to `take`.
     pub total_ns: u64,
-    /// Stages in the order they were recorded. A retried commit records
-    /// `validate`/`replay` once per attempt.
+    /// Stages in the order they were recorded.
     pub stages: Vec<StageRec>,
 }
 

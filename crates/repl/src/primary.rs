@@ -279,7 +279,7 @@ fn stream_to_standby(
                 }
                 // the publisher pushes the feed under its commit ticket, in
                 // publication order — so past the catch-up seam every commit
-                // is the exact successor. A gap here means the pipeline
+                // is the exact successor. A gap here means the handle
                 // published out of order; streaming it would hand the
                 // standby a hole it can never fill, so fail the connection
                 // loudly instead.

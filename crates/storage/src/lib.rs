@@ -31,7 +31,6 @@
 pub mod atom_store;
 pub mod csr;
 pub mod database;
-pub mod epoch;
 pub mod index;
 pub mod link_store;
 mod merge;
@@ -41,7 +40,6 @@ pub mod stats;
 pub use atom_store::AtomStore;
 pub use csr::{CsrAdjacency, CsrSnapshot};
 pub use database::Database;
-pub use epoch::EpochCell;
 pub use index::{AttrIndex, IndexKind};
 pub use link_store::LinkStore;
 pub use snapshot::{load_json, save_json, DatabaseSnapshot};

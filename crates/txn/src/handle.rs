@@ -1,47 +1,45 @@
-//! The shared database handle: committed state, publication, commit log,
-//! durability.
+//! The shared database handle: committed state, publication, conflict
+//! log, durability.
 //!
-//! # The commit pipeline
+//! # The commit protocol
 //!
-//! Publication used to be one mutex-guarded critical section (validation,
-//! WAL append, published-cell swap, feed push, log pruning — all under one
-//! lock). It is now a staged pipeline (normative description in
-//! ARCHITECTURE.md, "The commit pipeline"):
+//! One protocol, four locks (normative description in ARCHITECTURE.md,
+//! "The commit protocol"):
 //!
-//! * **Validate** — first-committer-wins probes run against the
-//!   [`crate::shard::ConflictIndex`], 16 independently locked shards
-//!   visited in ascending index order, so disjoint write-sets validate
-//!   concurrently with each other *and* with the fsync of earlier commits.
-//! * **Publish** — the short commit **ticket** assigns the commit
-//!   sequence, appends the WAL record (buffered — no fsync), updates the
-//!   conflict shards and commit log, swaps the
-//!   [`mad_storage::EpochCell`]-published image and pushes the
-//!   replication feed. Feed order therefore *is* commit order.
-//! * **Fsync / replication wait** — outside every lock. While commit `k`
-//!   sits in the group-commit fsync window, commit `k+1` validates and
-//!   publishes: the WAL stays seq-ordered (appends happen under the
-//!   ticket) and acknowledgment still waits for durability.
+//! * the **ticket** orders everything that must agree on commit order:
+//!   sequence assignment, first-committer-wins validation, the buffered
+//!   WAL append, the publication and the replication feed push. A commit
+//!   whose begin image is no longer the committed one rebases (replays
+//!   its op log) *while holding the ticket* — nobody can publish
+//!   underneath it, so a commit replays at most once.
+//! * the **published** image is an `RwLock` whose write guard lives for
+//!   one assignment. Readers ([`DbHandle::committed`] / [`DbHandle::fork`])
+//!   and `begin` take only it; they never wait on the ticket.
+//! * the **conflict log** — last committing sequence per write key plus
+//!   the retained commit records — is probed and appended under the
+//!   ticket and pruned off the commit path (transaction finish), never
+//!   taking the ticket.
+//! * the **active** registry counts open transactions per begin sequence;
+//!   its minimum is the prune cutoff.
 //!
-//! Readers never queue behind any of it: [`DbHandle::committed`] /
-//! [`DbHandle::fork`] read the epoch cell, which is wait-free against
-//! writers. Commit-log pruning runs off the commit path entirely
-//! (amortized into transaction finish, see [`DbHandle::prune_commit_log`]).
-//!
-//! The pre-pipeline behavior — every attempt serialized start to finish —
-//! is preserved behind [`CommitMode::SingleLock`] as an A/B arm and as the
-//! oracle for the pipeline's equivalence proptests.
+//! **Fsync / replication wait** happen outside every lock: while commit
+//! `k` sits in the group-commit fsync window, commit `k+1` validates and
+//! publishes. The WAL stays seq-ordered (appends happen under the ticket)
+//! and acknowledgment still waits for durability.
 
-use crate::shard::{ActiveRegistry, ConflictIndex};
 use crate::txn::WriteKey;
 use mad_model::bin::u64_of_usize;
 use mad_model::{FxHashMap, FxHashSet, MadError, Result};
-use mad_obs::trace::{StageKind, StageTimer};
+use mad_obs::trace::{self, StageKind, StageTimer};
 use mad_obs::{Counter, Registry};
-use mad_storage::{Database, EpochCell};
+use mad_storage::Database;
 use mad_wal::{CheckpointStats, FaultPlan, FsyncPolicy, Lsn, RecoveryInfo, TailRead, Wal, WalOp};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::time::Instant;
 
 /// A poisoned handle lock means a panic escaped another thread while the
 /// shared commit state was mid-update. `Result`-returning paths surface
@@ -80,22 +78,6 @@ pub enum Durability {
         /// When commits wait for stable storage.
         fsync: FsyncPolicy,
     },
-}
-
-/// Which commit protocol the handle runs — the A/B knob for the staged
-/// pipeline (see the module docs). Both modes publish identical images,
-/// abort identical transaction sets and write identical WAL bytes; only
-/// the concurrency of the path differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommitMode {
-    /// The staged pipeline (the default): sharded validation, short
-    /// publication ticket, fsync outside all locks.
-    #[default]
-    Pipelined,
-    /// The legacy protocol: every publication attempt serialized start to
-    /// finish under one gate. Kept as the benchmark A/B arm and as the
-    /// proptest oracle.
-    SingleLock,
 }
 
 /// When does a commit acknowledge with respect to **replication** — the
@@ -157,10 +139,11 @@ struct ReplState {
     sealed: bool,
 }
 
-/// The commit **ticket**: the one short critical section of the pipeline.
-/// Holding it assigns the next commit sequence, orders the WAL append,
-/// swaps the epoch cell and pushes the feed — nothing else. It is never
-/// held across an fsync, a replay, validation probes or pruning.
+/// The commit **ticket**: whoever holds it is the one committer. Holding
+/// it validates, rebases if the begin image went stale, assigns the next
+/// commit sequence, orders the WAL append, swaps the published image and
+/// pushes the feed. It is never held across an fsync, a replication wait
+/// or pruning.
 #[derive(Debug)]
 struct TicketState {
     /// Monotone commit sequence number (0 = the initial load).
@@ -171,9 +154,9 @@ struct TicketState {
     feeds: Vec<mpsc::Sender<FeedCommit>>,
 }
 
-/// The committed image plus the sequence it was published at — the value
-/// inside the epoch cell. Cloned out atomically on every read, so the
-/// `(db, seq)` pair is always consistent.
+/// The committed image plus the sequence it was published at. Cloned out
+/// under the `published` read lock on every read, so the `(db, seq)` pair
+/// is always consistent.
 #[derive(Clone, Debug)]
 struct PublishedImage {
     /// The committed image. Immutable once published; replaced wholesale.
@@ -182,32 +165,31 @@ struct PublishedImage {
     seq: u64,
 }
 
+/// First-committer-wins state: what committed since the oldest active
+/// transaction began. Index and log are updated (under the ticket) and
+/// pruned (off it) in one critical section each, so they always agree.
+#[derive(Debug, Default)]
+struct ConflictLog {
+    /// Write key → sequence of the last commit that published it,
+    /// covering exactly the keys of the retained `log` records.
+    last_write: FxHashMap<WriteKey, u64>,
+    /// Commit records newer than the oldest active transaction's begin,
+    /// ordered by `seq` (pushes happen under the ticket).
+    log: Vec<CommitRecord>,
+}
+
 #[derive(Debug)]
 struct Inner {
-    /// The [`CommitMode::SingleLock`] gate: wraps a whole publication
-    /// attempt, restoring the pre-pipeline one-at-a-time protocol. Under
-    /// [`CommitMode::Pipelined`] it doubles as the straggler contention
-    /// gate (see [`DbHandle::contention_gate`]).
-    legacy_gate: Mutex<()>,
     /// The commit ticket (see [`TicketState`]).
     ticket: Mutex<TicketState>,
-    /// The published image: readers are wait-free against publications.
-    published: EpochCell<PublishedImage>,
-    /// Active-transaction registry, sharded (see [`ActiveRegistry`]).
-    registry: ActiveRegistry,
-    /// First-committer-wins conflict index, sharded (see
-    /// [`ConflictIndex`]).
-    conflict: ConflictIndex,
-    /// Commit records newer than the oldest active transaction's begin
-    /// (ordered by `seq`, since publication pushes under the ticket).
-    /// Pruned off the commit path — see [`DbHandle::prune_commit_log`].
-    commit_log: Mutex<Vec<CommitRecord>>,
-    /// Mirror of `commit_log.len()` (maintained under the `commit_log`
-    /// lock) so finish-path pruning can skip an empty log without
-    /// locking it.
-    log_records: AtomicUsize,
-    /// True when the handle runs [`CommitMode::SingleLock`].
-    single_lock: AtomicBool,
+    /// Active transactions: begin sequence → how many began there.
+    active: Mutex<BTreeMap<u64, usize>>,
+    /// See [`ConflictLog`]. Pruned off the commit path — see
+    /// [`DbHandle::prune_commit_log`].
+    conflict_log: Mutex<ConflictLog>,
+    /// The published image. The write guard lives for one assignment, so
+    /// readers never wait on validation, a rebase or the WAL.
+    published: RwLock<PublishedImage>,
     /// The write-ahead log, when the handle is durable.
     wal: Option<Wal>,
     durability: Durability,
@@ -249,11 +231,23 @@ struct TxnMetrics {
     commits: Counter,
     /// First-committer-wins validation failures (`txn.conflicts`).
     conflicts: Counter,
-    /// Op-log replays after a stale publication attempt (`txn.replays`).
+    /// Op-log replays by commits whose begin image went stale
+    /// (`txn.replays`); at most one per commit attempt.
     replays: Counter,
-    /// Commits that lost the publication race repeatedly and escalated to
-    /// the contention gate (`txn.escalations`).
-    escalations: Counter,
+}
+
+impl Inner {
+    /// Clone the published `(db, seq)` pair out of its lock. Poison is
+    /// ignored: the only write is one whole-value assignment, so the
+    /// value is valid at every step.
+    fn image(&self) -> PublishedImage {
+        self.published.read().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Replace the published image (callers hold the ticket).
+    fn set_image(&self, image: PublishedImage) {
+        *self.published.write().unwrap_or_else(PoisonError::into_inner) = image;
+    }
 }
 
 /// A cloneable, thread-safe handle to one shared MAD database.
@@ -261,10 +255,10 @@ struct TxnMetrics {
 /// All sessions of a deployment hold clones of one `DbHandle`. Readers take
 /// a consistent frozen image with [`DbHandle::committed`]; writers go
 /// through [`crate::Transaction`]. Publication is atomic: the committed
-/// `Arc<Database>` is swapped through an [`EpochCell`], in-flight readers
-/// keep whatever image they already cloned, and new readers are never
-/// blocked behind commit validation or a WAL fsync — not even behind the
-/// publication ticket itself.
+/// `Arc<Database>` is replaced in one assignment, in-flight readers keep
+/// whatever image they already cloned, and new readers are never blocked
+/// behind commit validation or a WAL fsync — not even behind the commit
+/// ticket itself.
 ///
 /// A durable handle ([`DbHandle::create_durable`] /
 /// [`DbHandle::open_durable`] / [`DbHandle::with_durability`]) additionally
@@ -354,18 +348,13 @@ impl DbHandle {
             commits: obs.counter("txn.commits"),
             conflicts: obs.counter("txn.conflicts"),
             replays: obs.counter("txn.replays"),
-            escalations: obs.counter("txn.escalations"),
         };
         let handle = DbHandle {
             inner: Arc::new(Inner {
-                legacy_gate: Mutex::new(()),
                 ticket: Mutex::new(TicketState { seq, feeds: Vec::new() }),
-                published: EpochCell::new(PublishedImage { db: Arc::new(db), seq }),
-                registry: ActiveRegistry::new(),
-                conflict: ConflictIndex::new(),
-                commit_log: Mutex::new(Vec::new()),
-                log_records: AtomicUsize::new(0),
-                single_lock: AtomicBool::new(false),
+                active: Mutex::new(BTreeMap::new()),
+                conflict_log: Mutex::new(ConflictLog::default()),
+                published: RwLock::new(PublishedImage { db: Arc::new(db), seq }),
                 wal,
                 durability,
                 recovery,
@@ -392,8 +381,7 @@ impl DbHandle {
     /// `Weak` so a handle (and its WAL file handles) can still drop
     /// while a server-side registry clone outlives it; each closure
     /// takes at most one ranked lock at a time and nests nothing inside
-    /// it (shard sums lock one shard at a time; epoch-cell reads take no
-    /// ranked lock at all).
+    /// it.
     fn register_gauges(&self) {
         let obs = &self.inner.obs;
         let weak = {
@@ -402,24 +390,27 @@ impl DbHandle {
         };
         {
             let w = weak();
-            obs.gauge("txn.seq", move || w.upgrade().map(|i| i.published.read().seq));
+            obs.gauge("txn.seq", move || w.upgrade().map(|i| i.image().seq));
         }
         {
             let w = weak();
             obs.gauge("txn.commit_log", move || {
-                w.upgrade().map(|i| u64_of_usize(i.log_records.load(Ordering::Relaxed)))
+                w.upgrade().map(|inner| u64_of_usize(DbHandle { inner }.commit_log_len()))
             });
         }
         {
             let w = weak();
             obs.gauge("txn.conflict_index", move || {
-                w.upgrade().map(|i| u64_of_usize(i.conflict.len_total()))
+                w.upgrade().map(|inner| u64_of_usize(DbHandle { inner }.conflict_index_len()))
             });
         }
         {
             let w = weak();
             obs.gauge("txn.active", move || {
-                w.upgrade().map(|i| u64_of_usize(i.registry.active_total()))
+                w.upgrade().map(|i| {
+                    let active = i.active.lock().unwrap_or_else(PoisonError::into_inner);
+                    u64_of_usize(active.values().sum())
+                })
             });
         }
         {
@@ -435,8 +426,7 @@ impl DbHandle {
             let w = weak();
             obs.gauge("storage.csr_rebuilt_pairs", move || {
                 w.upgrade().map(|i| {
-                    let img = i.published.read();
-                    let (rebuilt, _) = img.db.csr_rebuild_stats().unwrap_or((0, 0));
+                    let (rebuilt, _) = i.image().db.csr_rebuild_stats().unwrap_or((0, 0));
                     u64_of_usize(rebuilt)
                 })
             });
@@ -445,8 +435,7 @@ impl DbHandle {
             let w = weak();
             obs.gauge("storage.csr_pairs", move || {
                 w.upgrade().map(|i| {
-                    let img = i.published.read();
-                    let (_, total) = img.db.csr_rebuild_stats().unwrap_or((0, 0));
+                    let (_, total) = i.image().db.csr_rebuild_stats().unwrap_or((0, 0));
                     u64_of_usize(total)
                 })
             });
@@ -506,12 +495,12 @@ impl DbHandle {
         {
             // per-standby replication cursor and lag-in-records — one
             // `repl.standby.<token>.{acked_seq,lag}` row pair per
-            // attached standby. The committed seq is read first (epoch
-            // cell, no lock) and the repl lock taken after.
+            // attached standby. The committed seq is read first and the
+            // repl lock taken after, never nested.
             let w = weak();
             obs.multi("repl.standby", move || {
                 w.upgrade().and_then(|i| {
-                    let seq = i.published.read().seq;
+                    let seq = i.image().seq;
                     let r = i.repl.lock().ok()?;
                     let mut rows = Vec::with_capacity(r.standbys.len() * 2);
                     for (token, &acked) in &r.standbys {
@@ -533,31 +522,6 @@ impl DbHandle {
         &self.inner.obs
     }
 
-    /// Bump the op-log-replay counter (`txn.replays`) — called by the
-    /// contended commit path in [`crate::Transaction`].
-    pub(crate) fn count_replay(&self) {
-        self.inner.metrics.replays.inc();
-    }
-
-    /// The contention gate for straggler commits (ARCHITECTURE.md, "The
-    /// commit pipeline"): a pipelined committer that keeps losing the
-    /// publication race takes this gate and holds it across its remaining
-    /// replay attempts, so stragglers rebuild one at a time instead of
-    /// racing each other into O(writers) wasted replays apiece. The mutex
-    /// is the [`CommitMode::SingleLock`] whole-pipeline gate; under that
-    /// mode [`DbHandle::publish_if`] acquires it itself, so this returns
-    /// `None` to keep the non-reentrant lock single-entry (the gate's
-    /// serialization already applies to every attempt there). Callers
-    /// that got `Some` must pass `gate_held = true` to `publish_if` and
-    /// drop the guard *before* any durability or replication wait.
-    pub(crate) fn contention_gate(&self) -> Result<Option<MutexGuard<'_, ()>>> {
-        if self.inner.single_lock.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        self.inner.metrics.escalations.inc();
-        self.inner.legacy_gate.lock().map(Some).map_err(poisoned)
-    }
-
     /// How this handle persists commits.
     pub fn durability(&self) -> &Durability {
         &self.inner.durability
@@ -566,27 +530,6 @@ impl DbHandle {
     /// Does this handle refuse writes (a standby's serving handle)?
     pub fn is_read_only(&self) -> bool {
         self.inner.read_only
-    }
-
-    /// Switch the commit protocol (see [`CommitMode`]). Takes effect for
-    /// publication attempts that start afterwards; attempts already in
-    /// flight finish under the mode they started with. Both modes are
-    /// always safe to mix — the pipeline's ticket and shard locks are
-    /// acquired in [`CommitMode::SingleLock`] too, the gate merely
-    /// serializes whole attempts on top.
-    pub fn set_commit_mode(&self, mode: CommitMode) {
-        self.inner
-            .single_lock
-            .store(mode == CommitMode::SingleLock, Ordering::Relaxed);
-    }
-
-    /// The commit protocol currently in effect.
-    pub fn commit_mode(&self) -> CommitMode {
-        if self.inner.single_lock.load(Ordering::Relaxed) {
-            CommitMode::SingleLock
-        } else {
-            CommitMode::Pipelined
-        }
     }
 
     // ------------------------------------------------------------------
@@ -720,7 +663,7 @@ impl DbHandle {
             )));
         }
         t.seq = seq;
-        self.inner.published.publish(PublishedImage { db: Arc::new(db), seq });
+        self.inner.set_image(PublishedImage { db: Arc::new(db), seq });
         Ok(())
     }
 
@@ -747,7 +690,7 @@ impl DbHandle {
             )));
         }
         t.seq = seq;
-        self.inner.published.publish(PublishedImage { db: Arc::new(db), seq });
+        self.inner.set_image(PublishedImage { db: Arc::new(db), seq });
         Ok(())
     }
 
@@ -854,9 +797,9 @@ impl DbHandle {
             ));
         };
         // hold the commit ticket so no commit appends mid-rewrite; the
-        // epoch cell is read under it, so (db, seq) is the final word
+        // image is read under it, so (db, seq) is the final word
         let _t = self.inner.ticket.lock().map_err(poisoned)?;
-        let img = self.inner.published.read();
+        let img = self.inner.image();
         // check: allow(lock, "resolves to Wal::checkpoint (sync/files), not DbHandle::checkpoint; the name-keyed call graph conflates them")
         let stats = wal.checkpoint(&img.db, img.seq)?;
         self.inner.commits_since_ckpt.store(0, Ordering::Relaxed);
@@ -866,25 +809,25 @@ impl DbHandle {
     /// The current committed image. The returned `Arc` is a consistent
     /// snapshot: it never changes, no matter what commits afterwards.
     ///
-    /// This is an epoch-cell read off the publication fast path: it holds
-    /// no ranked lock at all, so a reader is never blocked behind commit
-    /// validation, the publication ticket, op-log replay or a WAL fsync.
+    /// This takes only the `published` read lock, whose writers hold it
+    /// for one assignment: a reader is never blocked behind commit
+    /// validation, the commit ticket, op-log replay or a WAL fsync.
     pub fn committed(&self) -> Arc<Database> {
-        self.inner.published.read().db
+        self.inner.image().db
     }
 
     /// The current commit sequence number (how many commits have been
     /// published). Sessions use it to detect that their cached fork of the
     /// committed state is stale.
     pub fn commit_seq(&self) -> u64 {
-        self.inner.published.read().seq
+        self.inner.image().seq
     }
 
     /// A copy-on-write fork of the committed image plus the sequence number
     /// it was taken at — the cheap way for a session to get a *mutable*
     /// working copy (e.g. for autocommit query scratch space).
     pub fn fork(&self) -> (Database, u64) {
-        let img = self.inner.published.read();
+        let img = self.inner.image();
         ((*img.db).clone(), img.seq)
     }
 
@@ -892,120 +835,115 @@ impl DbHandle {
     /// retains (bounded by in-flight contention; exposed for tests and
     /// monitoring).
     pub fn commit_log_len(&self) -> usize {
-        // check: allow(panic, "monitoring accessor; poison means a panic already escaped mid-update and propagating it is the honest outcome")
-        self.inner.commit_log.lock().unwrap().len()
+        self.inner.conflict_log.lock().unwrap_or_else(PoisonError::into_inner).log.len()
     }
 
     /// How many distinct write keys the commit-validation hash index
     /// currently covers (pruned together with the commit log; exposed for
     /// tests and monitoring).
     pub fn conflict_index_len(&self) -> usize {
-        self.inner.conflict.len_total()
+        self.inner.conflict_log.lock().unwrap_or_else(PoisonError::into_inner).last_write.len()
     }
 
-    /// Begin bookkeeping: returns `(committed image, begin_seq, registry
-    /// shard)` — the transaction registers as active in one registry
-    /// shard and the image is read inside that shard's critical section
-    /// (what makes pruning's cutoff sound; see
-    /// [`ActiveRegistry::register_begin`]).
-    pub(crate) fn begin_txn(&self) -> (Arc<Database>, u64, usize) {
-        self.inner.registry.register_begin(|| {
-            let img = self.inner.published.read();
-            (img.db, img.seq)
-        })
+    /// Begin bookkeeping: registers the transaction as active at the
+    /// sequence of the image it returns. The image is read **inside** the
+    /// `active` critical section, which is what makes the prune cutoff
+    /// sound: the pruner reads its fallback sequence under the same lock,
+    /// so a begin it did not see registers afterwards and observes a
+    /// sequence `>=` the cutoff — no begin slips under a prune.
+    pub(crate) fn begin_txn(&self) -> (Arc<Database>, u64) {
+        let mut active = self.inner.active.lock().unwrap_or_else(PoisonError::into_inner);
+        let img = self.inner.image();
+        *active.entry(img.seq).or_insert(0) += 1;
+        (img.db, img.seq)
     }
 
     /// Drop an active transaction's registration (abort, or the cleanup
-    /// half of commit) and prune the commit log. Idempotence lives one
+    /// half of commit) and prune the conflict log. Idempotence lives one
     /// level up: [`crate::Transaction`] releases its registration exactly
     /// once (its `finish` is called on commit, abort **and** plain drop —
     /// early return, panic, a disconnected client), so a leaked
     /// registration can never pin the log forever.
-    pub(crate) fn finish_txn(&self, begin_seq: u64, reg_shard: usize) {
-        self.inner.registry.unregister_begin(reg_shard, begin_seq);
-        self.prune();
+    pub(crate) fn finish_txn(&self, begin_seq: u64) {
+        self.prune(Some(begin_seq));
     }
 
     /// Prune dead commit records and their conflict-index entries — the
-    /// amortized cleanup the commit critical path no longer carries. Runs
-    /// automatically on every transaction finish; public so operators and
-    /// tests can force it. Touches the registry shards, the commit log
-    /// and the conflict shards, but **never** the commit ticket: a pinned
-    /// 10k-record log costs committers nothing beyond their own probes.
+    /// cleanup the commit path does not carry. Runs automatically on every
+    /// transaction finish; public so operators and tests can force it.
+    /// Takes `active`, then `conflict_log`, but **never** the commit
+    /// ticket: a pinned 10k-record log costs committers nothing beyond
+    /// their own probes.
     pub fn prune_commit_log(&self) {
-        self.prune();
+        self.prune(None);
     }
 
-    fn prune(&self) {
-        if self.inner.log_records.load(Ordering::Relaxed) == 0 {
-            return;
-        }
+    /// Unregister `finished` (a begin sequence), if any, and prune up to
+    /// the resulting cutoff — one `active` critical section for both.
+    fn prune(&self, finished: Option<u64>) {
         // every active transaction with begin b validates against records
         // with seq > b, so records at or below the oldest begin are dead;
         // with no active transactions everything up to the current
-        // sequence is (see `ActiveRegistry::oldest_begin` for why no
-        // concurrent begin can observe a sequence below the cutoff)
-        let cutoff = self.inner.registry.oldest_begin(|| self.inner.published.read().seq);
-        let dead = {
-            // check: allow(panic, "infallible cleanup; poison means a panic already escaped mid-update and propagating it is the honest outcome")
-            let mut log = self.inner.commit_log.lock().unwrap();
-            // the log is seq-ordered (pushes happen under the ticket):
-            // split off the dead prefix — O(log n) and no allocation when
-            // a pinned transaction keeps everything alive
-            let keep_from = log.partition_point(|r| r.seq <= cutoff);
-            if keep_from == 0 {
-                return;
+        // sequence is (see `begin_txn` for why no concurrent begin can
+        // observe a sequence below the cutoff)
+        let cutoff = {
+            let mut active = self.inner.active.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(begin_seq) = finished {
+                if let Some(n) = active.get_mut(&begin_seq) {
+                    *n -= 1;
+                    if *n == 0 {
+                        active.remove(&begin_seq);
+                    }
+                }
             }
-            let mut dead = std::mem::take(&mut *log);
-            let live = dead.split_off(keep_from);
-            *log = live;
-            self.inner.log_records.store(log.len(), Ordering::Relaxed);
-            dead
+            active.keys().next().copied().unwrap_or_else(|| self.inner.image().seq)
         };
-        // index entries die outside the log lock; per-(key, seq) checks
-        // keep this safe against concurrent publications of the same key
-        self.inner.conflict.remove_dead(&dead);
+        let mut guard = self.inner.conflict_log.lock().unwrap_or_else(PoisonError::into_inner);
+        let ConflictLog { last_write, log } = &mut *guard;
+        // the log is seq-ordered: the dead records are a prefix, found in
+        // O(log n) when a pinned transaction keeps everything alive
+        let dead = log.partition_point(|r| r.seq <= cutoff);
+        for record in log.drain(..dead) {
+            for key in record.keys {
+                // a later record may have re-published the key; then the
+                // entry dies with that record instead
+                if let Entry::Occupied(last) = last_write.entry(key) {
+                    if *last.get() <= cutoff {
+                        last.remove();
+                    }
+                }
+            }
+        }
     }
 
-    /// One optimistic publication attempt — the **Validate** and
-    /// **Publish** stages of the pipeline (module docs). Validation
-    /// probes the sharded conflict index without any global lock; the
-    /// ticket is then held only for sequence assignment, the buffered WAL
-    /// append, the index/log updates and the epoch-cell swap. Fsync
-    /// waiting and op-log replay happen in the caller, outside
-    /// everything, which is what lets commit `k+1` validate while commit
-    /// `k` fsyncs.
+    /// Validate and publish one commit — the whole protocol up to the
+    /// durability wait (module docs). Under the ticket: probe the conflict
+    /// log, ask `build` for the candidate image, append the WAL record
+    /// (buffered — no fsync), record the write-set, swap the published
+    /// image, push the feed. Returns the commit sequence and the WAL
+    /// position the caller must await before acknowledging.
+    ///
+    /// `build` is called once, with `None` while `observed` is still the
+    /// committed image (hand over the fork as-is, O(1)) and with
+    /// `Some(current)` once it went stale (rebase onto `current`). Nobody
+    /// can publish while it runs, so what it returns is never stale. It
+    /// yields the candidate and — on a durable handle — the op log with
+    /// ids resolved for that candidate.
     ///
     /// The transaction's registration is **not** touched here: on every
     /// outcome the caller still owns it and releases it through
     /// [`DbHandle::finish_txn`] (commit success/failure, abort, or drop).
     ///
-    /// * `Err(TxnConflict)` — first-committer-wins validation failed;
-    ///   nothing was published. A WAL append failure reports the same way
-    ///   (as its own error): nothing was published.
-    /// * `Ok(Published { .. })` — `candidate` was built against `expected`
-    ///   and `expected` is still the committed state: record logged (when
-    ///   durable) and published. The caller must still await `lsn` per the
-    ///   fsync policy before acknowledging.
-    /// * `Ok(Stale(current))` — another commit landed since `expected` was
-    ///   observed; the caller must replay against `current` and try again.
-    ///   (A conflicting commit that lands between our shard probes and the
-    ///   ticket also lands here: it necessarily swapped the published
-    ///   image, so the retry re-validates against its index entries.)
-    ///
-    /// `gate_held` — the caller already holds the contention gate (see
-    /// [`DbHandle::contention_gate`]); skip acquiring it here even if the
-    /// handle switched to [`CommitMode::SingleLock`] mid-commit, since the
-    /// gate and the single-lock gate are the same (non-reentrant) mutex.
-    pub(crate) fn publish_if(
+    /// Any `Err` — `TxnConflict` from validation, whatever `build`
+    /// returned, a WAL append failure — means nothing was published:
+    /// sequence, image, conflict log and feed are untouched.
+    pub(crate) fn publish(
         &self,
         begin_seq: u64,
-        expected: &Arc<Database>,
-        keys: &FxHashSet<WriteKey>,
-        candidate: Database,
-        wal_ops: Option<&[WalOp]>,
-        gate_held: bool,
-    ) -> Result<PublishOutcome> {
+        observed: &Arc<Database>,
+        keys: FxHashSet<WriteKey>,
+        build: impl FnOnce(Option<&Database>) -> Result<(Database, Option<Vec<WalOp>>)>,
+    ) -> Result<(u64, Option<Lsn>)> {
         if self.inner.read_only {
             // the hard guarantee under the Session-level nicety: nothing
             // publishes through a standby's serving handle
@@ -1013,25 +951,26 @@ impl DbHandle {
                 "this handle serves a read-only standby; writes must go to the primary",
             ));
         }
-        if self.inner.wal.is_some() && wal_ops.is_none() {
-            // a durable handle was handed no ops — a caller bug, and
-            // publishing would silently lose the commit on restart
-            return Err(MadError::wal(
-                "durable publication without a serialized op log",
-            ));
-        }
-        let _legacy = if self.inner.single_lock.load(Ordering::Relaxed) && !gate_held {
-            Some(self.inner.legacy_gate.lock().map_err(poisoned)?)
-        } else {
-            None
-        };
+        // the Publish stage is the ticket wait plus the publication proper;
+        // validate, replay and wal_append in between record their own
+        // stages, so a trace's stages stay disjoint
+        let queued = trace::is_active().then(Instant::now);
+        let mut t = self.inner.ticket.lock().map_err(poisoned)?;
+        let wait_ns = queued.map_or(0, |q| q.elapsed().as_nanos() as u64);
         // Validate: first-committer-wins — any committed write since our
         // begin that overlaps our write-set aborts us. One hash probe per
-        // key of OUR write-set against its conflict shard; disjoint
-        // write-sets never serialize here.
+        // key of OUR write-set; we hold the ticket, so no publication can
+        // slip in after the probe.
         let vt = StageTimer::start(StageKind::Validate);
         let probes = u64_of_usize(keys.len());
-        if let Some((key, seq)) = self.inner.conflict.find_conflict(keys.iter(), begin_seq) {
+        let conflict = {
+            let log = self.inner.conflict_log.lock().unwrap_or_else(PoisonError::into_inner);
+            keys.iter().find_map(|key| match log.last_write.get(key) {
+                Some(&seq) if seq > begin_seq => Some((key, seq)),
+                _ => None,
+            })
+        };
+        if let Some((key, seq)) = conflict {
             self.inner.metrics.conflicts.inc();
             vt.finish_info(&[("probes", probes), ("conflict", 1)]);
             return Err(MadError::txn_conflict(format!(
@@ -1039,50 +978,55 @@ impl DbHandle {
             )));
         }
         vt.finish_info(&[("probes", probes)]);
-        // Publish: the short ticket. Publication is ordered here, so the
-        // staleness check under it is the final word on `expected`.
-        let mut t = self.inner.ticket.lock().map_err(poisoned)?;
-        let current = self.inner.published.read();
-        if !Arc::ptr_eq(&current.db, expected) {
-            return Ok(PublishOutcome::Stale(current.db));
+        // (this clone also keeps the image we are about to replace alive
+        // until the ticket is dropped, so freeing it never happens under
+        // a lock)
+        let current = self.inner.image().db;
+        let stale = !Arc::ptr_eq(&current, observed);
+        if stale {
+            self.inner.metrics.replays.inc();
         }
+        let (candidate, wal_ops) = build(stale.then_some(&*current))?;
         let seq = t.seq + 1;
         // write-ahead: the record must be in the log (buffered) before the
         // state becomes visible; an append failure publishes nothing —
-        // the conflict index and commit log are untouched at this point
-        let lsn = match (&self.inner.wal, wal_ops) {
+        // the conflict log is untouched at this point
+        let lsn = match (&self.inner.wal, &wal_ops) {
             (Some(wal), Some(ops)) => Some(wal.append_commit(seq, ops)?),
-            _ => None,
+            // publishing would silently lose the commit on restart
+            (Some(_), None) => {
+                return Err(MadError::wal("durable publication without a serialized op log"))
+            }
+            (None, _) => None,
         };
-        let pt = StageTimer::start(StageKind::Publish);
-        self.inner.conflict.publish_keys(keys.iter(), seq);
+        let started = queued.map(|_| Instant::now());
         {
-            // check: allow(panic, "infallible once the record is appended; poison means a panic already escaped mid-update and propagating it is the honest outcome")
-            let mut log = self.inner.commit_log.lock().unwrap();
-            log.push(CommitRecord { seq, keys: keys.iter().cloned().collect() });
-            self.inner.log_records.store(log.len(), Ordering::Relaxed);
+            let mut log = self.inner.conflict_log.lock().unwrap_or_else(PoisonError::into_inner);
+            for key in &keys {
+                log.last_write.insert(key.clone(), seq);
+            }
+            log.log.push(CommitRecord { seq, keys: keys.into_iter().collect() });
         }
         t.seq = seq;
-        self.inner.published.publish(PublishedImage { db: Arc::new(candidate), seq });
+        self.inner.set_image(PublishedImage { db: Arc::new(candidate), seq });
         // feed replication subscribers under the same ticket that ordered
         // the publication, so the stream is the commit order, gap-free;
         // only durable commits carry the resolved ops the stream needs
-        if !t.feeds.is_empty() {
-            if let Some(ops) = wal_ops {
-                t.feeds.retain(|tx| {
-                    tx.send(FeedCommit {
-                        seq,
-                        ops: ops.to_vec(),
-                    })
-                    .is_ok()
-                });
-            }
+        if let Some(ops) = wal_ops {
+            t.feeds.retain(|tx| tx.send(FeedCommit { seq, ops: ops.clone() }).is_ok());
         }
-        pt.finish_info(&[("keys", probes)]);
+        if let Some(started) = started {
+            trace::record(
+                StageKind::Publish,
+                wait_ns + started.elapsed().as_nanos() as u64,
+                None,
+                &[("keys", probes), ("wait_ns", wait_ns), ("rebased", u64::from(stale))],
+            );
+        }
         drop(t);
         self.inner.commits_since_ckpt.fetch_add(1, Ordering::Relaxed);
         self.inner.metrics.commits.inc();
-        Ok(PublishOutcome::Published { seq, lsn })
+        Ok((seq, lsn))
     }
 
     /// Wait for the WAL record at `lsn` per the fsync policy (no-op for
@@ -1100,21 +1044,6 @@ impl DbHandle {
     pub(crate) fn lock_publication_for_test(&self) -> std::sync::MutexGuard<'_, impl Sized> {
         self.inner.ticket.lock().unwrap()
     }
-}
-
-/// Result of one [`DbHandle::publish_if`] attempt.
-pub(crate) enum PublishOutcome {
-    /// Published at this commit sequence; the transaction is finished.
-    /// `lsn` is the WAL position to await (durable handles only).
-    Published {
-        /// The published commit sequence.
-        seq: u64,
-        /// WAL position of the record, if the handle is durable.
-        lsn: Option<Lsn>,
-    },
-    /// The committed state moved; replay against the carried image and
-    /// retry.
-    Stale(Arc<Database>),
 }
 
 #[cfg(test)]
@@ -1147,16 +1076,5 @@ mod tests {
             .install_snapshot(Database::empty(), 1)
             .expect_err("snapshot install through a poisoned handle must error");
         assert!(err.to_string().contains("handle poisoned"), "{err}");
-    }
-
-    /// The A/B knob: both modes publish, and the mode reads back.
-    #[test]
-    fn commit_mode_round_trips() {
-        let handle = DbHandle::new(Database::empty());
-        assert_eq!(handle.commit_mode(), CommitMode::Pipelined);
-        handle.set_commit_mode(CommitMode::SingleLock);
-        assert_eq!(handle.commit_mode(), CommitMode::SingleLock);
-        handle.set_commit_mode(CommitMode::Pipelined);
-        assert_eq!(handle.commit_mode(), CommitMode::Pipelined);
     }
 }

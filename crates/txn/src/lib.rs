@@ -7,17 +7,16 @@
 //! into a multi-session one:
 //!
 //! * [`DbHandle`] — the shared handle. The committed state is an immutable
-//!   `Arc<Database>` published atomically through an epoch cell (arc-swap
-//!   style: readers clone the `Arc` wait-free, without queueing behind
-//!   validation, the commit ticket or a WAL fsync, and then run lock-free
-//!   against their frozen image for as long as they hold it). Concurrent
-//!   readers never observe a partial write-set, and an in-flight
-//!   derivation keeps its snapshot even while commits publish new states.
-//!   Commits run a staged pipeline — sharded first-committer-wins
-//!   validation, a short publication ticket, fsync outside all locks —
-//!   with a [`CommitMode`] knob to fall back to the legacy single-lock
-//!   protocol (see `DbHandle`'s module docs and ARCHITECTURE.md, "The
-//!   commit pipeline").
+//!   `Arc<Database>` published atomically behind a read-write lock whose
+//!   write guard lives for one assignment: readers clone the `Arc` without
+//!   queueing behind validation, the commit ticket or a WAL fsync, and
+//!   then run lock-free against their frozen image for as long as they
+//!   hold it. Concurrent readers never observe a partial write-set, and an
+//!   in-flight derivation keeps its snapshot even while commits publish
+//!   new states. Commits run one protocol — a ticket that orders
+//!   first-committer-wins validation, the WAL append and the publication;
+//!   fsync outside all locks (see `DbHandle`'s module docs and
+//!   ARCHITECTURE.md, "The commit protocol").
 //! * [`Transaction`] — one writer's view. `begin` forks the committed
 //!   image; because `mad_storage::Database` is copy-on-write at store
 //!   granularity (every per-type atom/link store and index is
@@ -47,18 +46,17 @@
 //!   state: `Atom(id)` for updates/deletes, `Link(lt, a, b)` for
 //!   connect/disconnect between pre-existing atoms. Writes to
 //!   transaction-born atoms cannot conflict and record nothing.
-//! * *Commit* takes the publication lock and validates the write-set
-//!   against the commit log: any record published after this
-//!   transaction's begin sequence whose keys intersect ours is a
-//!   first-committer-wins conflict ([`mad_model::MadError::TxnConflict`])
-//!   and aborts us. If the committed state is still the begin image
-//!   (uncontended fast path) the fork is published as-is — O(1). If other
-//!   transactions committed disjoint writes meanwhile, the op log is
-//!   **re-executed** against a fresh fork of the *current* committed
-//!   state — *outside* the publication lock, with an optimistic retry if
-//!   yet another commit lands during the replay, so concurrent readers
-//!   never wait behind a heavy commit; transaction-born atoms may land on
-//!   different slots there, so
+//! * *Commit* takes the commit ticket and validates the write-set
+//!   against the conflict log: any key published after this transaction's
+//!   begin sequence is a first-committer-wins conflict
+//!   ([`mad_model::MadError::TxnConflict`]) and aborts us. If the
+//!   committed state is still the begin image (uncontended fast path) the
+//!   fork is published as-is — O(1). If other transactions committed
+//!   disjoint writes meanwhile, the op log is **re-executed** against a
+//!   fresh fork of the *current* committed state while still holding the
+//!   ticket — nobody can publish underneath, so a commit replays at most
+//!   once, and readers (who never take the ticket) do not wait behind it;
+//!   transaction-born atoms may land on different slots there, so
 //!   provisional [`mad_model::AtomId`]s are remapped op by op (the final
 //!   mapping is returned in [`CommitInfo::remap`]). Re-execution re-runs
 //!   every integrity check against the latest state, so races the
@@ -96,7 +94,7 @@
 //! a bootstrap image of the current committed state.
 //!
 //! Snapshot reads ([`DbHandle::committed`] / [`DbHandle::fork`]) live on
-//! a dedicated read-write cell off the publication mutex, so a commit
+//! a dedicated read-write lock off the commit ticket, so a commit
 //! stalled in `fsync` never blocks readers.
 //!
 //! ```
@@ -122,11 +120,10 @@
 #![warn(missing_docs)]
 
 mod handle;
-mod shard;
 mod txn;
 
 pub use handle::{
-    CheckpointPolicy, CommitMode, CommitRecord, DbHandle, Durability, FeedCommit, ReplAck,
+    CheckpointPolicy, CommitRecord, DbHandle, Durability, FeedCommit, ReplAck,
 };
 pub use txn::{CommitInfo, Transaction, WriteKey};
 

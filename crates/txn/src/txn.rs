@@ -1,6 +1,6 @@
 //! The transaction: write overlay, op log, write-set, commit/abort.
 
-use crate::handle::{DbHandle, PublishOutcome};
+use crate::handle::DbHandle;
 use mad_model::{AtomId, AtomTypeId, FxHashMap, FxHashSet, LinkTypeId, MadError, Result, Value};
 use mad_obs::trace::{StageKind, StageTimer};
 use mad_storage::Database;
@@ -98,9 +98,6 @@ pub struct Transaction {
     handle: DbHandle,
     begin: Arc<Database>,
     begin_seq: u64,
-    /// The registry shard this transaction registered its begin in
-    /// (passed back on finish — see `ActiveRegistry`).
-    reg_shard: usize,
     /// Per atom type: the slot horizon at begin. Atoms at or beyond it are
     /// transaction-born (provisional ids, no conflict keys).
     base_slots: Vec<u32>,
@@ -113,7 +110,7 @@ pub struct Transaction {
 impl Transaction {
     /// Begin a transaction against the current committed state of `handle`.
     pub fn begin(handle: &DbHandle) -> Self {
-        let (begin, begin_seq, reg_shard) = handle.begin_txn();
+        let (begin, begin_seq) = handle.begin_txn();
         let base_slots = (0..begin.schema().atom_type_count())
             .map(|i| begin.atom_slot_count(AtomTypeId(i as u32)) as u32)
             .collect();
@@ -122,7 +119,6 @@ impl Transaction {
             handle: handle.clone(),
             begin,
             begin_seq,
-            reg_shard,
             base_slots,
             local,
             ops: Vec::new(),
@@ -270,13 +266,12 @@ impl Transaction {
     /// [`MadError::TxnConflict`] (or a re-execution failure) the
     /// transaction is aborted and the committed state is untouched.
     ///
-    /// Publication is **optimistic**: each attempt holds the handle lock
-    /// only for key-set validation, an `Arc` pointer check and the swap —
-    /// never for op-log replay. On the uncontended path the transaction's
-    /// fork publishes as-is (O(1)); when other commits landed since begin,
-    /// the op log is replayed against the newest state *outside* the lock
-    /// and the attempt repeats, so concurrent readers are never blocked
-    /// behind a heavy commit.
+    /// Publication is **optimistic once**: on the uncontended path the
+    /// transaction's fork publishes as-is (O(1)). When other commits
+    /// landed since begin, the op log is replayed against the newest
+    /// state *while holding the commit ticket* — nobody can publish
+    /// underneath it, so a commit replays at most once. Readers never
+    /// take the ticket and are not blocked behind a heavy commit.
     ///
     /// **Durability caveat**: on a durable handle, a [`MadError::Wal`]
     /// error from the post-publication fsync wait means the commit **was
@@ -298,102 +293,60 @@ impl Transaction {
             return Ok(CommitInfo::default());
         }
         let handle = self.handle.clone();
-        let begin_seq = self.begin_seq;
         let keys = std::mem::take(&mut self.writes);
         let ops = std::mem::take(&mut self.ops);
         let base_slots = std::mem::take(&mut self.base_slots);
-        let op_count = ops.len();
-        // first candidate: the fork itself (valid while the committed
-        // state is still the begin snapshot — no replay, no remapping)
-        let mut candidate = std::mem::take(&mut self.local);
-        let mut observed = Arc::clone(&self.begin);
+        let mut fork = std::mem::take(&mut self.local);
         let mut remap: FxHashMap<AtomId, AtomId> = FxHashMap::default();
         let durable = handle.is_durable();
-        // Straggler escalation: after this many stale publication
-        // attempts, take the contention gate and hold it across the
-        // remaining replay/publish attempts. Unbounded optimistic retry
-        // is quadratic under racing writers — every publication
-        // invalidates every in-flight candidate, so each commit rebuilds
-        // O(writers) times; the gate bounds the wasted rebuilds per
-        // commit to this constant (ARCHITECTURE.md, "The commit
-        // pipeline").
-        const ESCALATE_AFTER: usize = 2;
-        let mut stales = 0usize;
-        let mut gate = None;
-        loop {
-            // the WAL record carries the op log with every provisional id
-            // resolved to where this candidate actually placed it, so
-            // recovery replay is deterministic; rebuilt per attempt since
-            // a replayed attempt maps ids differently
-            let wal_ops = durable.then(|| resolve_ops(&ops, &remap));
-            // any Err — validation conflict, WAL append failure, replay
-            // failure below, even a panic — releases the registration via
-            // `finish` (the `?` drops `self`, whose Drop runs it), so a
-            // failed commit can never pin the commit log
-            match handle.publish_if(
-                begin_seq,
-                &observed,
-                &keys,
-                candidate,
-                wal_ops.as_deref(),
-                gate.is_some(),
-            )? {
-                PublishOutcome::Published { seq, lsn } => {
-                    // published: drop the contention gate (if escalated)
-                    // and release the registration *before* the
-                    // durability wait, so an fsync stall never pins the
-                    // commit log behind this transaction — or the gate
-                    // behind this fsync
-                    drop(gate.take());
-                    self.finish();
-                    // the commit is acknowledged only once its record is
-                    // durable per the handle's fsync policy (group commit
-                    // batches this wait with concurrent committers)...
-                    handle.wait_durable(lsn)?;
-                    // ...and, under ReplAck::SyncQuorum, once enough
-                    // standbys confirmed it durable on their side too
-                    let rt = StageTimer::start(StageKind::ReplWait);
-                    handle.wait_replicated(seq)?;
-                    rt.finish();
-                    // the log may now be over its auto-checkpoint
-                    // threshold; fold it before acknowledging
-                    handle.maybe_auto_checkpoint();
-                    // identity mappings (the replayed insert landed on its
-                    // provisional slot anyway) are not remappings the
-                    // caller needs to see
-                    remap.retain(|pid, aid| pid != aid);
-                    return Ok(CommitInfo {
-                        seq,
-                        ops: op_count,
-                        remap,
-                    });
-                }
-                PublishOutcome::Stale(current) => {
-                    // another commit landed: rebuild the candidate against
-                    // it (outside the pipeline's locks — unless this
-                    // commit has lost enough races to escalate, in which
-                    // case the gate serializes the rebuild against the
-                    // other stragglers), dropping any mapping from the
-                    // discarded attempt
-                    stales += 1;
-                    if stales >= ESCALATE_AFTER && gate.is_none() {
-                        gate = handle.contention_gate()?;
-                    }
-                    // the image from the failed attempt may be stale
-                    // again after the gate wait; rebuild against the
-                    // freshest one
-                    let current = if gate.is_some() { handle.committed() } else { current };
-                    remap.clear();
-                    handle.count_replay();
+        // any Err — validation conflict, replay failure, WAL append
+        // failure, even a panic — releases the registration via `finish`
+        // (the `?` drops `self`, whose Drop runs it), so a failed commit
+        // can never pin the commit log
+        let (seq, lsn) = handle.publish(self.begin_seq, &self.begin, keys, |stale| {
+            let candidate = match stale {
+                // the committed state is still the begin snapshot: the
+                // fork itself publishes — no replay, no remapping (a
+                // stale fork is left in place, to be freed only after the
+                // ticket is released)
+                None => std::mem::take(&mut fork),
+                Some(current) => {
                     let rt = StageTimer::start(StageKind::Replay);
-                    let mut fresh = (*current).clone();
+                    let mut fresh = current.clone();
                     replay(&mut fresh, &ops, &base_slots, &mut remap)?;
                     rt.finish_info(&[("ops", mad_model::bin::u64_of_usize(ops.len()))]);
-                    observed = current;
-                    candidate = fresh;
+                    fresh
                 }
-            }
-        }
+            };
+            // the WAL record carries the op log with every provisional id
+            // resolved to where this candidate actually placed it, so
+            // recovery replay is deterministic
+            Ok((candidate, durable.then(|| resolve_ops(&ops, &remap))))
+        })?;
+        // published: release the registration *before* the durability
+        // wait, so an fsync stall never pins the commit log behind this
+        // transaction
+        self.finish();
+        // the commit is acknowledged only once its record is durable per
+        // the handle's fsync policy (group commit batches this wait with
+        // concurrent committers)...
+        handle.wait_durable(lsn)?;
+        // ...and, under ReplAck::SyncQuorum, once enough standbys
+        // confirmed it durable on their side too
+        let rt = StageTimer::start(StageKind::ReplWait);
+        handle.wait_replicated(seq)?;
+        rt.finish();
+        // the log may now be over its auto-checkpoint threshold; fold it
+        // before acknowledging
+        handle.maybe_auto_checkpoint();
+        // identity mappings (the replayed insert landed on its provisional
+        // slot anyway) are not remappings the caller needs to see
+        remap.retain(|pid, aid| pid != aid);
+        Ok(CommitInfo {
+            seq,
+            ops: ops.len(),
+            remap,
+        })
     }
 
     /// Drop the overlay; the committed state was never touched.
@@ -409,7 +362,7 @@ impl Transaction {
     fn finish(&mut self) {
         if !self.finished {
             self.finished = true;
-            self.handle.finish_txn(self.begin_seq, self.reg_shard);
+            self.handle.finish_txn(self.begin_seq);
         }
     }
 }
@@ -785,6 +738,28 @@ mod tests {
         t.commit().unwrap();
         assert_eq!(h.commit_log_len(), 0);
         assert_eq!(h.conflict_index_len(), 0);
+    }
+
+    #[test]
+    fn partial_prune_spares_republished_keys() {
+        // two commits publish the same key; pruning the first record must
+        // leave the index pointing at the second, still-visible one
+        let h = geo_handle();
+        let sp = AtomId::new(ty(&h, "state"), 0);
+        let commit_one = |v: i64| {
+            let mut t = Transaction::begin(&h);
+            t.update_attr(sp, 1, Value::from(v)).unwrap();
+            t.commit().unwrap();
+        };
+        let old_pin = Transaction::begin(&h);
+        commit_one(1);
+        let mut new_pin = Transaction::begin(&h);
+        commit_one(2);
+        assert_eq!((h.commit_log_len(), h.conflict_index_len()), (2, 1));
+        drop(old_pin); // cutoff moves to new_pin's begin: record 1 dies
+        assert_eq!((h.commit_log_len(), h.conflict_index_len()), (1, 1));
+        new_pin.update_attr(sp, 1, Value::from(3)).unwrap();
+        assert!(new_pin.commit().unwrap_err().is_conflict(), "record 2 still guards the key");
     }
 
     #[test]

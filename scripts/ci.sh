@@ -2,7 +2,9 @@
 # The tier-1 gate, runnable locally and in CI:
 #
 #   1. release build (the profile the benches and examples use),
-#   2. full test suite,
+#   2. full test suite, then the benchmark package's own smoke tests —
+#      madbench sits outside the workspace, so without this step an API
+#      change in mad-txn/mad-storage can break the benchmark unnoticed,
 #   3. clippy over the whole workspace with warnings promoted to errors
 #      (vendored shim crates included — they are workspace members),
 #   4. mad-check, the workspace's own static analyzer: lock-hierarchy
@@ -41,6 +43,9 @@ cargo build --release --workspace
 
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "== madbench smoke tests (the benchmark package links the crates from outside the workspace)"
+cargo test --offline -q --manifest-path madbench/Cargo.toml
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

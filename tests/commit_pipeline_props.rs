@@ -1,10 +1,12 @@
-//! Property tests for the staged commit pipeline
-//! (ARCHITECTURE.md, "The commit pipeline").
+//! Property tests for the commit protocol
+//! (ARCHITECTURE.md, "The commit protocol").
 //!
 //! 1. **oracle equivalence**: for arbitrary begin/commit interleavings,
-//!    the sharded+pipelined path publishes the same image, assigns the
-//!    same sequences and aborts the same transaction set as the legacy
-//!    single-lock oracle (`CommitMode::SingleLock`);
+//!    the handle publishes the same image, assigns the same sequences
+//!    and aborts the same transaction set as a sequential
+//!    first-committer-wins model computed from the event list alone —
+//!    and, with four threads racing commits begun on one snapshot, the
+//!    same model holds for whatever commit order the run produced;
 //! 2. **gap-free feed**: a subscriber registered before concurrent
 //!    writers start (exactly how a standby attaches) observes the
 //!    commit sequence as a strictly consecutive, gap-free run;
@@ -13,13 +15,13 @@
 //!    still lands on a consistent prefix covering every acked commit.
 
 use mad::model::{AtomId, AttrType, SchemaBuilder, Value};
-use mad::storage::{Database, DatabaseSnapshot};
-use mad::txn::{CommitMode, DbHandle, FaultPlan, FsyncPolicy, Transaction};
+use mad::storage::Database;
+use mad::txn::{DbHandle, FaultPlan, FsyncPolicy, Transaction};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Pre-seeded conflict targets: `KEYS` atoms of one type, updated by key
 /// index. Every generated write-set addresses these, so overlap — and
@@ -42,10 +44,6 @@ fn base_db() -> Database {
 fn key_atom(db: &Database, key: usize) -> AtomId {
     let state = db.schema().atom_type_id("state").unwrap();
     AtomId::new(state, u32::try_from(key % KEYS).unwrap())
-}
-
-fn snapshot_of(db: &Database) -> String {
-    DatabaseSnapshot::capture(db).to_json_string()
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -106,56 +104,135 @@ fn event_list(n: usize, raw: &[usize]) -> Vec<(usize, bool)> {
     events
 }
 
-/// Drive the generated transactions through one interleaving under the
-/// given commit mode; return per-transaction outcomes, the final image
-/// and the final commit sequence.
-fn run_mode(
-    mode: CommitMode,
-    txns: &[GenTxn],
-    events: &[(usize, bool)],
-) -> (Vec<Outcome>, String, u64) {
+/// The values of the `KEYS` conflict targets in the committed image.
+fn key_values(db: &Database) -> Vec<i64> {
+    (0..KEYS)
+        .map(|k| match db.atom_value(key_atom(db, k), 0).unwrap() {
+            Value::Int(v) => *v,
+            other => panic!("conflict target holds {other:?}"),
+        })
+        .collect()
+}
+
+fn write_keys(t: &mut Transaction, gen: &GenTxn) {
+    for &k in &gen.keys {
+        let atom = key_atom(t.db(), k);
+        t.update_attr(atom, 0, Value::Int(gen.val)).unwrap();
+    }
+}
+
+fn outcome_of(commit: mad::model::Result<mad::txn::CommitInfo>) -> Outcome {
+    match commit {
+        Ok(info) => Outcome::Committed(info.seq),
+        Err(e) if e.is_conflict() => Outcome::Conflict,
+        Err(e) => panic!("unexpected commit error: {e}"),
+    }
+}
+
+/// The sequential first-committer-wins model, from the event list alone:
+/// a transaction conflicts iff some key of its write-set was committed
+/// at an event between its begin and its commit; committed transactions
+/// get consecutive sequences; a key's final value is its last committed
+/// writer's.
+fn model(txns: &[GenTxn], events: &[(usize, bool)]) -> (Vec<Outcome>, Vec<i64>, u64) {
+    let mut values: Vec<i64> = (0..KEYS as i64).collect();
+    let mut committed_at = [None::<usize>; KEYS];
+    let mut began = vec![0usize; txns.len()];
+    let mut outcomes = vec![Outcome::Conflict; txns.len()];
+    let mut seq = 0;
+    for (at, &(i, is_commit)) in events.iter().enumerate() {
+        if !is_commit {
+            began[i] = at;
+        } else if !txns[i].keys.iter().any(|&k| committed_at[k].is_some_and(|c| c > began[i])) {
+            seq += 1;
+            outcomes[i] = Outcome::Committed(seq);
+            for &k in &txns[i].keys {
+                values[k] = txns[i].val;
+                committed_at[k] = Some(at);
+            }
+        }
+    }
+    (outcomes, values, seq)
+}
+
+/// Drive the generated transactions through one interleaving on a real
+/// handle; return per-transaction outcomes, the final key values and the
+/// final commit sequence.
+fn run_handle(txns: &[GenTxn], events: &[(usize, bool)]) -> (Vec<Outcome>, Vec<i64>, u64) {
     let handle = DbHandle::new(base_db());
-    handle.set_commit_mode(mode);
     let mut open: HashMap<usize, Transaction> = HashMap::new();
     let mut outcomes: Vec<Option<Outcome>> = vec![None; txns.len()];
     for &(i, is_commit) in events {
         if !is_commit {
             let mut t = Transaction::begin(&handle);
-            for &k in &txns[i].keys {
-                t.update_attr(key_atom(&handle.committed(), k), 0, Value::Int(txns[i].val))
-                    .unwrap();
-            }
+            write_keys(&mut t, &txns[i]);
             open.insert(i, t);
         } else {
             let t = open.remove(&i).expect("event list begins before committing");
-            outcomes[i] = Some(match t.commit() {
-                Ok(info) => Outcome::Committed(info.seq),
-                Err(e) if e.is_conflict() => Outcome::Conflict,
-                Err(e) => panic!("unexpected commit error: {e}"),
-            });
+            outcomes[i] = Some(outcome_of(t.commit()));
         }
     }
     let outcomes = outcomes.into_iter().map(|o| o.unwrap()).collect();
-    (outcomes, snapshot_of(&handle.committed()), handle.commit_seq())
+    (outcomes, key_values(&handle.committed()), handle.commit_seq())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The pipelined path and the single-lock oracle are observationally
-    /// identical on every interleaving: same commit/abort decisions,
-    /// same sequence assignment, same published image.
+    /// The handle and the sequential model are observationally identical
+    /// on every interleaving: same commit/abort decisions, same sequence
+    /// assignment, same published values.
     #[test]
-    fn pipelined_commit_matches_the_single_lock_oracle(
+    fn commit_matches_the_sequential_model(
         txns in prop::collection::vec(txn_strategy(), 2..6),
         raw in prop::collection::vec(0usize..8, 4..24),
     ) {
         let events = event_list(txns.len(), &raw);
-        let (po, pimg, pseq) = run_mode(CommitMode::Pipelined, &txns, &events);
-        let (so, simg, sseq) = run_mode(CommitMode::SingleLock, &txns, &events);
-        prop_assert_eq!(&po, &so, "commit/abort decisions diverged: {:?}", events);
-        prop_assert_eq!(pseq, sseq, "sequence assignment diverged");
-        prop_assert_eq!(pimg, simg, "published images diverged");
+        let (outcomes, values, seq) = run_handle(&txns, &events);
+        let (model_outcomes, model_values, model_seq) = model(&txns, &events);
+        prop_assert_eq!(&outcomes, &model_outcomes, "commit/abort decisions diverged: {:?}", events);
+        prop_assert_eq!(seq, model_seq, "sequence assignment diverged");
+        prop_assert_eq!(values, model_values, "published values diverged");
+    }
+
+    /// Four threads begin on one snapshot (barrier), then race their
+    /// commits. Whatever order the race produced must be one the model
+    /// allows: all begins, then the commits in sequence order (losers
+    /// last), replayed through the model give exactly the observed
+    /// outcomes and image — so winners are pairwise disjoint, every loser
+    /// overlaps a winner, and sequences are gap-free.
+    #[test]
+    fn racing_commits_obey_the_sequential_model(
+        txns in prop::collection::vec(txn_strategy(), 4..5),
+    ) {
+        let handle = DbHandle::new(base_db());
+        let barrier = Barrier::new(txns.len());
+        let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
+            let racers: Vec<_> = txns
+                .iter()
+                .map(|gen| {
+                    let (handle, barrier) = (&handle, &barrier);
+                    scope.spawn(move || {
+                        let mut t = Transaction::begin(handle);
+                        write_keys(&mut t, gen);
+                        barrier.wait(); // all begun before any commits
+                        outcome_of(t.commit())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let mut order: Vec<usize> = (0..txns.len()).collect();
+        order.sort_by_key(|&i| match outcomes[i] {
+            Outcome::Committed(seq) => seq,
+            Outcome::Conflict => u64::MAX,
+        });
+        let events: Vec<(usize, bool)> = (0..txns.len())
+            .map(|i| (i, false))
+            .chain(order.into_iter().map(|i| (i, true)))
+            .collect();
+        let observed = (outcomes, key_values(&handle.committed()), handle.commit_seq());
+        prop_assert_eq!(observed, model(&txns, &events), "the race broke the model: {:?}", txns);
     }
 }
 
@@ -165,7 +242,7 @@ proptest! {
     /// A commit-feed subscriber registered before the writers start —
     /// exactly how a replication standby attaches — sees a strictly
     /// consecutive sequence run: no gap, no reorder, no duplicate, under
-    /// full pipelined concurrency.
+    /// concurrent writers.
     #[test]
     fn feed_sequences_are_gap_free_under_concurrent_writers(
         writers in 1usize..5,

@@ -215,3 +215,106 @@ fn pinned_commit_log_does_not_inflate_commit_latency() {
          empty log ({loaded:?} vs {baseline:?} for {SAMPLE} commits)"
     );
 }
+
+/// A handle over `mixed_database` plus `extra` more states to write to.
+fn handle_with_states(extra: usize, durable: Option<&std::path::Path>) -> DbHandle {
+    let mut db = mixed_database().unwrap();
+    let state = db.schema().atom_type_id("state").unwrap();
+    for i in 0..extra {
+        db.insert_atom(state, vec![Value::from(format!("s{i}")), Value::from(0.0)])
+            .unwrap();
+    }
+    match durable {
+        Some(path) => DbHandle::create_durable(db, path, mad::txn::FsyncPolicy::Never).unwrap(),
+        None => DbHandle::new(db),
+    }
+}
+
+fn txn_counter(handle: &DbHandle, name: &str) -> u64 {
+    handle
+        .obs()
+        .snapshot(Some("txn"))
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .and_then(|(_, v)| v.as_u64())
+        .unwrap_or_else(|| panic!("no counter {name}"))
+}
+
+#[test]
+fn a_commit_replays_at_most_once() {
+    // the bound the rebase-under-ticket protocol promises: every commit
+    // attempt (published or conflicted) replays its op log at most once,
+    // however many writers race it
+    const WRITERS: usize = 8;
+    const COMMITS: usize = 200;
+    for hot_keys in [None, Some(4)] {
+        let handle = handle_with_states(WRITERS, None);
+        let state = handle.committed().schema().atom_type_id("state").unwrap();
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let handle = &handle;
+                scope.spawn(move || {
+                    let key = hot_keys.map_or(w, |hot| w % hot);
+                    let atom = AtomId::new(state, u32::try_from(key).unwrap());
+                    let mut done = 0;
+                    while done < COMMITS {
+                        let mut t = Transaction::begin(handle);
+                        t.update_attr(atom, 1, Value::Float(done as f64)).unwrap();
+                        match t.commit() {
+                            Ok(_) => done += 1,
+                            Err(e) if e.is_conflict() => {}
+                            Err(e) => panic!("unexpected commit error: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        let commits = txn_counter(&handle, "txn.commits");
+        let conflicts = txn_counter(&handle, "txn.conflicts");
+        let replays = txn_counter(&handle, "txn.replays");
+        assert_eq!(commits, (WRITERS * COMMITS) as u64);
+        if hot_keys.is_none() {
+            assert_eq!(conflicts, 0, "disjoint writers never conflict");
+        }
+        assert!(
+            replays <= commits + conflicts,
+            "{replays} replays for {commits} commits + {conflicts} conflicts (hot keys: {hot_keys:?})"
+        );
+    }
+}
+
+#[test]
+fn wal_append_fault_during_rebase_publishes_nothing() {
+    let dir = std::env::temp_dir().join(format!("mad-rebase-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let handle = handle_with_states(2, Some(&dir.join("mad.wal")));
+    let state = handle.committed().schema().atom_type_id("state").unwrap();
+    let feed = handle.subscribe_commits();
+
+    let pin = Transaction::begin(&handle); // keeps the conflict log observable
+    let mut first = Transaction::begin(&handle);
+    let mut second = Transaction::begin(&handle);
+    first.update_attr(AtomId::new(state, 1), 1, Value::Float(1.0)).unwrap();
+    second.update_attr(AtomId::new(state, 2), 1, Value::Float(2.0)).unwrap();
+    first.commit().unwrap();
+    let before = handle.committed();
+
+    // `second` is disjoint but stale: it rebases under the ticket, and the
+    // append of the rebased record is the one that fails
+    assert!(handle.set_wal_fault_plan(Some(mad::txn::FaultPlan {
+        fail_append_at: Some(1),
+        fail_fsync_at: None,
+    })));
+    let err = second.commit().unwrap_err();
+    assert!(!err.is_conflict(), "expected the WAL failure, got {err}");
+    assert_eq!(txn_counter(&handle, "txn.replays"), 1, "the commit took the rebase path");
+
+    assert_eq!(handle.commit_seq(), 1, "no sequence was consumed");
+    assert!(std::sync::Arc::ptr_eq(&before, &handle.committed()), "no image was published");
+    assert_eq!((handle.commit_log_len(), handle.conflict_index_len()), (1, 1));
+    let fed: Vec<u64> = feed.try_iter().map(|c| c.seq).collect();
+    assert_eq!(fed, [1], "the feed saw only the first commit");
+    drop(pin);
+    std::fs::remove_dir_all(&dir).ok();
+}
