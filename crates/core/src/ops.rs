@@ -223,10 +223,19 @@ struct ResultSet {
 }
 
 /// The molecule-algebra engine: database + provenance + optional tracing.
+///
+/// Operators enlarge the database into DB′ (Def. 9) so that a result can
+/// be the operand of a later operator. A *statement scope*
+/// ([`Engine::open_statement_scope`]) bounds that enlargement to one
+/// top-level query: the next scope, [`Engine::db_mut`] or
+/// [`Engine::replace_db`] go back to the image and provenance the scope
+/// started from. Direct operator calls outside a scope accumulate DB′.
 #[derive(Debug, Default)]
 pub struct Engine {
     db: Database,
     prov: Provenance,
+    /// The base image and provenance of the open statement scope.
+    scope: Option<(Database, Provenance)>,
     tracing: bool,
     trace_log: TraceLog,
     strategy_override: Option<Strategy>,
@@ -238,6 +247,7 @@ impl Engine {
         Engine {
             db,
             prov: Provenance::new(),
+            scope: None,
             tracing: false,
             trace_log: TraceLog::new(),
             strategy_override: None,
@@ -258,23 +268,59 @@ impl Engine {
         self.strategy_override = strategy;
     }
 
-    /// The underlying database (grows with every operator application).
+    /// The underlying database: the base image plus the derived types the
+    /// operators propagated into it (DB′) — those of the current statement
+    /// inside a statement scope, of every operator application outside one.
     pub fn db(&self) -> &Database {
         &self.db
     }
 
-    /// Mutable access, for loading data and DDL.
+    /// Mutable access, for loading data, DML and DDL. Closes the statement
+    /// scope first, so writes land on the base image, never on a query's
+    /// DB′.
     pub fn db_mut(&mut self) -> &mut Database {
+        self.close_statement_scope();
         &mut self.db
     }
 
     /// Swap the engine's database for a fresh image (the session layer uses
-    /// this to re-sync with a shared handle's committed state), returning
-    /// the old one. Provenance entries referring to derived types of the
-    /// old image become inert: they are only consulted for atoms of
-    /// molecule types built over that image.
-    pub fn replace_db(&mut self, db: Database) -> Database {
-        std::mem::replace(&mut self.db, db)
+    /// this to re-sync with a shared handle's committed state). Closes the
+    /// statement scope and resets the provenance: the next propagation
+    /// over the new image reuses the old image's derived type ids, so old
+    /// entries would not be inert but wrong.
+    pub fn replace_db(&mut self, db: Database) {
+        self.scope = None;
+        self.db = db;
+        self.prov = Provenance::new();
+    }
+
+    /// Open a statement scope: first go back to the image and provenance
+    /// the previous scope started from (an O(#types) copy-on-write clone),
+    /// then remember the current pair. The statement's own DB′ therefore
+    /// stays readable — results render with their derived names — until
+    /// the next scope opens or the scope closes. The base image's CSR
+    /// snapshot is built once when the scope starts, so every restored
+    /// clone inherits it warm.
+    pub fn open_statement_scope(&mut self) {
+        match &self.scope {
+            Some((db, prov)) => {
+                self.db = db.clone();
+                self.prov = prov.clone();
+            }
+            None => {
+                let _ = self.db.csr_snapshot();
+                self.scope = Some((self.db.clone(), self.prov.clone()));
+            }
+        }
+    }
+
+    /// Close the statement scope (if one is open): drop the statement's
+    /// DB′ and return to the image and provenance the scope started from.
+    pub fn close_statement_scope(&mut self) {
+        if let Some((db, prov)) = self.scope.take() {
+            self.db = db;
+            self.prov = prov;
+        }
     }
 
     /// The provenance registry.
@@ -1196,8 +1242,9 @@ impl Engine {
         attr: &str,
         kind: IndexKind,
     ) -> Result<()> {
-        let ty = self.db.schema().atom_type_id(atom_type)?;
-        self.db.create_index(ty, attr, kind)
+        let db = self.db_mut();
+        let ty = db.schema().atom_type_id(atom_type)?;
+        db.create_index(ty, attr, kind)
     }
 }
 
@@ -1747,6 +1794,80 @@ mod tests {
         let pure_i = e.intersection_set(&mt, &sp).unwrap();
         let full_i = e.intersection(&mt, &sp, "i").unwrap();
         assert_eq!(pure_i.len(), full_i.len());
+    }
+
+    #[test]
+    fn statement_scopes_restore_image_and_provenance() {
+        let mut e = engine();
+        let md = path(e.db().schema(), &["state", "area", "edge", "point"]).unwrap();
+        let q = QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP");
+        let base = (e.db().schema().atom_type_count(), e.db().total_atoms());
+        let start = e.provenance().atom_copies();
+        let mut after_first = None;
+        for _ in 0..20 {
+            e.open_statement_scope();
+            assert!(
+                e.db().csr_is_warm(),
+                "a restored image lost the CSR snapshot"
+            );
+            let mt = e
+                .define_restricted("r", md.clone(), &q, Strategy::Bitset)
+                .unwrap();
+            let sigma = e.restrict(&mt, &QualExpr::True).unwrap();
+            e.verify_closure(&sigma).unwrap();
+            let now = (
+                e.db().schema().atom_type_count(),
+                e.db().total_atoms(),
+                e.provenance().atom_copies(),
+            );
+            assert_eq!(
+                *after_first.get_or_insert(now),
+                now,
+                "a scoped statement grew the engine"
+            );
+        }
+        e.close_statement_scope();
+        assert_eq!(
+            (e.db().schema().atom_type_count(), e.db().total_atoms()),
+            base
+        );
+        assert_eq!(e.provenance().atom_copies(), start);
+        // DML through db_mut lands on the base image, not on a query's DB′
+        e.open_statement_scope();
+        let _ = e.define_restricted("r", md, &q, Strategy::Bitset).unwrap();
+        let state = e.db().schema().atom_type_id("state").unwrap();
+        e.db_mut()
+            .insert_atom(state, vec![Value::from("RJ"), Value::from(1.0)])
+            .unwrap();
+        assert_eq!(e.db().schema().atom_type_count(), base.0);
+        assert_eq!(e.db().total_atoms(), base.1 + 1);
+        assert_eq!(e.provenance().atom_copies(), start);
+    }
+
+    #[test]
+    fn replace_db_resets_provenance_and_sigma_still_canonicalises() {
+        let mut e = engine();
+        let mt = mt_state(&mut e);
+        let _ = e.restrict(&mt, &QualExpr::True).unwrap();
+        assert!(e.provenance().atom_copies() > 0);
+        e.replace_db(mini_geo());
+        assert_eq!(
+            e.provenance().atom_copies(),
+            0,
+            "provenance outlived its image"
+        );
+        // the next propagation reuses the old derived type ids; a Σ over
+        // its result must still resolve to base atoms of the new image
+        let mt = mt_state(&mut e);
+        let all = e.restrict(&mt, &QualExpr::True).unwrap();
+        let sp = e
+            .restrict(&all, &QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP"))
+            .unwrap();
+        assert_eq!(sp.len(), 1);
+        e.verify_closure(&sp).unwrap();
+        let canon = e.provenance().canonical_atom(sp.molecules[0].root);
+        assert_eq!(e.db().atom(canon).unwrap()[0], Value::from("SP"));
+        assert!(!e.provenance().is_copy(canon));
     }
 
     #[test]

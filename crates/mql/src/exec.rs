@@ -358,6 +358,8 @@ fn execute_explain(
             detail: "EXPLAIN does not support recursive FROM clauses".into(),
         });
     }
+    // describe the image the SELECT would run on, not the last one's DB′
+    engine.open_statement_scope();
     let md = match &sel.from {
         FromClause::Named(n) => catalog
             .get(n)
@@ -444,13 +446,17 @@ pub fn plan_select(
 
 /// Derive and project a previously planned SELECT. The derivation runs
 /// against the engine's **current** snapshot — a plan is analysis only,
-/// so re-executing it always sees fresh data.
+/// so re-executing it always sees fresh data. A top-level SELECT opens a
+/// statement scope ([`Engine::open_statement_scope`]): its DB′ replaces
+/// the previous statement's instead of accumulating beside it.
 pub fn execute_planned(engine: &mut Engine, plan: &PreparedPlan) -> Result<StatementResult> {
     // WHERE → Σ (pushed into the definition, Def. 10 composed with Def. 8).
     // The engine picks the strategy: bitset derivation over the CSR
     // snapshot by default, overridable per session.
     let strategy = engine.preferred_strategy();
     let dt = StageTimer::start(StageKind::Derive);
+    // inside the stage: dropping the previous DB′ is propagation's cost
+    engine.open_statement_scope();
     let mt = match &plan.qual {
         Some(qual) => engine.define_restricted(&plan.name, plan.md.clone(), qual, strategy)?,
         None => engine.define_with(

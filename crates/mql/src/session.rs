@@ -39,8 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The open transaction of a session: the overlay plus a query engine over
-/// a fork of the overlay view (kept so consecutive in-transaction SELECTs
-/// share one consistently-enlarged database image).
+/// a fork of the overlay view (re-forked only when the overlay changes).
 struct ActiveTxn {
     handle: DbHandle,
     txn: Transaction,
@@ -609,8 +608,12 @@ impl Session {
             Some(h) => h.clone(),
             // single-owner mode: wrap the current state in a throwaway
             // handle so the full mad_txn machinery (overlay, op log,
-            // atomic publish) runs identically
-            None => DbHandle::new(self.engine.db().clone()),
+            // atomic publish) runs identically — the base image, not the
+            // last SELECT's DB′, or COMMIT would install it as data
+            None => {
+                self.engine.close_statement_scope();
+                DbHandle::new(self.engine.db().clone())
+            }
         };
         let txn = Transaction::begin(&handle);
         let qe = self.fork_query_engine(&txn);
@@ -661,9 +664,9 @@ impl Session {
     }
 
     /// A fresh query engine over a fork of the transaction's view, carrying
-    /// the session's strategy preference. Queries enlarge this scratch fork
-    /// (propagation writes derived types into it) rather than the overlay,
-    /// so a committed transaction publishes only its logged DML.
+    /// the session's strategy preference. Each query's DB′ lives in this
+    /// scratch fork for one statement scope, never in the overlay, so a
+    /// committed transaction publishes only its logged DML.
     fn fork_query_engine(&self, txn: &Transaction) -> Engine {
         let mut qe = Engine::new(txn.db().clone());
         qe.set_preferred_strategy(Some(self.engine.preferred_strategy()));
@@ -720,8 +723,8 @@ impl Session {
     }
 
     /// Shared mode: re-fork the committed state when other sessions
-    /// committed since our fork was taken. Local derived-type enlargement
-    /// from past queries is dropped with the stale fork.
+    /// committed since our fork was taken. The fork holds at most the last
+    /// statement's DB′; [`Engine::replace_db`] drops it with the scope.
     fn refresh_if_stale(&mut self) {
         if let Some(h) = &self.shared {
             if h.commit_seq() != self.base_seq {
@@ -1215,6 +1218,38 @@ mod tests {
         assert!(!s.in_transaction());
         let after = mad_storage::DatabaseSnapshot::capture(s.db()).to_json_string();
         assert_eq!(before, after, "ABORT must leave the database byte-identical");
+    }
+
+    #[test]
+    fn single_owner_commit_publishes_no_query_junk() {
+        let fixture = mini_geo();
+        let counts = |db: &Database| (db.schema().atom_type_count(), db.schema().link_type_count());
+        let mut s = session();
+        s.execute_script(
+            "SELECT ALL FROM state-area-edge-point WHERE state.sname = 'SP';\
+             BEGIN; COMMIT;",
+        )
+        .unwrap();
+        assert_eq!(
+            counts(s.db()),
+            counts(&fixture),
+            "COMMIT installed a SELECT's DB′"
+        );
+    }
+
+    #[test]
+    fn explain_describes_the_base_image() {
+        const EXPLAIN: &str = "EXPLAIN SELECT ALL FROM state-area-edge WHERE state.sname = 'SP'";
+        let fresh = session().execute_rendered(EXPLAIN).unwrap();
+        let mut s = session();
+        for q in [
+            "SELECT ALL FROM state-area-edge-point",
+            "SELECT state.sname FROM state-area WHERE state.hectare > 950.0",
+            "SELECT ALL FROM point-edge-(area-state,net-river)",
+        ] {
+            s.execute(q).unwrap();
+        }
+        assert_eq!(s.execute_rendered(EXPLAIN).unwrap(), fresh);
     }
 
     #[test]

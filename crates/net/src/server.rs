@@ -718,7 +718,10 @@ fn can_inline(shared: &Shared, conn: &Conn) -> bool {
 
 /// Execute one item on the poller thread (the single-statement fast
 /// path). Response bytes go through the outbox like everyone else's, so
-/// ordering with any not-yet-flushed worker output is preserved.
+/// ordering with any not-yet-flushed worker output is preserved, and are
+/// flushed at once: a reply that waited for the flush sweep would also
+/// wait for whatever the read sweep inlines for the next connection, so
+/// closed-loop clients would drift in and out of lock-step.
 fn run_inline(shared: &Shared, conn: &mut Conn, item: WorkItem) {
     let (mut session, mut encoding, stmt_ns) = {
         let mut w = lock(&conn.shared.work);
@@ -740,6 +743,7 @@ fn run_inline(shared: &Shared, conn: &mut Conn, item: WorkItem) {
     }
     lock(&conn.shared.outbox).extend_from_slice(&frame);
     shared.requests.fetch_add(1, Ordering::SeqCst);
+    flush_conn(shared, conn);
 }
 
 /// Append `items` to the connection's mailbox and claim it for the
