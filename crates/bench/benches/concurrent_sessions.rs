@@ -7,8 +7,8 @@
 //!   cost of the CoW fork, the op log, and the fast-path publish.
 //! * `snapshot_read` — latency of one committed-snapshot derivation while
 //!   the handle keeps absorbing commits between iterations: readers must
-//!   never pay more than the plain single-owner derivation plus one `Arc`
-//!   clone.
+//!   never pay more than a plain derivation over an owned `Database` plus
+//!   one `Arc` clone.
 //! * `mixed_rw_rNwM` — wall clock of a whole mixed scenario (N readers +
 //!   M writers to completion, isolation invariants verified online).
 //! * `commit_w{W}_{disjoint,contended}` — commit throughput under

@@ -1,12 +1,9 @@
-//! B3 — the §5 "query parallelism" outlook: per-root vs. set-oriented
-//! (level-at-a-time) vs. parallel vs. frontier-bitset molecule derivation.
+//! B3 — the frontier-bitset engine against the per-root reference
+//! derivation.
 //!
-//! Expected shape: level-at-a-time wins over per-root when molecules
-//! overlap heavily (shared adjacency is scanned once); parallel derivation
-//! scales with the number of molecules and cores; the bitset engine over
-//! the CSR snapshot beats all single-threaded strategies by replacing hash
-//! probes and sorted-vector intersections with sequential scans and
-//! word-wise set operations.
+//! Expected shape: the bitset engine over the CSR snapshot beats per-root
+//! derivation by replacing hash probes and sorted-vector intersections
+//! with sequential scans and word-wise set operations.
 //!
 //! Run with `-- --quick` to emit/merge `BENCH_derive.json` (median ns/op
 //! per strategy) for cross-commit perf comparison.
@@ -31,9 +28,6 @@ fn bench(c: &mut Criterion) {
         let _ = db.csr_snapshot();
         for (name, strat) in [
             ("per_root", Strategy::PerRoot),
-            ("level_at_a_time", Strategy::LevelAtATime),
-            ("parallel_2", Strategy::Parallel(2)),
-            ("parallel_4", Strategy::Parallel(4)),
             ("bitset", Strategy::Bitset),
         ] {
             group.bench_with_input(BenchmarkId::new(name, label), &(), |b, _| {
@@ -43,14 +37,13 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
-    // high-sharing case: the set-oriented join's advantage
+    // sharing sweep: many molecules over the same edges and points
     for (share, params) in presets::share_sweep() {
         let (db, _) = generate_geo(&params).unwrap();
         let md = path(db.schema(), &["river", "net", "edge", "point"]).unwrap();
         let _ = db.csr_snapshot();
         for (name, strat) in [
             ("per_root", Strategy::PerRoot),
-            ("level_at_a_time", Strategy::LevelAtATime),
             ("bitset", Strategy::Bitset),
         ] {
             group.bench_with_input(

@@ -7,9 +7,9 @@
 //! as the predicate approaches "all roots". Both paths use the *pure*
 //! evaluation API (no propagation), so only derivation cost is measured.
 //!
-//! Strategy arms: the classic per-root evaluator, the set-oriented
-//! level-at-a-time evaluator, and the bitset engine whose planner pushes
-//! conjuncts to *every* structure node (not just the root).
+//! Strategy arms: the per-root reference evaluator (root-only
+//! preselection) and the bitset engine whose planner pushes conjuncts to
+//! *every* structure node (not just the root).
 //!
 //! Run with `-- --quick` to emit/merge `BENCH_derive.json` (median ns/op
 //! per strategy) for cross-commit perf comparison.
@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
             let naive = engine
                 .evaluate_filtered(&md, &qual, Strategy::PerRoot)
                 .unwrap();
-            for strat in [Strategy::PerRoot, Strategy::LevelAtATime, Strategy::Bitset] {
+            for strat in [Strategy::PerRoot, Strategy::Bitset] {
                 let pushed = engine.evaluate_restricted(&md, &qual, strat).unwrap();
                 assert_eq!(pushed, naive, "pushdown with {strat:?} diverged");
             }
@@ -65,7 +65,6 @@ fn bench(c: &mut Criterion) {
         let _ = engine.db().csr_snapshot();
         for (name, strat) in [
             ("pushdown", Strategy::PerRoot),
-            ("pushdown_level", Strategy::LevelAtATime),
             ("pushdown_bitset", Strategy::Bitset),
         ] {
             group.bench_with_input(BenchmarkId::new(name, label), &(), |b, _| {

@@ -11,7 +11,7 @@ use mad_core::molecule::MoleculeType;
 use mad_core::ops::Engine;
 use mad_core::qual::{CmpOp, QualExpr};
 use mad_core::recursive::{derive_recursive_one, RecursiveSpec};
-use mad_core::structure::{path, StructureBuilder};
+use mad_core::structure::{path, MoleculeStructure, StructureBuilder};
 use mad_model::{AttrType, SchemaBuilder, Value};
 use mad_nf2::materialize;
 use mad_relational::closure::{reachable_from, transitive_closure};
@@ -86,88 +86,55 @@ pub fn b1() {
     );
 }
 
-/// B3 — derivation strategies.
+/// B3 — the bitset engine against the per-root reference.
 pub fn b3() {
-    heading("B3 — derivation strategies (µs/derivation)");
+    heading("B3 — derivation: per-root reference vs bitset engine (µs/derivation)");
     let mut rows = Vec::new();
+    let mut row = |label: String, db: &Database, md: &MoleculeStructure, iters| {
+        let t = |s: Strategy| {
+            measure(iters, || {
+                derive_molecules(db, md, &DeriveOptions::with_strategy(s)).unwrap()
+            })
+        };
+        let (per_root, bitset) = (t(Strategy::PerRoot), t(Strategy::Bitset));
+        rows.push(vec![
+            label,
+            format!("{per_root:.0}"),
+            format!("{bitset:.0}"),
+            format!("{:.2}×", per_root / bitset),
+        ]);
+    };
     for (label, params) in presets::geo_sweep() {
         let (db, _) = generate_geo(&params).unwrap();
         let md = path(db.schema(), &["state", "area", "edge", "point"]).unwrap();
-        let t = |s: Strategy| {
-            measure(10, || {
-                derive_molecules(&db, &md, &DeriveOptions::with_strategy(s)).unwrap()
-            })
-        };
-        let per_root = t(Strategy::PerRoot);
-        let level = t(Strategy::LevelAtATime);
-        let par2 = t(Strategy::Parallel(2));
-        let par4 = t(Strategy::Parallel(4));
-        rows.push(vec![
-            label.to_owned(),
-            format!("{per_root:.0}"),
-            format!("{level:.0}"),
-            format!("{par2:.0}"),
-            format!("{par4:.0}"),
-            format!("{:.2}×", per_root / par4),
-        ]);
+        row(label.to_owned(), &db, &md, 10);
     }
     for (share, params) in presets::share_sweep() {
         let (db, _) = generate_geo(&params).unwrap();
         let md = path(db.schema(), &["river", "net", "edge", "point"]).unwrap();
-        let t = |s: Strategy| {
-            measure(10, || {
-                derive_molecules(&db, &md, &DeriveOptions::with_strategy(s)).unwrap()
-            })
-        };
-        rows.push(vec![
-            format!("rivers share={share}"),
-            format!("{:.0}", t(Strategy::PerRoot)),
-            format!("{:.0}", t(Strategy::LevelAtATime)),
-            "—".to_owned(),
-            "—".to_owned(),
-            "—".to_owned(),
-        ]);
+        row(format!("rivers share={share}"), &db, &md, 10);
     }
-    // heavy per-root work: the 6-node point neighborhood over ~8k roots —
-    // here the §5 parallelism outlook pays off
-    {
-        let (db, _) = generate_geo(&presets::geo_sweep()[2].1).unwrap();
-        let md = StructureBuilder::new(db.schema())
-            .node("point")
-            .node("edge")
-            .node("area")
-            .node("state")
-            .node("net")
-            .node("river")
-            .edge("point", "edge")
-            .edge("edge", "area")
-            .edge("area", "state")
-            .edge("edge", "net")
-            .edge("net", "river")
-            .build()
-            .unwrap();
-        let t = |s: Strategy| {
-            measure(3, || {
-                derive_molecules(&db, &md, &DeriveOptions::with_strategy(s)).unwrap()
-            })
-        };
-        let per_root = t(Strategy::PerRoot);
-        let level = t(Strategy::LevelAtATime);
-        let par2 = t(Strategy::Parallel(2));
-        let par4 = t(Strategy::Parallel(4));
-        rows.push(vec![
-            "pt-neighborhood/8k roots".to_owned(),
-            format!("{per_root:.0}"),
-            format!("{level:.0}"),
-            format!("{par2:.0}"),
-            format!("{par4:.0}"),
-            format!("{:.2}×", per_root / par4),
-        ]);
-    }
+    // heavy per-root work: the 6-node point neighborhood over ~8k roots
+    let (db, _) = generate_geo(&presets::geo_sweep()[2].1).unwrap();
+    let md = StructureBuilder::new(db.schema())
+        .node("point")
+        .node("edge")
+        .node("area")
+        .node("state")
+        .node("net")
+        .node("river")
+        .edge("point", "edge")
+        .edge("edge", "area")
+        .edge("area", "state")
+        .edge("edge", "net")
+        .edge("net", "river")
+        .build()
+        .unwrap();
+    row("pt-neighborhood/8k roots".to_owned(), &db, &md, 3);
     print!(
         "{}",
         table(
-            &["workload", "per-root", "level-at-a-time", "par(2)", "par(4)", "speedup p4"],
+            &["workload", "per-root", "bitset", "per-root/bitset"],
             &rows
         )
     );

@@ -10,68 +10,32 @@
 //! ∀/∃ nesting of Def. 6). The `total` predicate — maximality — holds by
 //! construction, since every qualifying atom is taken.
 //!
-//! Four strategies implement the same function (they are checked equal by
-//! property tests; benchmark B3 compares them):
+//! The engine is [`Strategy::Bitset`]: per-node atom sets are dense
+//! slot-indexed [`BitSet`]s, frontiers expand in batch over the frozen
+//! [`CsrSnapshot`] adjacency, and the ∀-intersection over incoming edges
+//! is a word-wise `AND`. [`derive_bitset_pruned`] additionally accepts
+//! per-node qualification bitsets for restriction pushdown at every
+//! structure node (benchmark B4).
 //!
-//! | strategy | evaluation | storage path |
-//! |---|---|---|
-//! | [`Strategy::PerRoot`] | one depth-first hierarchical join per root atom; simplest, cache-friendly for small molecules | hash-map [`mad_storage::LinkStore`] probes |
-//! | [`Strategy::LevelAtATime`] | set-oriented hierarchical join over `(atom, root-set)` relations; adjacency of a **shared** subobject is scanned once in total | hash-map probes, one per distinct atom |
-//! | [`Strategy::Bitset`] | second-generation engine: per-node atom sets are dense slot-indexed [`BitSet`]s, frontiers expand in batch, the ∀-intersection over incoming edges is a word-wise `AND` | frozen [`CsrSnapshot`] sequential scans |
-//! | [`Strategy::Parallel`] | the bitset engine partitioned by **slot ranges**: the qualified root set is split into contiguous chunks and fanned over `std::thread::scope` workers (the "query parallelism" outlook of §5) | one shared `Arc<CsrSnapshot>` across all workers |
-//!
-//! `Parallel` is exactly `Bitset` per worker — same per-node pruning
-//! bitsets (computed once, shared read-only), same assembly — so its
-//! results are bit-identical and root-ordered. The legacy per-root
-//! hash-map fan-out it replaced was *slower* than serial `Bitset`;
-//! partitioned set-at-a-time evaluation over a frozen snapshot is the
-//! classic fix (cf. the parallel transitive-closure line of work in
-//! PAPERS.md). [`derive_bitset_pruned`] / [`derive_bitset_parallel`]
-//! additionally accept per-node qualification bitsets for restriction
-//! pushdown at every structure node (benchmark B4).
+//! [`Strategy::PerRoot`] — one depth-first hierarchical join per root over
+//! the hash-map [`mad_storage::LinkStore`] adjacency ([`derive_one`]) — is
+//! the reference the engine is checked against (property tests) and
+//! compared with (benchmark B3).
 
 use crate::molecule::Molecule;
 use crate::structure::MoleculeStructure;
-use mad_model::{AtomId, BitSet, FxHashMap, MadError, Result};
+use mad_model::{AtomId, BitSet, MadError, Result};
 use mad_storage::database::Direction;
 use mad_storage::{CsrSnapshot, Database};
 
 /// Derivation strategy (see module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// One traversal per root atom.
-    #[default]
-    PerRoot,
-    /// Set-oriented hierarchical join, level by level.
-    LevelAtATime,
-    /// Frontier-bitset derivation partitioned into root slot ranges and
-    /// fanned over `n` scoped threads sharing one `Arc<CsrSnapshot>`.
-    Parallel(usize),
     /// Frontier-bitset evaluation over the CSR adjacency snapshot.
+    #[default]
     Bitset,
-}
-
-impl Strategy {
-    /// How many worker threads the strategy fans derivation over (1 for
-    /// every serial strategy; `Parallel(0)` is normalized to 1).
-    pub fn parallelism(&self) -> usize {
-        match self {
-            Strategy::Parallel(n) => (*n).max(1),
-            _ => 1,
-        }
-    }
-
-    /// The worker count [`derive_molecules`] will actually use for this
-    /// strategy: the requested parallelism capped at the hardware's
-    /// available parallelism. Oversubscribing physical cores buys only
-    /// spawn overhead — on a single-core host `Parallel(n)` degrades to
-    /// the serial bitset loop, which *is* as fast as that hardware allows.
-    pub fn effective_parallelism(&self) -> usize {
-        static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let hw =
-            *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
-        self.parallelism().min(hw)
-    }
+    /// One traversal per root atom: the reference implementation.
+    PerRoot,
 }
 
 /// Options for [`derive_molecules`].
@@ -170,16 +134,7 @@ fn collect_links(
 fn root_atoms(db: &Database, md: &MoleculeStructure, opts: &DeriveOptions) -> Result<Vec<AtomId>> {
     match &opts.roots {
         Some(roots) => {
-            for &r in roots {
-                if r.ty != md.root_node().ty {
-                    return Err(MadError::structure(format!(
-                        "selected root {r} is not of the root atom type"
-                    )));
-                }
-                if !db.atom_exists(r) {
-                    return Err(MadError::integrity(format!("root atom {r} does not exist")));
-                }
-            }
+            validate_roots(db, md, roots)?;
             Ok(roots.clone())
         }
         None => Ok(db.atom_ids_of(md.root_node().ty)),
@@ -195,16 +150,8 @@ pub fn derive_molecules(
 ) -> Result<Vec<Molecule>> {
     let roots = root_atoms(db, md, opts)?;
     match opts.strategy {
-        Strategy::PerRoot => roots.iter().map(|&r| derive_one(db, md, r)).collect(),
-        Strategy::LevelAtATime => Ok(derive_level_at_a_time(db, md, &roots)),
-        Strategy::Parallel(_) => derive_bitset_parallel(
-            db,
-            md,
-            &roots,
-            &[],
-            opts.strategy.effective_parallelism(),
-        ),
         Strategy::Bitset => derive_bitset_pruned(db, md, &roots, &[]),
+        Strategy::PerRoot => roots.iter().map(|&r| derive_one(db, md, r)).collect(),
     }
 }
 
@@ -222,21 +169,36 @@ fn validate_roots(db: &Database, md: &MoleculeStructure, roots: &[AtomId]) -> Re
     Ok(())
 }
 
-/// The per-root frontier-bitset loop shared by the serial and the parallel
-/// engine: derive the molecules of `roots` (already validated) against one
-/// frozen snapshot, appending survivors of the per-node `prune` test to
-/// `out`. Scratch bitsets live across roots, so the reset cost is bounded
-/// by each molecule's dirty window, not the slot horizon.
-fn derive_bitset_roots(
-    csr: &CsrSnapshot,
+/// Frontier-bitset derivation over the CSR snapshot, with optional
+/// per-node qualification pushdown.
+///
+/// `prune[node]`, when present, is the bitset of slots satisfying the
+/// simple predicates the planner extracted for that structure node. A
+/// molecule whose derived atom set at such a node contains **no** matching
+/// atom is omitted from the result — it could never satisfy the
+/// qualification's top-level conjunct, so deriving or filtering it further
+/// is wasted work. Atom sets of *surviving* molecules are **not** filtered
+/// (Def. 6 molecules are maximal w.r.t. the structure alone); callers
+/// evaluating a qualification still apply the full formula afterwards.
+///
+/// With an empty `prune` slice this computes exactly `m_dom` of Def. 6 and
+/// agrees with the [`Strategy::PerRoot`] reference (checked by the
+/// equivalence property test). Roots are validated like every other derivation entry point:
+/// wrong-typed or nonexistent roots are an error, not a fabricated
+/// molecule.
+pub fn derive_bitset_pruned(
+    db: &Database,
     md: &MoleculeStructure,
     roots: &[AtomId],
     prune: &[Option<BitSet>],
-    out: &mut Vec<Molecule>,
-) {
+) -> Result<Vec<Molecule>> {
+    validate_roots(db, md, roots)?;
+    let csr = db.csr_snapshot();
+    let mut out = Vec::with_capacity(roots.len());
     let root_node = md.root();
     // one reusable bitset per structure node, sized to the node type's slot
-    // horizon, plus one scratch set for per-edge expansion
+    // horizon, plus one scratch set for per-edge expansion; they live across
+    // roots, so the reset cost is bounded by each molecule's dirty window
     let mut node_sets: Vec<BitSet> = md
         .nodes()
         .iter()
@@ -277,100 +239,13 @@ fn derive_bitset_roots(
                 }
             }
         }
-        out.push(assemble_bitset_molecule(csr, md, root, &node_sets));
-    }
-}
-
-/// Frontier-bitset derivation over the CSR snapshot, with optional
-/// per-node qualification pushdown.
-///
-/// `prune[node]`, when present, is the bitset of slots satisfying the
-/// simple predicates the planner extracted for that structure node. A
-/// molecule whose derived atom set at such a node contains **no** matching
-/// atom is omitted from the result — it could never satisfy the
-/// qualification's top-level conjunct, so deriving or filtering it further
-/// is wasted work. Atom sets of *surviving* molecules are **not** filtered
-/// (Def. 6 molecules are maximal w.r.t. the structure alone); callers
-/// evaluating a qualification still apply the full formula afterwards.
-///
-/// With an empty `prune` slice this computes exactly `m_dom` of Def. 6 and
-/// agrees with every other strategy (checked by the equivalence property
-/// test). Roots are validated like every other derivation entry point:
-/// wrong-typed or nonexistent roots are an error, not a fabricated
-/// molecule.
-pub fn derive_bitset_pruned(
-    db: &Database,
-    md: &MoleculeStructure,
-    roots: &[AtomId],
-    prune: &[Option<BitSet>],
-) -> Result<Vec<Molecule>> {
-    validate_roots(db, md, roots)?;
-    let csr = db.csr_snapshot();
-    let mut out = Vec::with_capacity(roots.len());
-    derive_bitset_roots(&csr, md, roots, prune, &mut out);
-    Ok(out)
-}
-
-/// [`derive_bitset_pruned`] partitioned over `threads` scoped workers.
-///
-/// The qualified root set is split into contiguous **slot ranges** (roots
-/// arrive in ascending slot order, so chunking the list partitions the
-/// slot space); each range derives independently against one shared
-/// `Arc<CsrSnapshot>` — the snapshot is frozen, the per-node `prune`
-/// bitsets are computed once by the caller and read concurrently, and
-/// every worker owns its scratch bitsets. Results keep root order, so the
-/// output is bit-identical to the serial engine (the Def. 6 molecule set
-/// is per-root — disjoint root ranges share no state beyond the frozen
-/// adjacency).
-///
-/// `threads` is honored **exactly** (capped only by the root count) — the
-/// strategy-level entry points cap it at
-/// [`Strategy::effective_parallelism`] first, so query execution never
-/// oversubscribes the hardware while tests can still drive a genuine
-/// multi-worker fan-out on any machine. Degenerate inputs fall back to
-/// the serial loop: 0 or 1 threads, and empty root sets.
-pub fn derive_bitset_parallel(
-    db: &Database,
-    md: &MoleculeStructure,
-    roots: &[AtomId],
-    prune: &[Option<BitSet>],
-    threads: usize,
-) -> Result<Vec<Molecule>> {
-    validate_roots(db, md, roots)?;
-    let csr = db.csr_snapshot();
-    let threads = threads.max(1).min(roots.len());
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(roots.len());
-        derive_bitset_roots(&csr, md, roots, prune, &mut out);
-        return Ok(out);
-    }
-    let chunk = roots.len().div_ceil(threads);
-    let csr = &*csr; // one frozen image shared by every worker
-    let results: Vec<Vec<Molecule>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = roots
-            .chunks(chunk)
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(range.len());
-                    derive_bitset_roots(csr, md, range, prune, &mut out);
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel derivation worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(roots.len());
-    for r in results {
-        out.extend(r);
+        out.push(assemble_bitset_molecule(&csr, md, root, &node_sets));
     }
     Ok(out)
 }
 
 fn assemble_bitset_molecule(
-    csr: &mad_storage::CsrSnapshot,
+    csr: &CsrSnapshot,
     md: &MoleculeStructure,
     root: AtomId,
     node_sets: &[BitSet],
@@ -407,125 +282,6 @@ fn assemble_bitset_molecule(
         })
         .collect();
     Molecule { root, atoms, links }
-}
-
-/// Set-oriented hierarchical join. For every structure node we compute the
-/// relation `R[node] : atom → sorted set of root indexes`, level by level;
-/// the adjacency of each distinct atom is scanned once per edge regardless
-/// of how many molecules share it.
-fn derive_level_at_a_time(
-    db: &Database,
-    md: &MoleculeStructure,
-    roots: &[AtomId],
-) -> Vec<Molecule> {
-    let n = md.node_count();
-    // R[node]: atom -> sorted vec of root indexes containing it at `node`
-    let mut rel: Vec<FxHashMap<AtomId, Vec<u32>>> = vec![FxHashMap::default(); n];
-    rel[md.root()] = roots
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, vec![i as u32]))
-        .collect();
-    for &node in &md.topo_order()[1..] {
-        let mut acc: Option<FxHashMap<AtomId, Vec<u32>>> = None;
-        for &ei in md.incoming(node) {
-            let e = &md.edges()[ei];
-            // one adjacency scan per distinct parent atom
-            let mut reached: FxHashMap<AtomId, Vec<u32>> = FxHashMap::default();
-            for (&p, proots) in &rel[e.from] {
-                db.for_each_partner(e.link, p, e.dir, |c| {
-                    let entry = reached.entry(c).or_default();
-                    entry.extend_from_slice(proots);
-                });
-            }
-            for v in reached.values_mut() {
-                v.sort_unstable();
-                v.dedup();
-            }
-            acc = Some(match acc {
-                None => reached,
-                Some(prev) => {
-                    // ∀ incoming edges: intersect root sets per atom
-                    let mut merged = FxHashMap::default();
-                    for (c, rts) in reached {
-                        if let Some(prts) = prev.get(&c) {
-                            let inter: Vec<u32> = {
-                                let mut out = Vec::new();
-                                let (mut i, mut j) = (0, 0);
-                                while i < prts.len() && j < rts.len() {
-                                    match prts[i].cmp(&rts[j]) {
-                                        std::cmp::Ordering::Less => i += 1,
-                                        std::cmp::Ordering::Greater => j += 1,
-                                        std::cmp::Ordering::Equal => {
-                                            out.push(prts[i]);
-                                            i += 1;
-                                            j += 1;
-                                        }
-                                    }
-                                }
-                                out
-                            };
-                            if !inter.is_empty() {
-                                merged.insert(c, inter);
-                            }
-                        }
-                    }
-                    merged
-                }
-            });
-        }
-        rel[node] = acc.unwrap_or_default();
-    }
-    // assemble molecules
-    let mut molecules: Vec<Molecule> = roots
-        .iter()
-        .map(|&r| Molecule::single(r, n, md.edge_count(), md.root()))
-        .collect();
-    #[allow(clippy::needless_range_loop)]
-    for node in 0..n {
-        if node == md.root() {
-            continue;
-        }
-        for (&atom, rts) in &rel[node] {
-            for &ri in rts {
-                molecules[ri as usize].atoms[node].push(atom);
-            }
-        }
-    }
-    for m in &mut molecules {
-        for v in &mut m.atoms {
-            v.sort_unstable();
-        }
-    }
-    // links: scan each edge's parent relation once per distinct parent
-    for (ei, e) in md.edges().iter().enumerate() {
-        for (&p, proots) in &rel[e.from] {
-            db.for_each_partner(e.link, p, e.dir, |c| {
-                if let Some(crts) = rel[e.to].get(&c) {
-                    // link belongs to molecules containing BOTH endpoints
-                    let (mut i, mut j) = (0, 0);
-                    while i < proots.len() && j < crts.len() {
-                        match proots[i].cmp(&crts[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                molecules[proots[i] as usize].links[ei].push((p, c));
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    }
-    for m in &mut molecules {
-        for v in &mut m.links {
-            v.sort_unstable();
-            v.dedup();
-        }
-    }
-    molecules
 }
 
 /// The `mv_graph(m, md)` predicate of Def. 6 plus the `total` predicate:
@@ -794,23 +550,9 @@ mod tests {
         ] {
             let a = derive_molecules(&db, &md, &DeriveOptions::with_strategy(Strategy::PerRoot))
                 .unwrap();
-            let b = derive_molecules(
-                &db,
-                &md,
-                &DeriveOptions::with_strategy(Strategy::LevelAtATime),
-            )
-            .unwrap();
-            let c = derive_molecules(
-                &db,
-                &md,
-                &DeriveOptions::with_strategy(Strategy::Parallel(3)),
-            )
-            .unwrap();
-            let d = derive_molecules(&db, &md, &DeriveOptions::with_strategy(Strategy::Bitset))
+            let b = derive_molecules(&db, &md, &DeriveOptions::with_strategy(Strategy::Bitset))
                 .unwrap();
-            assert_eq!(a, b, "LevelAtATime diverged");
-            assert_eq!(a, c, "Parallel diverged");
-            assert_eq!(a, d, "Bitset diverged");
+            assert_eq!(a, b, "Bitset diverged from PerRoot");
         }
     }
 
@@ -912,12 +654,7 @@ mod tests {
             .unwrap();
         let db = Database::new(schema);
         let md = path(db.schema(), &["state", "area"]).unwrap();
-        for strat in [
-            Strategy::PerRoot,
-            Strategy::LevelAtATime,
-            Strategy::Parallel(2),
-            Strategy::Bitset,
-        ] {
+        for strat in [Strategy::Bitset, Strategy::PerRoot] {
             let ms = derive_molecules(&db, &md, &DeriveOptions::with_strategy(strat)).unwrap();
             assert!(ms.is_empty());
         }

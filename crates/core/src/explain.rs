@@ -11,8 +11,8 @@
 //! * **per-node fan-out estimates** — from the live link-type degree
 //!   statistics, the expected number of atoms per structure node and the
 //!   expected total work (adjacency lookups);
-//! * **strategy advice** — per-root vs. parallel derivation, picked from
-//!   the estimated total work (the crossover benchmark B3 measures).
+//! * **traversal** — whether the CSR snapshot the bitset engine expands
+//!   over is warm, and how much of it the last rebuild re-froze.
 
 use crate::ops::{classify_pushdown, index_probe_key, AccessPath};
 use crate::qual::{CmpOp, QualExpr};
@@ -90,18 +90,6 @@ pub struct Plan {
     pub pushdown: Vec<PushedNode>,
     /// Estimated adjacency lookups for the whole derivation.
     pub estimated_lookups: f64,
-    /// Suggested derivation strategy.
-    pub suggested_strategy: crate::derive::Strategy,
-    /// How many worker threads execution will actually fan derivation over
-    /// for the suggested strategy — the requested parallelism capped at the
-    /// hardware's available parallelism
-    /// ([`Strategy::effective_parallelism`](crate::derive::Strategy::effective_parallelism));
-    /// 1 for every serial strategy.
-    pub parallelism: usize,
-    /// Whether traversal runs over the frozen CSR snapshot (true for the
-    /// bitset engine, serial *and* parallel) — and whether that snapshot is
-    /// already warm.
-    pub csr_expansion: bool,
     /// Is the database's CSR snapshot current (no rebuild needed)?
     pub csr_warm: bool,
     /// `(rebuilt, total)` link-type CSR pairs of the most recent snapshot
@@ -250,27 +238,12 @@ pub fn explain(db: &Database, md: &MoleculeStructure, qual: Option<&QualExpr>) -
                 .collect()
         })
         .unwrap_or_default();
-    // --- strategy advice --------------------------------------------------
-    // parallel pays off past ~10 ms of single-threaded work; a lookup costs
-    // on the order of 100 ns here, so the crossover sits around 10⁵ lookups
-    // (benchmark B3 places it between the "large" geo sweep and the
-    // point-neighborhood workload). Both sides of the crossover are the
-    // frontier-bitset engine over the CSR snapshot — parallel just
-    // partitions the root slot ranges over workers.
-    let suggested_strategy = if estimated_lookups > 1e5 {
-        crate::derive::Strategy::Parallel(4)
-    } else {
-        crate::derive::Strategy::Bitset
-    };
     Plan {
         root_selection,
         estimated_roots: est_roots,
         nodes,
         pushdown,
         estimated_lookups,
-        suggested_strategy,
-        parallelism: suggested_strategy.effective_parallelism(),
-        csr_expansion: true,
         csr_warm: db.csr_is_warm(),
         csr_rebuilt_pairs: db.csr_rebuild_stats(),
         residual_filter: qual.map(|q| q.render(md, db.schema())),
@@ -326,22 +299,15 @@ impl fmt::Display for Plan {
             writeln!(f, "  pushdown @{:<10} [{}]", p.alias, rendered.join(" AND "))?;
         }
         writeln!(f, "  estimated adjacency lookups: ≈{:.0}", self.estimated_lookups)?;
-        writeln!(
+        write!(
             f,
-            "  suggested strategy: {:?} (parallelism {})",
-            self.suggested_strategy, self.parallelism
+            "  traversal: CSR snapshot expansion ({}",
+            if self.csr_warm { "warm" } else { "built on first use" }
         )?;
-        if self.csr_expansion {
-            write!(
-                f,
-                "  traversal: CSR snapshot expansion ({}",
-                if self.csr_warm { "warm" } else { "built on first use" }
-            )?;
-            if let Some((rebuilt, total)) = self.csr_rebuilt_pairs {
-                write!(f, "; last rebuild re-froze {rebuilt}/{total} link-type pairs")?;
-            }
-            writeln!(f, ")")?;
+        if let Some((rebuilt, total)) = self.csr_rebuilt_pairs {
+            write!(f, "; last rebuild re-froze {rebuilt}/{total} link-type pairs")?;
         }
+        writeln!(f, ")")?;
         if let Some(r) = &self.residual_filter {
             writeln!(f, "  residual molecule filter: {r}")?;
         }
@@ -352,7 +318,6 @@ impl fmt::Display for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::derive::Strategy;
     use crate::qual::QualExpr;
     use crate::structure::path;
     use mad_model::{AttrType, SchemaBuilder};
@@ -400,8 +365,6 @@ mod tests {
         // fan-out estimates: 1 area per state, 4 edges per area
         assert!((plan.nodes[1].per_molecule - 1.0).abs() < 1e-9);
         assert!((plan.nodes[2].per_molecule - 4.0).abs() < 1e-9);
-        assert_eq!(plan.suggested_strategy, Strategy::Bitset);
-        assert!(plan.csr_expansion);
         assert!(plan.pushdown.is_empty());
         assert!(plan.residual_filter.is_none());
     }
@@ -488,45 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suggested_for_heavy_plans() {
-        // inflate the estimate by a long chain over a dense link type
-        let schema = SchemaBuilder::new()
-            .atom_type("a", &[("x", AttrType::Int)])
-            .atom_type("b", &[("y", AttrType::Int)])
-            .link_type("ab", "a", "b")
-            .build()
-            .unwrap();
-        let mut db = Database::new(schema);
-        let a = db.schema().atom_type_id("a").unwrap();
-        let b = db.schema().atom_type_id("b").unwrap();
-        let ab = db.schema().link_type_id("ab").unwrap();
-        let bs: Vec<_> = (0..600)
-            .map(|i| db.insert_atom(b, vec![Value::Int(i)]).unwrap())
-            .collect();
-        for i in 0..600i64 {
-            let ai = db.insert_atom(a, vec![Value::Int(i)]).unwrap();
-            for bj in bs.iter().take(300) {
-                db.connect(ab, ai, *bj).unwrap();
-            }
-        }
-        let md = path(db.schema(), &["a", "b"]).unwrap();
-        let plan = explain(&db, &md, None);
-        assert!(plan.estimated_lookups > 1e5);
-        assert_eq!(plan.suggested_strategy, Strategy::Parallel(4));
-        // the plan reports the worker count execution will actually use:
-        // requested 4, capped at the hardware's available parallelism
-        assert_eq!(plan.parallelism, Strategy::Parallel(4).effective_parallelism());
-        assert!(plan.parallelism >= 1);
-        // the parallel engine rides the CSR snapshot too
-        assert!(plan.csr_expansion);
-        let text = plan.to_string();
-        assert!(
-            text.contains(&format!("parallelism {}", plan.parallelism)),
-            "got: {text}"
-        );
-    }
-
-    #[test]
     fn reports_incremental_rebuild_stats() {
         let mut db = db();
         let md = path(db.schema(), &["state", "area", "edge"]).unwrap();
@@ -546,7 +470,6 @@ mod tests {
         let plan = explain(&db, &md, None);
         assert_eq!(plan.csr_rebuilt_pairs, Some((1, 2)));
         assert!(plan.csr_warm);
-        assert_eq!(plan.parallelism, 1);
         let text = plan.to_string();
         assert!(text.contains("re-froze 1/2 link-type pairs"), "got: {text}");
     }
@@ -559,7 +482,8 @@ mod tests {
         let text = explain(&db, &md, Some(&q)).to_string();
         assert!(text.contains("roots:"));
         assert!(text.contains("node state"));
-        assert!(text.contains("suggested strategy"));
+        assert!(text.contains("estimated adjacency lookups"));
+        assert!(text.contains("traversal: CSR snapshot"));
         assert!(text.contains("residual molecule filter"));
     }
 

@@ -39,9 +39,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::atom_ops;
     pub use crate::derive::{
-        check_molecule, derive_bitset_parallel, derive_bitset_pruned, derive_molecules,
-        derive_one, DeriveOptions,
-        Strategy,
+        check_molecule, derive_bitset_pruned, derive_molecules, derive_one, DeriveOptions, Strategy,
     };
     pub use crate::explain::{explain, Plan};
     pub use crate::molecule::{Molecule, MoleculeType};

@@ -238,7 +238,6 @@ pub struct Engine {
     scope: Option<(Database, Provenance)>,
     tracing: bool,
     trace_log: TraceLog,
-    strategy_override: Option<Strategy>,
 }
 
 impl Engine {
@@ -250,22 +249,7 @@ impl Engine {
             scope: None,
             tracing: false,
             trace_log: TraceLog::new(),
-            strategy_override: None,
         }
-    }
-
-    /// The derivation strategy the query layer should use. Defaults to
-    /// [`Strategy::Bitset`] — a [`mad_storage::CsrSnapshot`] is always
-    /// available (built lazily, cached per database version) — unless an
-    /// explicit override was set via [`Engine::set_preferred_strategy`].
-    pub fn preferred_strategy(&self) -> Strategy {
-        self.strategy_override.unwrap_or(Strategy::Bitset)
-    }
-
-    /// Override the strategy the query layer picks (`None` restores the
-    /// automatic choice).
-    pub fn set_preferred_strategy(&mut self, strategy: Option<Strategy>) {
-        self.strategy_override = strategy;
     }
 
     /// The underlying database: the base image plus the derived types the
@@ -316,7 +300,7 @@ impl Engine {
 
     /// Close the statement scope (if one is open): drop the statement's
     /// DB′ and return to the image and provenance the scope started from.
-    pub fn close_statement_scope(&mut self) {
+    fn close_statement_scope(&mut self) {
         if let Some((db, prov)) = self.scope.take() {
             self.db = db;
             self.prov = prov;
@@ -497,15 +481,13 @@ impl Engine {
 
     /// Candidate molecules under restriction pushdown.
     ///
-    /// * [`Strategy::Bitset`] and [`Strategy::Parallel`]: the generalized
-    ///   plan — per-node conjunct bitsets prune molecules *during*
-    ///   traversal (and the root bitset pre-selects the root set), see
-    ///   [`plan_pushdown`]. The plan is computed **once**; parallel workers
-    ///   share it read-only alongside the `Arc`'d CSR snapshot.
-    /// * every other strategy: the classic root-only preselection
+    /// * [`Strategy::Bitset`]: the generalized plan — per-node conjunct
+    ///   bitsets prune molecules *during* traversal (and the root bitset
+    ///   pre-selects the root set), see [`plan_pushdown`].
+    /// * [`Strategy::PerRoot`]: the classic root-only preselection
     ///   ([`Engine::preselect_roots`]) followed by a full derivation.
     ///
-    /// Either way the caller still applies the complete formula, so all
+    /// Either way the caller still applies the complete formula, so both
     /// paths return the same final molecule set.
     fn pushdown_candidates(
         &self,
@@ -514,25 +496,16 @@ impl Engine {
         strategy: Strategy,
     ) -> Result<Vec<Molecule>> {
         match strategy {
-            Strategy::Bitset | Strategy::Parallel(_) => {
+            Strategy::Bitset => {
                 let plan = plan_pushdown(&self.db, md, qual);
                 let root_ty = md.root_node().ty;
                 let roots: Vec<AtomId> = match &plan.prune[md.root()] {
                     Some(q) => q.iter().map(|slot| AtomId::new(root_ty, slot as u32)).collect(),
                     None => self.db.atom_ids_of(root_ty),
                 };
-                match strategy {
-                    Strategy::Parallel(_) => crate::derive::derive_bitset_parallel(
-                        &self.db,
-                        md,
-                        &roots,
-                        &plan.prune,
-                        strategy.effective_parallelism(),
-                    ),
-                    _ => derive_bitset_pruned(&self.db, md, &roots, &plan.prune),
-                }
+                derive_bitset_pruned(&self.db, md, &roots, &plan.prune)
             }
-            _ => {
+            Strategy::PerRoot => {
                 let roots = self.preselect_roots(md, qual);
                 let opts = DeriveOptions { strategy, roots };
                 derive_molecules(&self.db, md, &opts)

@@ -5,8 +5,8 @@
 //! type. A [`BitSet`] indexed by slot therefore represents an atom set of
 //! one atom type in `slots/8` bytes, and the ∀/∃ containment condition of
 //! Def. 6 becomes word-wise `AND`/`OR` — the set-at-a-time representation
-//! behind `Strategy::Bitset` in `mad-core` and the frontier expansion of
-//! `mad-storage`'s CSR snapshots.
+//! of `mad-core`'s derivation engine (`Strategy::Bitset`) and of the
+//! frontier expansion of `mad-storage`'s CSR snapshots.
 //!
 //! The set keeps a **dirty word window** — the range of words that may be
 //! nonzero. [`BitSet::clear`] zeroes only that window and iteration scans
@@ -16,7 +16,8 @@
 //!
 //! Iteration order is ascending slot order, which coincides with the sorted
 //! `Vec<AtomId>` order used everywhere else (within one atom type), so
-//! bitset-derived molecules come out identical to the classic strategies.
+//! bitset-derived molecules come out identical to the per-root reference
+//! derivation.
 
 /// A fixed-capacity dense bitset with a dirty-window fast clear.
 ///

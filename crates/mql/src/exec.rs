@@ -3,7 +3,7 @@
 
 use crate::analyze::{analyze_expr, analyze_structure};
 use crate::ast::*;
-use mad_core::derive::DeriveOptions;
+use mad_core::derive::{DeriveOptions, Strategy};
 use mad_core::molecule::MoleculeType;
 use mad_core::ops::Engine;
 use mad_core::qual::QualExpr;
@@ -90,92 +90,7 @@ pub enum StatementResult {
     },
 }
 
-/// The write side of DML execution: either a [`Database`] mutated directly
-/// (autocommit / single-owner sessions) or a [`Transaction`] overlay (DML
-/// inside `BEGIN … COMMIT`, logged and validated at commit). Both expose a
-/// read view for selector resolution — for a transaction that view includes
-/// its own uncommitted writes.
-pub trait DmlTarget {
-    /// The database state selectors and schema lookups resolve against.
-    fn view(&self) -> &Database;
-    /// Insert an atom.
-    fn insert_atom(&mut self, ty: mad_model::AtomTypeId, tuple: Vec<Value>) -> Result<AtomId>;
-    /// Delete an atom (cascading links); returns the cascade count.
-    fn delete_atom(&mut self, id: AtomId) -> Result<usize>;
-    /// Update one attribute.
-    fn update_attr(&mut self, id: AtomId, attr: usize, value: Value) -> Result<()>;
-    /// Connect with explicit orientation.
-    fn connect(&mut self, lt: mad_model::LinkTypeId, side0: AtomId, side1: AtomId) -> Result<bool>;
-    /// Connect, inferring orientation (non-reflexive link types).
-    fn connect_sym(&mut self, lt: mad_model::LinkTypeId, a: AtomId, b: AtomId) -> Result<bool>;
-    /// Remove an oriented link.
-    fn disconnect(
-        &mut self,
-        lt: mad_model::LinkTypeId,
-        side0: AtomId,
-        side1: AtomId,
-    ) -> Result<bool>;
-}
-
-impl DmlTarget for Database {
-    fn view(&self) -> &Database {
-        self
-    }
-    fn insert_atom(&mut self, ty: mad_model::AtomTypeId, tuple: Vec<Value>) -> Result<AtomId> {
-        Database::insert_atom(self, ty, tuple)
-    }
-    fn delete_atom(&mut self, id: AtomId) -> Result<usize> {
-        Database::delete_atom(self, id)
-    }
-    fn update_attr(&mut self, id: AtomId, attr: usize, value: Value) -> Result<()> {
-        Database::update_attr(self, id, attr, value)
-    }
-    fn connect(&mut self, lt: mad_model::LinkTypeId, side0: AtomId, side1: AtomId) -> Result<bool> {
-        Database::connect(self, lt, side0, side1)
-    }
-    fn connect_sym(&mut self, lt: mad_model::LinkTypeId, a: AtomId, b: AtomId) -> Result<bool> {
-        Database::connect_sym(self, lt, a, b)
-    }
-    fn disconnect(
-        &mut self,
-        lt: mad_model::LinkTypeId,
-        side0: AtomId,
-        side1: AtomId,
-    ) -> Result<bool> {
-        Database::disconnect(self, lt, side0, side1)
-    }
-}
-
-impl DmlTarget for Transaction {
-    fn view(&self) -> &Database {
-        self.db()
-    }
-    fn insert_atom(&mut self, ty: mad_model::AtomTypeId, tuple: Vec<Value>) -> Result<AtomId> {
-        Transaction::insert_atom(self, ty, tuple)
-    }
-    fn delete_atom(&mut self, id: AtomId) -> Result<usize> {
-        Transaction::delete_atom(self, id)
-    }
-    fn update_attr(&mut self, id: AtomId, attr: usize, value: Value) -> Result<()> {
-        Transaction::update_attr(self, id, attr, value)
-    }
-    fn connect(&mut self, lt: mad_model::LinkTypeId, side0: AtomId, side1: AtomId) -> Result<bool> {
-        Transaction::connect(self, lt, side0, side1)
-    }
-    fn connect_sym(&mut self, lt: mad_model::LinkTypeId, a: AtomId, b: AtomId) -> Result<bool> {
-        Transaction::connect_sym(self, lt, a, b)
-    }
-    fn disconnect(
-        &mut self,
-        lt: mad_model::LinkTypeId,
-        side0: AtomId,
-        side1: AtomId,
-    ) -> Result<bool> {
-        Transaction::disconnect(self, lt, side0, side1)
-    }
-}
-
-/// Is `stmt` a manipulation statement (routed through a [`DmlTarget`])?
+/// Is `stmt` a manipulation statement (routed through [`execute_dml`])?
 pub fn is_dml(stmt: &Statement) -> bool {
     matches!(
         stmt,
@@ -187,12 +102,16 @@ pub fn is_dml(stmt: &Statement) -> bool {
     )
 }
 
-/// Execute a manipulation statement against any [`DmlTarget`].
-pub fn execute_dml<W: DmlTarget>(target: &mut W, stmt: &Statement) -> Result<StatementResult> {
+/// Execute a manipulation statement inside `txn`. Selectors and schema
+/// lookups resolve against the transaction's view, its own uncommitted
+/// writes included. A statement that fails part-way leaves earlier writes
+/// in the overlay; the session's autocommit path drops the transaction, so
+/// the statement as a whole has no effect.
+pub fn execute_dml(txn: &mut Transaction, stmt: &Statement) -> Result<StatementResult> {
     match stmt {
         Statement::InsertAtom { atom_type, values } => {
-            let ty = target.view().schema().atom_type_id(atom_type)?;
-            let def = target.view().schema().atom_type(ty).clone();
+            let ty = txn.db().schema().atom_type_id(atom_type)?;
+            let def = txn.db().schema().atom_type(ty).clone();
             let mut tuple = vec![Value::Null; def.arity()];
             for (attr, lit) in values {
                 let pos = def.attr_index(attr).ok_or_else(|| MadError::Analysis {
@@ -200,40 +119,40 @@ pub fn execute_dml<W: DmlTarget>(target: &mut W, stmt: &Statement) -> Result<Sta
                 })?;
                 tuple[pos] = lit.to_value();
             }
-            let id = target.insert_atom(ty, tuple)?;
+            let id = txn.insert_atom(ty, tuple)?;
             Ok(StatementResult::Inserted(id))
         }
         Statement::Connect { from, to, link } => {
-            let lt = target.view().schema().link_type_id(link)?;
-            let a = select_one(target.view(), from)?;
-            let b = select_one(target.view(), to)?;
-            let added = if target.view().schema().link_type(lt).is_reflexive() {
-                target.connect(lt, a, b)?
+            let lt = txn.db().schema().link_type_id(link)?;
+            let a = select_one(txn.db(), from)?;
+            let b = select_one(txn.db(), to)?;
+            let added = if txn.db().schema().link_type(lt).is_reflexive() {
+                txn.connect(lt, a, b)?
             } else {
-                target.connect_sym(lt, a, b)?
+                txn.connect_sym(lt, a, b)?
             };
             Ok(StatementResult::Connected(added))
         }
         Statement::Disconnect { from, to, link } => {
-            let lt = target.view().schema().link_type_id(link)?;
-            let a = select_one(target.view(), from)?;
-            let b = select_one(target.view(), to)?;
-            let def = target.view().schema().link_type(lt).clone();
+            let lt = txn.db().schema().link_type_id(link)?;
+            let a = select_one(txn.db(), from)?;
+            let b = select_one(txn.db(), to)?;
+            let def = txn.db().schema().link_type(lt).clone();
             // reflexive link types take the selectors as written (side 0 =
             // `from`); otherwise orient by endpoint type
             let removed = if def.is_reflexive() || a.ty == def.ends[0] {
-                target.disconnect(lt, a, b)?
+                txn.disconnect(lt, a, b)?
             } else {
-                target.disconnect(lt, b, a)?
+                txn.disconnect(lt, b, a)?
             };
             Ok(StatementResult::Disconnected(removed))
         }
         Statement::DeleteAtom { selector } => {
-            let ids = select_atoms(target.view(), selector)?;
+            let ids = select_atoms(txn.db(), selector)?;
             let mut links = 0usize;
             let count = ids.len();
             for id in ids {
-                links += target.delete_atom(id)?;
+                links += txn.delete_atom(id)?;
             }
             Ok(StatementResult::Deleted {
                 atoms: count,
@@ -241,9 +160,9 @@ pub fn execute_dml<W: DmlTarget>(target: &mut W, stmt: &Statement) -> Result<Sta
             })
         }
         Statement::Update { selector, sets } => {
-            let ids = select_atoms(target.view(), selector)?;
-            let ty = target.view().schema().atom_type_id(&selector.atom_type)?;
-            let def = target.view().schema().atom_type(ty).clone();
+            let ids = select_atoms(txn.db(), selector)?;
+            let ty = txn.db().schema().atom_type_id(&selector.atom_type)?;
+            let def = txn.db().schema().atom_type(ty).clone();
             let mut resolved = Vec::with_capacity(sets.len());
             for (attr, lit) in sets {
                 let pos = def.attr_index(attr).ok_or_else(|| MadError::Analysis {
@@ -256,7 +175,7 @@ pub fn execute_dml<W: DmlTarget>(target: &mut W, stmt: &Statement) -> Result<Sta
             }
             for &id in &ids {
                 for (pos, v) in &resolved {
-                    target.update_attr(id, *pos, v.clone())?;
+                    txn.update_attr(id, *pos, v.clone())?;
                 }
             }
             Ok(StatementResult::Updated { atoms: ids.len() })
@@ -286,7 +205,9 @@ pub fn execute(
         | Statement::Connect { .. }
         | Statement::Disconnect { .. }
         | Statement::DeleteAtom { .. }
-        | Statement::Update { .. } => execute_dml(engine.db_mut(), stmt),
+        | Statement::Update { .. } => Err(MadError::txn_state(
+            "manipulation statements run inside a transaction (execute_dml)",
+        )),
         Statement::Begin | Statement::Commit | Statement::Abort | Statement::Checkpoint => {
             Err(MadError::txn_state(
                 "transaction control statements are handled by the session",
@@ -450,10 +371,9 @@ pub fn plan_select(
 /// statement scope ([`Engine::open_statement_scope`]): its DB′ replaces
 /// the previous statement's instead of accumulating beside it.
 pub fn execute_planned(engine: &mut Engine, plan: &PreparedPlan) -> Result<StatementResult> {
-    // WHERE → Σ (pushed into the definition, Def. 10 composed with Def. 8).
-    // The engine picks the strategy: bitset derivation over the CSR
-    // snapshot by default, overridable per session.
-    let strategy = engine.preferred_strategy();
+    // WHERE → Σ (pushed into the definition, Def. 10 composed with Def. 8),
+    // derived by the bitset engine over the CSR snapshot
+    let strategy = Strategy::Bitset;
     let dt = StageTimer::start(StageKind::Derive);
     // inside the stage: dropping the previous DB′ is propagation's cost
     engine.open_statement_scope();

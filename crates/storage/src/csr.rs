@@ -15,7 +15,8 @@
 //! partner array — no hashing, no per-atom allocation. This is the
 //! set-at-a-time evaluation style of the bulk-oriented database-tuning
 //! literature applied to Def. 6 derivation, and the storage substrate of
-//! `mad_core::derive::Strategy::Bitset`.
+//! the derivation engine every query runs
+//! (`mad_core::derive::Strategy::Bitset`).
 //!
 //! ## Invalidation semantics
 //!
@@ -37,8 +38,8 @@
 //! only the touched link type instead of the whole database. Growing a slot
 //! horizon (plain `insert_atom`) never forces a per-link rebuild: fresh
 //! slots have no partners, and `partners_of` treats out-of-range slots as
-//! empty. Parallel derivation workers share one `Arc<CsrSnapshot>` across
-//! threads (every field is plain frozen data, so the type is `Sync`).
+//! empty. Every field is plain frozen data, so one `Arc<CsrSnapshot>` can
+//! be shared across threads (the type is `Sync`).
 
 use crate::database::{Database, Direction};
 use mad_model::{AtomTypeId, BitSet, LinkTypeId};

@@ -584,9 +584,8 @@ impl Database {
     /// whose per-link-type version moved are re-frozen, the rest share
     /// their CSR pair with the previous snapshot ([`CsrSnapshot::rebuild`]).
     /// The returned [`Arc`] stays valid — and frozen at its version — for
-    /// as long as the caller holds it, so a whole derivation (including
-    /// every worker of a parallel one) runs against one consistent
-    /// adjacency image.
+    /// as long as the caller holds it, so a whole derivation runs against
+    /// one consistent adjacency image.
     pub fn csr_snapshot(&self) -> Arc<CsrSnapshot> {
         let mut guard = self.csr.0.lock().unwrap();
         if let Some((version, snap)) = guard.snap.as_ref() {

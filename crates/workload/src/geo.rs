@@ -251,7 +251,7 @@ mod tests {
     fn molecule_derivation_works_on_generated_data() {
         let (db, _) = generate_geo(&GeoParams::default()).unwrap();
         let md = path(db.schema(), &["state", "area", "edge", "point"]).unwrap();
-        for strat in [Strategy::PerRoot, Strategy::LevelAtATime, Strategy::Parallel(4)] {
+        for strat in [Strategy::Bitset, Strategy::PerRoot] {
             let ms =
                 derive_molecules(&db, &md, &DeriveOptions::with_strategy(strat)).unwrap();
             assert_eq!(ms.len(), 20);

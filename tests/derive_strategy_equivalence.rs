@@ -1,17 +1,14 @@
-//! Property test: every derivation strategy — in particular the
-//! second-generation `Strategy::Bitset` engine over the CSR snapshot and
-//! its slot-range-partitioned `Strategy::Parallel` sibling — computes
-//! exactly the same molecule sets as `PerRoot` and `LevelAtATime`, on
-//! random schemas and databases covering:
+//! Property test: the derivation engine, `Strategy::Bitset` over the CSR
+//! snapshot, computes exactly the same molecule sets as the `PerRoot`
+//! reference, on random schemas and databases covering:
 //!
 //! * shared subobjects (many molecules containing the same atom),
 //! * diamond DAG structures (the ∀/∃ intersection of Def. 6),
 //! * empty candidate sets (early exit paths),
 //! * tombstoned slots (deleted atoms leave gaps in the dense slot space
 //!   the bitsets are indexed by),
-//! * arbitrary thread counts (1, equal to, and far beyond the root count),
 //! * qualification pushdown (`evaluate_restricted` with per-node pruning
-//!   vs. the naive derive-then-filter baseline, serial and parallel).
+//!   vs. the naive derive-then-filter baseline).
 
 use mad::algebra::qual::QualExpr;
 use mad::algebra::{
@@ -133,34 +130,14 @@ proptest! {
         c3 in 0usize..7,
         links in prop::collection::vec((0usize..4, 0usize..32, 0usize..32), 0..90),
         deletions in prop::collection::vec(0usize..24, 0..5),
-        threads in 1usize..9,
     ) {
         let db = build_db(shape, [c0, c1, c2, c3], &links, &deletions);
         let md = structure_for(&db, shape);
         let per_root =
             derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::PerRoot)).unwrap();
-        let level =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::LevelAtATime))
-                .unwrap();
         let bitset =
             derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Bitset)).unwrap();
-        // root counts run 1..6, threads 1..9: covers 1 thread, threads ==
-        // roots, and threads ≫ roots in one sweep
-        let parallel = derive_molecules(
-            &db,
-            &md,
-            &DeriveOptions::with_strategy(DStrategy::Parallel(threads)),
-        )
-        .unwrap();
-        // the strategy entry point caps workers at the hardware's available
-        // parallelism; drive the exact thread count too so the scoped
-        // multi-worker fan-out is exercised even on small hosts
-        let roots: Vec<_> = db.atom_ids_of(db.schema().atom_type_id("t0").unwrap());
-        let exact = mad::algebra::derive_bitset_parallel(&db, &md, &roots, &[], threads).unwrap();
-        prop_assert_eq!(&per_root, &level, "LevelAtATime diverged from PerRoot");
         prop_assert_eq!(&per_root, &bitset, "Bitset diverged from PerRoot");
-        prop_assert_eq!(&per_root, &parallel, "Parallel diverged from PerRoot");
-        prop_assert_eq!(&per_root, &exact, "exact-thread Parallel diverged from PerRoot");
     }
 
     #[test]
@@ -188,18 +165,13 @@ proptest! {
             .evaluate_filtered(&md, &qual, DStrategy::PerRoot)
             .unwrap();
         prop_assert_eq!(&pushed, &naive, "bitset pushdown changed the result set");
-        // the parallel engine shares the same pushdown plan across workers
-        let parallel = engine
-            .evaluate_restricted(&md, &qual, DStrategy::Parallel(3))
-            .unwrap();
-        prop_assert_eq!(&parallel, &naive, "parallel pushdown changed the result set");
     }
 }
 
 /// Deterministic edge cases the proptest sweep may not pin down exactly.
-mod parallel_edge_cases {
+mod edge_cases {
     use super::*;
-    use mad::algebra::derive_bitset_parallel;
+    use mad::algebra::derive_bitset_pruned;
     use mad::model::AtomId;
 
     fn tiny_db() -> Database {
@@ -215,9 +187,9 @@ mod parallel_edge_cases {
     fn empty_root_set_yields_empty_result() {
         let db = tiny_db();
         let md = structure_for(&db, Shape::Chain);
-        for threads in [1, 2, 8] {
+        for strategy in [DStrategy::Bitset, DStrategy::PerRoot] {
             let opts = DeriveOptions {
-                strategy: DStrategy::Parallel(threads),
+                strategy,
                 roots: Some(Vec::new()),
             };
             assert!(derive_molecules(&db, &md, &opts).unwrap().is_empty());
@@ -225,46 +197,13 @@ mod parallel_edge_cases {
     }
 
     #[test]
-    fn one_thread_equals_serial_bitset() {
-        let db = tiny_db();
-        let md = structure_for(&db, Shape::Chain);
-        let serial =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Bitset)).unwrap();
-        let one =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Parallel(1)))
-                .unwrap();
-        // Parallel(0) is normalized to one worker, not a panic
-        let zero =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Parallel(0)))
-                .unwrap();
-        assert_eq!(serial, one);
-        assert_eq!(serial, zero);
-    }
-
-    #[test]
-    fn many_more_threads_than_roots_keeps_root_order() {
-        let db = tiny_db();
-        let md = structure_for(&db, Shape::Chain);
-        let serial =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Bitset)).unwrap();
-        let wide =
-            derive_molecules(&db, &md, &DeriveOptions::with_strategy(DStrategy::Parallel(64)))
-                .unwrap();
-        assert_eq!(serial, wide);
-        let roots: Vec<_> = wide.iter().map(|m| m.root).collect();
-        let mut sorted = roots.clone();
-        sorted.sort_unstable();
-        assert_eq!(roots, sorted, "parallel results lost root order");
-    }
-
-    #[test]
-    fn invalid_roots_rejected_before_spawning() {
+    fn invalid_roots_rejected() {
         let db = tiny_db();
         let md = structure_for(&db, Shape::Chain);
         let t0 = db.schema().atom_type_id("t0").unwrap();
         let t1 = db.schema().atom_type_id("t1").unwrap();
         // wrong type and nonexistent slot both error, like every other path
-        assert!(derive_bitset_parallel(&db, &md, &[AtomId::new(t1, 0)], &[], 4).is_err());
-        assert!(derive_bitset_parallel(&db, &md, &[AtomId::new(t0, 99)], &[], 4).is_err());
+        assert!(derive_bitset_pruned(&db, &md, &[AtomId::new(t1, 0)], &[]).is_err());
+        assert!(derive_bitset_pruned(&db, &md, &[AtomId::new(t0, 99)], &[]).is_err());
     }
 }

@@ -171,3 +171,17 @@ fn recursive_mql_on_generated_bom() {
     assert!(ms[0].size() > 1);
     assert!(ms[0].depth() <= 3);
 }
+
+#[test]
+fn failed_dml_statement_leaves_no_partial_write() {
+    let (db, _) = brazil_database().unwrap();
+    let mut s = Session::new(db);
+    let image = |s: &Session| mad::storage::DatabaseSnapshot::capture(s.db()).to_json_string();
+    let before = image(&s);
+    // `hectare` type-checks, `sname = 5` does not: the statement fails
+    // after its first assignment, and that assignment must not survive
+    assert!(s
+        .execute("UPDATE state[sname='SP'] SET hectare = 1.0, sname = 5")
+        .is_err());
+    assert_eq!(image(&s), before, "a failed statement left a partial write");
+}

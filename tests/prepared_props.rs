@@ -76,8 +76,8 @@ proptest! {
             };
             prop_assert_eq!(via_prep.unwrap(), via_direct.unwrap());
             prop_assert_eq!(
-                prep.handle().unwrap().commit_seq(),
-                direct.handle().unwrap().commit_seq(),
+                prep.handle().commit_seq(),
+                direct.handle().commit_seq(),
                 "prepared and direct execution diverged in commit history"
             );
         }
