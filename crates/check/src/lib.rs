@@ -259,7 +259,7 @@ impl Default for Config {
                     enum_name: "Response",
                     def_crate: "mad-net",
                     codec_crate: "mad-net",
-                    encode: Fn("encode_response"),
+                    encode: Fn("put_response"),
                     decode: Fn("decode_response"),
                 },
                 WireEnum {

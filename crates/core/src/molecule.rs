@@ -12,9 +12,9 @@
 //! this, and [`MoleculeSet::shared_atoms`] reports it.
 
 use crate::structure::MoleculeStructure;
-use mad_model::{AtomId, FxHashMap, FxHashSet, Value};
+use mad_model::{AtomId, FxHashMap, FxHashSet};
 use mad_storage::Database;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One molecule: a rooted occurrence of a molecule structure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,7 +26,8 @@ pub struct Molecule {
     /// `[root]`.
     pub atoms: Vec<Vec<AtomId>>,
     /// Link set grouped by structure edge (sorted pairs `(parent, child)`
-    /// in traversal orientation).
+    /// in traversal orientation; the renderer finds a parent's children
+    /// by binary search).
     pub links: Vec<Vec<(AtomId, AtomId)>>,
 }
 
@@ -114,13 +115,26 @@ impl Molecule {
     /// and subsequently as a `^ref`.
     pub fn render_tree(&self, db: &Database, md: &MoleculeStructure) -> String {
         let mut out = String::new();
-        let mut seen: FxHashSet<AtomId> = FxHashSet::default();
-        self.render_atom(db, md, md.root(), self.root, 0, &mut seen, &mut out);
+        self.write_tree(db, md, &mut FxHashSet::default(), &mut out);
         out
     }
 
+    /// [`Molecule::render_tree`], appended to `out`. `seen` is scratch
+    /// space for the `^ref` markers, cleared first, so one set serves a
+    /// whole molecule set.
+    pub fn write_tree(
+        &self,
+        db: &Database,
+        md: &MoleculeStructure,
+        seen: &mut FxHashSet<AtomId>,
+        out: &mut String,
+    ) {
+        seen.clear();
+        self.write_atom(db, md, md.root(), self.root, 0, seen, out);
+    }
+
     #[allow(clippy::too_many_arguments)]
-    fn render_atom(
+    fn write_atom(
         &self,
         db: &Database,
         md: &MoleculeStructure,
@@ -130,30 +144,70 @@ impl Molecule {
         seen: &mut FxHashSet<AtomId>,
         out: &mut String,
     ) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        let alias = &md.nodes()[node].alias;
-        if !seen.insert(atom) {
-            out.push_str(&format!("{alias} ^{atom}\n"));
+        if !write_atom_line(out, db, seen, depth, Some(&md.nodes()[node].alias), atom) {
             return;
         }
-        match db.atom(atom) {
-            Ok(tuple) => {
-                let vals: Vec<String> = tuple.iter().map(Value::to_string).collect();
-                out.push_str(&format!("{alias} {atom} <{}>\n", vals.join(", ")));
-            }
-            Err(_) => out.push_str(&format!("{alias} {atom} <dead>\n")),
-        }
         for &e in md.outgoing(node) {
-            let edge = &md.edges()[e];
-            for &(p, c) in &self.links[e] {
-                if p == atom {
-                    self.render_atom(db, md, edge.to, c, depth + 1, seen, out);
-                }
+            let to = md.edges()[e].to;
+            for c in children(&self.links[e], atom) {
+                self.write_atom(db, md, to, c, depth + 1, seen, out);
             }
         }
     }
+}
+
+/// The children of `parent` in the sorted `links`: one binary search,
+/// then the contiguous run.
+pub(crate) fn children(
+    links: &[(AtomId, AtomId)],
+    parent: AtomId,
+) -> impl Iterator<Item = AtomId> + '_ {
+    let first = links.partition_point(|&(p, _)| p < parent);
+    links
+        .iter()
+        .skip(first)
+        .take_while(move |&&(p, _)| p == parent)
+        .map(|&(_, c)| c)
+}
+
+/// Append one line of a rendered tree: `depth` levels of indentation, the
+/// structure alias if any, then `^id` for an atom `seen` already holds,
+/// `id <v1, v2, …>` on first sight, or `id <dead>` for an atom deleted
+/// since derivation. Returns whether the atom was new, i.e. whether its
+/// children follow.
+pub(crate) fn write_atom_line(
+    out: &mut String,
+    db: &Database,
+    seen: &mut FxHashSet<AtomId>,
+    depth: usize,
+    alias: Option<&str>,
+    atom: AtomId,
+) -> bool {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    if let Some(alias) = alias {
+        out.push_str(alias);
+        out.push(' ');
+    }
+    if !seen.insert(atom) {
+        let _ = writeln!(out, "^{atom}");
+        return false;
+    }
+    let _ = write!(out, "{atom} <");
+    match db.atom(atom) {
+        Ok(tuple) => {
+            for (i, v) in tuple.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{v}");
+            }
+        }
+        Err(_) => out.push_str("dead"),
+    }
+    out.push_str(">\n");
+    true
 }
 
 impl fmt::Display for Molecule {
@@ -216,6 +270,26 @@ impl MoleculeType {
         shared
     }
 
+    /// The number of atoms appearing in ≥ 2 molecules — the length of
+    /// [`MoleculeType::shared_atoms`], counted on the sorted concatenation
+    /// of the per-molecule atom sets instead of through a map of roots.
+    pub fn shared_atom_count(&self) -> usize {
+        let mut all: Vec<AtomId> =
+            Vec::with_capacity(self.molecules.iter().map(Molecule::atom_occurrences).sum());
+        let mut one: Vec<AtomId> = Vec::new();
+        for m in &self.molecules {
+            one.clear();
+            one.extend(m.atoms.iter().flatten());
+            one.sort_unstable();
+            one.dedup();
+            all.extend_from_slice(&one);
+        }
+        all.sort_unstable();
+        all.chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= 2)
+            .count()
+    }
+
     /// Total distinct atoms across the occurrence.
     pub fn distinct_atoms(&self) -> usize {
         let mut all: FxHashSet<AtomId> = FxHashSet::default();
@@ -232,20 +306,6 @@ impl MoleculeType {
     pub fn total_atom_occurrences(&self) -> usize {
         self.molecules.iter().map(|m| m.atom_set().len()).sum()
     }
-
-    /// Render the whole molecule set as trees (Fig. 2 lower half).
-    pub fn render(&self, db: &Database) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "molecule type {} ({} molecules)\n",
-            self.name,
-            self.molecules.len()
-        ));
-        for m in &self.molecules {
-            out.push_str(&m.render_tree(db, &self.structure));
-        }
-        out
-    }
 }
 
 /// Alias kept for readability in signatures that deal with plain sets.
@@ -255,7 +315,7 @@ pub type MoleculeSet = MoleculeType;
 mod tests {
     use super::*;
     use crate::structure::path;
-    use mad_model::{AtomTypeId, AttrType, SchemaBuilder};
+    use mad_model::{AtomTypeId, AttrType, SchemaBuilder, Value};
 
     fn aid(ty: u32, slot: u32) -> AtomId {
         AtomId::new(AtomTypeId(ty), slot)
@@ -330,6 +390,7 @@ mod tests {
         };
         let shared = mt.shared_atoms();
         assert_eq!(shared.len(), 1);
+        assert_eq!(mt.shared_atom_count(), 1);
         assert_eq!(shared[0].0, shared_area);
         assert_eq!(shared[0].1, vec![aid(0, 0), aid(0, 1)]);
         assert_eq!(mt.distinct_atoms(), 4);

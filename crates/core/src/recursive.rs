@@ -21,7 +21,8 @@
 //! path, and a whole [`derive_recursive`] sweep shares one snapshot
 //! across all roots.
 
-use mad_model::{AtomId, AtomTypeId, BitSet, FxHashMap, FxHashSet, LinkTypeId, MadError, Result};
+use crate::molecule::{children, write_atom_line};
+use mad_model::{AtomId, AtomTypeId, BitSet, FxHashSet, LinkTypeId, MadError, Result};
 use mad_storage::database::Direction;
 use mad_storage::{CsrSnapshot, Database};
 
@@ -66,7 +67,8 @@ pub struct RecursiveMolecule {
     /// Atoms by first-visit depth; `levels[0] == [root]`.
     pub levels: Vec<Vec<AtomId>>,
     /// All traversed component links `(parent, child)` between contained
-    /// atoms (including "cross" and "back" links discovered late).
+    /// atoms (including "cross" and "back" links discovered late), sorted
+    /// and deduplicated.
     pub links: Vec<(AtomId, AtomId)>,
     /// True if the traversal reached an already-contained atom again —
     /// either a shared subcomponent (DAG reconvergence) or a genuine cycle.
@@ -94,52 +96,31 @@ impl RecursiveMolecule {
     /// Render as an indented tree; atoms revisited (shared or cyclic) are
     /// shown as `^ref`, guaranteeing finite output on cyclic data.
     pub fn render_tree(&self, db: &Database) -> String {
-        let children = self.child_map();
         let mut out = String::new();
-        let mut seen = FxHashSet::default();
-        self.render_node(db, &children, self.root, 0, &mut seen, &mut out);
+        self.write_tree(db, &mut FxHashSet::default(), &mut out);
         out
     }
 
-    fn child_map(&self) -> FxHashMap<AtomId, Vec<AtomId>> {
-        let mut children: FxHashMap<AtomId, Vec<AtomId>> = FxHashMap::default();
-        for &(p, c) in &self.links {
-            children.entry(p).or_default().push(c);
-        }
-        for v in children.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        children
+    /// [`RecursiveMolecule::render_tree`], appended to `out`; `seen` is
+    /// cleared first, as in [`crate::Molecule::write_tree`].
+    pub fn write_tree(&self, db: &Database, seen: &mut FxHashSet<AtomId>, out: &mut String) {
+        seen.clear();
+        self.write_node(db, self.root, 0, seen, out);
     }
 
-    fn render_node(
+    fn write_node(
         &self,
         db: &Database,
-        children: &FxHashMap<AtomId, Vec<AtomId>>,
         atom: AtomId,
         depth: usize,
         seen: &mut FxHashSet<AtomId>,
         out: &mut String,
     ) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        if !seen.insert(atom) {
-            out.push_str(&format!("^{atom}\n"));
+        if !write_atom_line(out, db, seen, depth, None, atom) {
             return;
         }
-        match db.atom(atom) {
-            Ok(t) => {
-                let vals: Vec<String> = t.iter().map(|v| v.to_string()).collect();
-                out.push_str(&format!("{atom} <{}>\n", vals.join(", ")));
-            }
-            Err(_) => out.push_str(&format!("{atom} <dead>\n")),
-        }
-        if let Some(cs) = children.get(&atom) {
-            for &c in cs {
-                self.render_node(db, children, c, depth + 1, seen, out);
-            }
+        for c in children(&self.links, atom) {
+            self.write_node(db, c, depth + 1, seen, out);
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Rendering of MQL statement results for terminal output.
 
 use crate::exec::StatementResult;
+use mad_core::MoleculeType;
 use mad_model::bin::{len_u32, usize_of_u32, BinAtom, BinMolecules, BinNode, BinResult};
 use mad_model::json::Json;
+use mad_model::FxHashSet;
 use mad_obs::MetricValue;
 use mad_storage::Database;
 use std::fmt::Write as _;
@@ -12,31 +14,31 @@ use std::fmt::Write as _;
 pub fn render_result(db: &Database, result: &StatementResult) -> String {
     match result {
         StatementResult::Molecules(mt) => {
-            let mut out = format!(
-                "molecule type `{}`: {} molecule(s)\n",
-                mt.name,
-                mt.len()
-            );
-            out.push_str(&format!(
-                "structure: {}\n",
+            let mut out = String::with_capacity(rendered_size_hint(mt));
+            let _ = writeln!(out, "molecule type `{}`: {} molecule(s)", mt.name, mt.len());
+            let _ = writeln!(
+                out,
+                "structure: {}",
                 mt.structure.render_compact(db.schema())
-            ));
+            );
+            let mut seen = FxHashSet::default();
             for m in &mt.molecules {
-                out.push_str(&m.render_tree(db, &mt.structure));
+                m.write_tree(db, &mt.structure, &mut seen, &mut out);
             }
-            let shared = mt.shared_atoms();
-            if !shared.is_empty() {
-                out.push_str(&format!(
-                    "shared subobjects: {} atom(s) appear in ≥ 2 molecules\n",
-                    shared.len()
-                ));
+            let shared = mt.shared_atom_count();
+            if shared > 0 {
+                let _ = writeln!(
+                    out,
+                    "shared subobjects: {shared} atom(s) appear in ≥ 2 molecules"
+                );
             }
             out
         }
         StatementResult::Recursive(ms) => {
             let mut out = format!("{} recursive molecule(s)\n", ms.len());
+            let mut seen = FxHashSet::default();
             for m in ms {
-                out.push_str(&m.render_tree(db));
+                m.write_tree(db, &mut seen, &mut out);
             }
             out
         }
@@ -84,6 +86,23 @@ pub fn render_result(db: &Database, result: &StatementResult) -> String {
         }
     }
 }
+
+/// A guess at a molecule set's rendered size, so the text is usually
+/// written into one allocation: a tree prints one line per root and per
+/// link, [`LINE_BYTES`] long on average.
+fn rendered_size_hint(mt: &MoleculeType) -> usize {
+    let lines: usize = mt
+        .molecules
+        .iter()
+        .map(|m| 1 + m.links.iter().map(Vec::len).sum::<usize>())
+        .sum();
+    256 + LINE_BYTES * lines
+}
+
+/// Average length of a rendered tree line (indentation, alias, id and a
+/// short tuple), rounded up: the Fig. 2 shape over the generated
+/// geography averages 36 bytes.
+const LINE_BYTES: usize = 40;
 
 /// Encode a statement result for the binary wire encoding: molecule sets
 /// travel structurally (schema-described tuples, no text rendering),

@@ -459,14 +459,20 @@ impl Session {
     }
 
     /// [`Session::execute_rendered`] under a per-statement trace: begins a
-    /// statement trace, executes, and returns the rendered result together
-    /// with the taken trace (text and total filled in). Network front-ends
-    /// use this to feed latency histograms and the slow-query log; the
-    /// trace is returned even when the statement failed.
+    /// statement trace, executes, renders (its own `render` stage), and
+    /// returns the rendered result together with the taken trace (text and
+    /// total filled in). Network front-ends use this to feed latency
+    /// histograms and the slow-query log; the trace is returned even when
+    /// the statement failed.
     pub fn execute_rendered_traced(&mut self, mql: &str) -> (Result<String>, StmtTrace) {
         trace::begin();
         let result = self.execute(mql);
-        let rendered = result.map(|r| crate::format::render_result(self.db(), &r));
+        let rendered = result.map(|r| {
+            let rt = StageTimer::start(StageKind::Render);
+            let text = crate::format::render_result(self.db(), &r);
+            rt.finish_info(&[("bytes", u64_of_usize(text.len()))]);
+            text
+        });
         let mut t = trace::take().unwrap_or_default();
         t.text = mql.trim().to_owned();
         (rendered, t)
@@ -489,7 +495,12 @@ impl Session {
     ) -> (Result<mad_model::bin::BinResult>, StmtTrace) {
         trace::begin();
         let result = self.execute(mql);
-        let encoded = result.map(|r| crate::format::bin_result(self.db(), &r));
+        let encoded = result.map(|r| {
+            let rt = StageTimer::start(StageKind::Render);
+            let bin = crate::format::bin_result(self.db(), &r);
+            rt.finish();
+            bin
+        });
         let mut t = trace::take().unwrap_or_default();
         t.text = mql.trim().to_owned();
         (encoded, t)
@@ -1390,9 +1401,15 @@ mod tests {
         assert_eq!(t.text, "SELECT ALL FROM state-area");
         assert!(t.total_ns > 0);
         assert!(t.stage_count(trace::StageKind::Lex) == 1 && t.stage_count(trace::StageKind::Parse) == 1);
+        assert_eq!(t.stage_count(trace::StageKind::Render), 1);
         let (err, t) = s.execute_rendered_traced("SELECT ALL FROM ghost");
         assert!(err.is_err());
         assert!(t.total_ns > 0, "failed statements are traced too");
+        assert_eq!(
+            t.stage_count(trace::StageKind::Render),
+            0,
+            "nothing to render"
+        );
     }
 
     #[test]

@@ -213,20 +213,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<FrameIn> {
     Ok(FrameIn::Payload(payload))
 }
 
-/// Try to extract one complete frame from the front of `buf` — the
+/// Find the first complete frame at the front of `buf` — the
 /// accumulation buffer of a readiness-driven reader, which sees bytes in
 /// whatever chunks the socket delivers (partial frames, several coalesced
-/// frames, or a frame split across sweeps). Returns `Ok(None)` while the
-/// buffer holds only a partial frame; on success the frame's bytes are
-/// consumed from `buf` and the verified payload is returned. The same
+/// frames, or a frame split across sweeps). Returns `Ok(None)` while `buf`
+/// holds only a partial frame, else the verified payload (borrowed from
+/// `buf`) and the frame's length: the caller advances a cursor by it and
+/// consumes every parsed frame in one `drain` per sweep. The same
 /// hardening as [`read_frame`] applies: an oversized declared length is
 /// rejected before any allocation, a checksum mismatch is a
 /// [`MadError::Protocol`].
-pub fn extract_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>> {
-    if buf.len() < FRAME_HEADER {
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>> {
+    let Some(header) = buf.get(..FRAME_HEADER) else {
         return Ok(None);
-    }
-    let mut header = Reader::new(&buf[..FRAME_HEADER]);
+    };
+    let mut header = Reader::new(header);
     let len = usize_of_u32(header.u32().map_err(bad_payload)?);
     let crc = header.u32().map_err(bad_payload)?;
     if len > MAX_FRAME_LEN {
@@ -240,9 +241,39 @@ pub fn extract_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>> {
     if crc32(body) != crc {
         return Err(MadError::protocol("frame checksum mismatch"));
     }
-    let payload = body.to_vec();
-    buf.drain(..FRAME_HEADER + len);
-    Ok(Some(payload))
+    Ok(Some((body, FRAME_HEADER + len)))
+}
+
+/// Encode `resp` as one complete frame in a single buffer sized up front:
+/// the payload is encoded in place behind a header slot, then checksummed.
+/// A text result is therefore copied exactly once, from the rendered
+/// `String` into the frame. Errors with [`MadError::Protocol`] if the
+/// payload exceeds [`MAX_FRAME_LEN`], as [`write_frame`] does.
+pub fn frame_response(resp: &Response) -> Result<Vec<u8>> {
+    let body_hint = match resp {
+        Response::Result(text) => 5 + text.len(),
+        Response::BinResult(bytes) => 5 + bytes.len(),
+        _ => 64,
+    };
+    let mut out = Vec::with_capacity(FRAME_HEADER + body_hint);
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    put_response(&mut out, resp);
+    let len = out.len() - FRAME_HEADER;
+    if len > MAX_FRAME_LEN {
+        return Err(MadError::protocol(format!(
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN} byte limit"
+        )));
+    }
+    let crc = out.get(FRAME_HEADER..).map_or(0, crc32);
+    // the MAX_FRAME_LEN guard above keeps the length well inside u32
+    let header = len_u32(len)
+        .to_le_bytes()
+        .into_iter()
+        .chain(crc.to_le_bytes());
+    for (slot, byte) in out.iter_mut().zip(header) {
+        *slot = byte;
+    }
+    Ok(out)
 }
 
 enum ReadOutcome {
@@ -310,14 +341,20 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
 /// Encode a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Append the payload encoding of `resp` to `out`.
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Result(text) => {
             out.push(0);
-            put_str(&mut out, text);
+            put_str(out, text);
         }
         Response::Error(e) => {
             out.push(1);
-            put_error(&mut out, e);
+            put_error(out, e);
         }
         Response::Pong => out.push(2),
         Response::Hello {
@@ -327,21 +364,20 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             encodings,
         } => {
             out.push(3);
-            put_u32(&mut out, *protocol);
-            put_u64(&mut out, *commit_seq);
+            put_u32(out, *protocol);
+            put_u64(out, *commit_seq);
             out.push(u8::from(*durable));
             out.push(*encodings);
         }
         Response::BinResult(bytes) => {
             out.push(4);
-            put_blob(&mut out, bytes);
+            put_blob(out, bytes);
         }
         Response::EncodingAck(enc) => {
             out.push(5);
             out.push(*enc);
         }
     }
-    out
 }
 
 /// Decode a response payload. Never panics; malformed input is a
@@ -719,21 +755,24 @@ mod tests {
     }
 
     #[test]
-    fn extract_frame_handles_partial_and_coalesced_input() {
+    fn split_frame_handles_partial_and_coalesced_input() {
         let a = encode_request(&Request::Ping);
         let b = encode_request(&Request::Statement("SELECT ALL FROM state".into()));
         let mut wire = Vec::new();
         write_frame(&mut wire, &a).unwrap();
         write_frame(&mut wire, &b).unwrap();
         // feed the coalesced byte stream one byte at a time: a partial
-        // frame yields None, each completed frame pops exactly once
+        // frame yields None, each completed frame is found exactly once
         let mut buf = Vec::new();
         let mut got = Vec::new();
         for byte in wire {
             buf.push(byte);
-            while let Some(p) = extract_frame(&mut buf).unwrap() {
-                got.push(p);
+            let mut at = 0;
+            while let Some((p, n)) = split_frame(&buf[at..]).unwrap() {
+                got.push(p.to_vec());
+                at += n;
             }
+            buf.drain(..at);
         }
         assert!(buf.is_empty());
         assert_eq!(got, vec![a, b]);
@@ -741,8 +780,25 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         huge.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(split_frame(&huge), Err(MadError::Protocol { .. })));
+    }
+
+    #[test]
+    fn frame_response_equals_write_frame_of_the_encoding() {
+        for resp in [
+            Response::Result("molecule type `result`: 2 molecule(s)\n".into()),
+            Response::Result(String::new()),
+            Response::Pong,
+            Response::Error(MadError::txn_conflict("overlap")),
+            Response::BinResult(vec![0, 1, 2, 0xff]),
+        ] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &encode_response(&resp)).unwrap();
+            assert_eq!(frame_response(&resp).unwrap(), wire, "{resp:?}");
+        }
+        let big = Response::Result("x".repeat(MAX_FRAME_LEN));
         assert!(matches!(
-            extract_frame(&mut huge),
+            frame_response(&big),
             Err(MadError::Protocol { .. })
         ));
     }

@@ -13,8 +13,8 @@
 //! the old thread-per-connection design.
 
 use crate::frame::{
-    decode_request, encode_response, extract_frame, write_frame, Request, Response,
-    ENCODING_BINARY, ENCODING_TEXT, MAGIC, PROTOCOL_VERSION, SUPPORTED_ENCODINGS,
+    decode_request, frame_response, split_frame, Request, Response, ENCODING_BINARY, ENCODING_TEXT,
+    MAGIC, PROTOCOL_VERSION, SUPPORTED_ENCODINGS,
 };
 use crate::poller::{
     lock, prepare_stream, sweep_read, sweep_write, IdleWait, ReadSweep, WriteSweep,
@@ -657,23 +657,33 @@ fn parse_input(shared: &Arc<Shared>, conn: &mut Conn) {
             durable: shared.handle.is_durable(),
             encodings: SUPPORTED_ENCODINGS,
         };
-        let _ = write_frame(&mut conn.pending, &encode_response(&hello));
+        if let Ok(frame) = frame_response(&hello) {
+            push_frame(&mut conn.pending, frame);
+        }
         lock(&conn.shared.work).session = Some(Session::shared(shared.handle.clone()));
     }
+    // parse behind a cursor and consume every parsed frame with one drain:
+    // draining per frame would memmove the rest of a coalesced pipeline
+    // once per frame
     let mut items = Vec::new();
     let mut fatal = false;
+    let mut consumed = 0;
     while !fatal {
-        match extract_frame(&mut conn.rbuf) {
-            Ok(Some(payload)) => match decode_request(&payload) {
-                Ok(req) => {
-                    shared.received.fetch_add(1, Ordering::SeqCst);
-                    items.push(WorkItem::Req(req));
+        let rest = conn.rbuf.get(consumed..).unwrap_or_default();
+        match split_frame(rest) {
+            Ok(Some((payload, len))) => {
+                consumed += len;
+                match decode_request(payload) {
+                    Ok(req) => {
+                        shared.received.fetch_add(1, Ordering::SeqCst);
+                        items.push(WorkItem::Req(req));
+                    }
+                    Err(e) => {
+                        items.push(WorkItem::Fatal(e));
+                        fatal = true;
+                    }
                 }
-                Err(e) => {
-                    items.push(WorkItem::Fatal(e));
-                    fatal = true;
-                }
-            },
+            }
             Ok(None) => break,
             Err(e) => {
                 items.push(WorkItem::Fatal(e));
@@ -681,6 +691,7 @@ fn parse_input(shared: &Arc<Shared>, conn: &mut Conn) {
             }
         }
     }
+    conn.rbuf.drain(..consumed);
     if fatal {
         conn.read_open = false;
     }
@@ -741,9 +752,20 @@ fn run_inline(shared: &Shared, conn: &mut Conn, item: WorkItem) {
         drop(session);
         conn.read_open = false;
     }
-    lock(&conn.shared.outbox).extend_from_slice(&frame);
+    push_frame(&mut lock(&conn.shared.outbox), frame);
     shared.requests.fetch_add(1, Ordering::SeqCst);
     flush_conn(shared, conn);
+}
+
+/// Append a response frame to an output buffer (the outbox, or the
+/// poller's pending bytes): by move when the buffer is empty, which is the
+/// common case, so a reply reaches the socket without another copy.
+fn push_frame(buf: &mut Vec<u8>, frame: Vec<u8>) {
+    if buf.is_empty() {
+        *buf = frame;
+    } else {
+        buf.extend_from_slice(&frame);
+    }
 }
 
 /// Append `items` to the connection's mailbox and claim it for the
@@ -773,7 +795,7 @@ fn flush_conn(shared: &Shared, conn: &mut Conn) -> bool {
     {
         let mut outbox = lock(&conn.shared.outbox);
         if !outbox.is_empty() {
-            conn.pending.append(&mut outbox);
+            push_frame(&mut conn.pending, std::mem::take(&mut *outbox));
         }
     }
     if conn.pending.is_empty() || conn.hard_dead {
@@ -932,7 +954,7 @@ fn drain_conn(shared: &Shared, conn: &ConnShared) {
         }
         // a fatal item's session (if any) drops here: exactly-once abort
         drop(session);
-        lock(&conn.outbox).extend_from_slice(&frame);
+        push_frame(&mut lock(&conn.outbox), frame);
         shared.requests.fetch_add(1, Ordering::SeqCst);
         // wake the poller so the response flushes promptly
         *lock(&shared.flush_signal) = true;
@@ -981,13 +1003,11 @@ fn run_item(
             ),
         },
     };
-    let mut frame = Vec::new();
-    if let Err(e) = write_frame(&mut frame, &encode_response(&resp)) {
-        // the response itself could not be framed (a > 64 MiB rendered
-        // result): answer with the error instead of dying silently
-        frame.clear();
-        let _ = write_frame(&mut frame, &encode_response(&Response::Error(e)));
-    }
+    // the response itself may not fit a frame (a > 64 MiB rendered
+    // result): answer with the error instead of dying silently
+    let frame = frame_response(&resp)
+        .or_else(|e| frame_response(&Response::Error(e)))
+        .unwrap_or_default();
     (frame, fatal)
 }
 
@@ -1243,6 +1263,7 @@ mod tests {
             mad_obs::StageKind::Lex,
             mad_obs::StageKind::Parse,
             mad_obs::StageKind::Derive,
+            mad_obs::StageKind::Render,
         ] {
             assert_eq!(select.trace.stage_count(kind), 1, "{kind:?} missing");
             assert!(select.trace.stage_ns(kind) > 0, "{kind:?} timed at zero");

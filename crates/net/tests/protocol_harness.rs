@@ -198,6 +198,35 @@ fn coalesced_pipeline_answers_in_order_byte_exact() {
 }
 
 #[test]
+fn ten_thousand_coalesced_pings_answer_in_order() {
+    let server = Server::serve(geo_handle(), "127.0.0.1:0").unwrap();
+    let select = Request::Statement("SELECT ALL FROM state".into());
+    let (mut canon, _) = Script::handshake(&server);
+    canon.send(&select);
+    let select_bytes = canon.recv_payload();
+
+    // 10 000 pings and a trailing statement in ONE write: the server parses
+    // them all out of one read buffer (consuming it once per sweep, not
+    // once per frame) and answers every one, in order
+    const N: usize = 10_000;
+    let (mut script, _) = Script::handshake(&server);
+    let ping = Script::frame(&Request::Ping);
+    let mut burst = Vec::with_capacity(N * ping.len());
+    for _ in 0..N {
+        burst.extend_from_slice(&ping);
+    }
+    burst.extend_from_slice(&Script::frame(&select));
+    script.write_bytes(&burst);
+    for i in 0..N {
+        let resp = script.recv_response();
+        assert!(matches!(resp, Response::Pong), "answer {i}: {resp:?}");
+    }
+    assert_eq!(script.recv_payload(), select_bytes);
+    assert_eq!(server.requests_received(), 1 + N + 1);
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_burst_with_a_failing_statement_keeps_order() {
     let server = Server::serve(geo_handle(), "127.0.0.1:0").unwrap();
     let (mut script, _) = Script::handshake(&server);

@@ -50,6 +50,9 @@ pub enum StageKind {
     /// conflict-log append, image swap, feed push (`wait_ns` and
     /// `rebased` in the info).
     Publish,
+    /// Encoding the result for the client: text rendering or the binary
+    /// encoding (`bytes` in the info for text).
+    Render,
 }
 
 impl StageKind {
@@ -67,6 +70,7 @@ impl StageKind {
             StageKind::FsyncWait => "fsync_wait",
             StageKind::ReplWait => "repl_wait",
             StageKind::Publish => "publish",
+            StageKind::Render => "render",
         }
     }
 }

@@ -331,32 +331,71 @@ pub fn frame_boundaries(buf: &[u8]) -> Vec<usize> {
     out
 }
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven; the table is
-/// computed at compile time.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), computed
+/// slicing-by-8: eight bytes per step through eight 256-entry tables built
+/// at compile time, the tail byte-at-a-time through the first. The value
+/// is the plain CRC-32 of `data` — frames checked by older peers and logs
+/// written by older builds verify unchanged.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
     let mut crc = !0u32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xff) as usize; // check: allow(cast, "masked to 0..=255, fits any usize")
-        crc = (crc >> 8) ^ TABLE[idx];
+    let (blocks, tail) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
+        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = crc_entry(7, c0)
+            ^ crc_entry(6, c1)
+            ^ crc_entry(5, c2)
+            ^ crc_entry(4, c3)
+            ^ crc_entry(3, b4)
+            ^ crc_entry(2, b5)
+            ^ crc_entry(1, b6)
+            ^ crc_entry(0, b7);
+    }
+    for &b in tail {
+        let [c0, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ crc_entry(0, c0 ^ b);
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[k][b]`: the CRC register contribution of byte `b` followed
+/// by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// One slicing-table entry; `k < 8` at every call site.
+#[inline(always)]
+fn crc_entry(k: usize, b: u8) -> u32 {
+    CRC_TABLES[k][usize::from(b)] // check: allow(panic, "k is a literal below 8; a u8 indexes 256 entries")
+}
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32; // check: allow(cast, "const-fn loop index bounded to 0..256; u32::try_from is not const")
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
+            let low = (prev & 0xff) as usize; // check: allow(cast, "masked to 0..=255")
+            t[k][i] = (prev >> 8) ^ t[0][low]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]

@@ -26,10 +26,13 @@
 #      standbys under fault injection, kill the primary mid-traffic,
 #      promote a standby, acked-prefix verification on the promoted
 #      node (examples/failover.rs),
-#  10. the observability smoke: a real `madd --slow-query-ms 0` daemon
-#      driven over TCP by `madc`, asserting EXPLAIN ANALYZE renders a
-#      staged trace, SHOW STATS serves table + JSON forms, and the
-#      slow-query ring buffer recorded the traffic.
+#  10. the observability smoke: a real `madd --bootstrap brazil
+#      --slow-query-ms 0` daemon driven over TCP by `madc`, asserting
+#      EXPLAIN ANALYZE renders a staged trace, SHOW STATS serves table +
+#      JSON forms, and the slow-query ring buffer recorded the traffic;
+#      plus the end-to-end byte guard: the Fig. 2 scan as `madc` prints it
+#      (server render → frame CRC → client CRC check → decode) must equal
+#      tests/golden/brazil_scan.txt byte for byte.
 #
 # Any step failing fails the script.
 set -euo pipefail
@@ -68,15 +71,17 @@ cargo run --release --quiet --example pipelining
 echo "== replication failover scenario under fault injection (examples/failover.rs)"
 cargo run --release --quiet --example failover
 
-echo "== observability smoke over TCP (madd --slow-query-ms 0 + madc)"
+echo "== observability smoke and byte guard over TCP (madd --bootstrap brazil --slow-query-ms 0 + madc)"
 OBS_PORT=7879
-./target/release/madd --addr "127.0.0.1:$OBS_PORT" --slow-query-ms 0 &
+./target/release/madd --addr "127.0.0.1:$OBS_PORT" --bootstrap brazil --slow-query-ms 0 &
 MADD_PID=$!
 trap 'kill "$MADD_PID" 2>/dev/null; wait "$MADD_PID" 2>/dev/null; true' EXIT
 for _ in $(seq 1 100); do
   if (exec 3<>"/dev/tcp/127.0.0.1/$OBS_PORT") 2>/dev/null; then break; fi
   sleep 0.1
 done
+SCAN_OUT="$(mktemp)"
+./target/release/madc "127.0.0.1:$OBS_PORT" -e "SELECT ALL FROM state-area-edge-point;" >"$SCAN_OUT"
 SMOKE="$(./target/release/madc "127.0.0.1:$OBS_PORT" -e "
   SELECT ALL FROM state-area;
   EXPLAIN ANALYZE SELECT ALL FROM state-area;
@@ -85,6 +90,11 @@ SMOKE="$(./target/release/madc "127.0.0.1:$OBS_PORT" -e "
 kill "$MADD_PID" 2>/dev/null
 wait "$MADD_PID" 2>/dev/null || true
 trap - EXIT
+if ! diff -u tests/golden/brazil_scan.txt "$SCAN_OUT"; then
+  echo "byte guard: the served Fig. 2 scan differs from tests/golden/brazil_scan.txt"
+  exit 1
+fi
+rm -f "$SCAN_OUT"
 fail() { echo "observability smoke: $1"; printf '%s\n' "$SMOKE"; exit 1; }
 grep -q '^  derive' <<<"$SMOKE" || fail "EXPLAIN ANALYZE trace has no derive stage"
 grep -q '^  total' <<<"$SMOKE" || fail "EXPLAIN ANALYZE trace has no total line"
