@@ -3,13 +3,21 @@
 //! Atoms are stored slot-addressed; slots are never reused so that an
 //! [`AtomId`] stays valid (or verifiably dead) for the lifetime of the
 //! database. Deletion leaves a tombstone; iteration skips tombstones.
+//!
+//! Rows live in copy-on-write chunks of [`CHUNK`](crate::CHUNK)
+//! slots, so a write to a forked store copies one chunk, not the type.
 
+use crate::chunk::Chunked;
 use mad_model::{AtomId, AtomTypeId, Value};
+
+/// One slot: the tuple of a live atom, or a tombstone.
+type Row = Option<Box<[Value]>>;
 
 /// The tuple store backing one atom type.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
-    rows: Vec<Option<Box<[Value]>>>,
+    pub(crate) rows: Chunked<Row>,
+    slots: u32,
     live: usize,
 }
 
@@ -19,18 +27,11 @@ impl AtomStore {
         AtomStore::default()
     }
 
-    /// An empty store with reserved capacity (bulk loads).
-    pub fn with_capacity(n: usize) -> Self {
-        AtomStore {
-            rows: Vec::with_capacity(n),
-            live: 0,
-        }
-    }
-
     /// Append an atom, returning its slot.
     pub fn insert(&mut self, tuple: Vec<Value>) -> u32 {
-        let slot = self.rows.len() as u32;
-        self.rows.push(Some(tuple.into_boxed_slice()));
+        let slot = self.slots;
+        *self.rows.entry(slot) = Some(tuple.into_boxed_slice());
+        self.slots += 1;
         self.live += 1;
         slot
     }
@@ -38,24 +39,26 @@ impl AtomStore {
     /// Fetch the tuple in `slot`, if alive.
     #[inline]
     pub fn get(&self, slot: u32) -> Option<&[Value]> {
-        self.rows
-            .get(slot as usize)
-            .and_then(|r| r.as_deref())
+        self.rows.get(slot).and_then(|r| r.as_deref())
     }
 
     /// Mutable access to the tuple in `slot`, if alive.
     #[inline]
     pub fn get_mut(&mut self, slot: u32) -> Option<&mut [Value]> {
-        self.rows
-            .get_mut(slot as usize)
-            .and_then(|r| r.as_deref_mut())
+        // a dead slot must not copy its chunk out of a fork
+        if !self.contains(slot) {
+            return None;
+        }
+        self.rows.get_mut(slot).and_then(|r| r.as_deref_mut())
     }
 
     /// Tombstone the atom in `slot`; returns the removed tuple if it was
     /// alive.
     pub fn remove(&mut self, slot: u32) -> Option<Box<[Value]>> {
-        let row = self.rows.get_mut(slot as usize)?;
-        let removed = row.take();
+        if !self.contains(slot) {
+            return None;
+        }
+        let removed = self.rows.get_mut(slot)?.take();
         if removed.is_some() {
             self.live -= 1;
         }
@@ -83,15 +86,20 @@ impl AtomStore {
     /// Total slots ever allocated (live + tombstones).
     #[inline]
     pub fn slots(&self) -> usize {
-        self.rows.len()
+        self.slots as usize
     }
 
     /// Iterate live atoms as `(slot, tuple)` in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[Value])> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_deref().map(|t| (i as u32, t)))
+        // the tombstone filter runs inside each chunk's loop: filtering the
+        // flattened slots instead scanned twice as slowly
+        self.rows.chunks().iter().enumerate().flat_map(|(ci, chunk)| {
+            let base = (ci * crate::CHUNK) as u32;
+            chunk
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, r)| r.as_deref().map(|t| (base + i as u32, t)))
+        })
     }
 
     /// Iterate live atoms of a given atom type as `(AtomId, tuple)`.
@@ -156,6 +164,23 @@ mod tests {
         let a = s.insert(tup(1));
         s.get_mut(a).unwrap()[0] = Value::Int(99);
         assert_eq!(s.get(a).unwrap()[0], Value::Int(99));
+    }
+
+    #[test]
+    fn slots_across_chunk_boundaries() {
+        let mut s = AtomStore::new();
+        for i in 0..130 {
+            assert_eq!(s.insert(tup(i)), i as u32);
+        }
+        for slot in [0, 63, 64, 65, 127, 128] {
+            assert!(s.remove(slot).is_some());
+        }
+        assert_eq!((s.len(), s.slots()), (124, 130));
+        assert!(s.get(64).is_none() && s.get(129).is_some() && s.get(130).is_none());
+        let slots: Vec<u32> = s.iter().map(|(slot, _)| slot).collect();
+        assert_eq!(slots.len(), 124);
+        assert_eq!(&slots[61..64], &[62, 66, 67]);
+        assert_eq!(slots.last(), Some(&129));
     }
 
     #[test]

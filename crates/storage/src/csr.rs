@@ -1,8 +1,9 @@
 //! Read-optimized CSR (compressed sparse row) adjacency snapshots.
 //!
-//! The mutable [`crate::LinkStore`] keeps adjacency in hash maps keyed by
-//! [`AtomId`](mad_model::AtomId) — ideal for DML, but molecule derivation pays one hash probe
-//! per atom per traversed edge. A [`CsrSnapshot`] is the read-optimized
+//! The mutable [`crate::LinkStore`] keeps adjacency as per-slot postings in
+//! copy-on-write chunks — ideal for DML and forks, but derivation through it
+//! pays a chunk lookup and a posting indirection per atom per traversed
+//! edge. A [`CsrSnapshot`] is the read-optimized
 //! counterpart: built **once** from the live link stores and then shared
 //! immutably across derivations, it stores, per link type and direction, a
 //! frozen `offsets`/`partners` pair indexed by **atom slot**. Slots are
@@ -42,31 +43,36 @@
 //! be shared across threads (the type is `Sync`).
 
 use crate::database::{Database, Direction};
-use mad_model::{AtomTypeId, BitSet, LinkTypeId};
+use mad_model::{AtomId, AtomTypeId, BitSet, LinkTypeId};
 use std::sync::Arc;
 
 /// One direction of one link type, frozen in CSR form.
 ///
 /// `partners_of(slot)` is `partners[offsets[slot]..offsets[slot + 1]]`,
 /// sorted ascending; slots beyond the frozen range have no partners.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CsrAdjacency {
     offsets: Vec<u32>,
     partners: Vec<u32>,
 }
 
 impl CsrAdjacency {
-    /// Build from oriented `(from_slot, to_slot)` pairs that are sorted by
-    /// `from_slot` (ties in insertion order).
-    fn from_sorted_pairs(pairs: &[(u32, u32)], from_slots: usize) -> Self {
-        let mut offsets = vec![0u32; from_slots + 1];
-        for &(f, _) in pairs {
-            offsets[f as usize + 1] += 1;
+    /// Freeze one side of a link store: `postings` yields every from-slot's
+    /// sorted partners in slot order, so the CSR arrays are written in one
+    /// pass with no sort. `pairs` is the link count (the partner capacity).
+    fn from_postings<'a>(
+        postings: impl Iterator<Item = &'a [AtomId]>,
+        from_slots: usize,
+        pairs: usize,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(from_slots + 1);
+        let mut partners = Vec::with_capacity(pairs);
+        offsets.push(0);
+        for p in postings.take(from_slots) {
+            partners.extend(p.iter().map(|a| a.slot));
+            offsets.push(partners.len() as u32);
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let partners = pairs.iter().map(|&(_, t)| t).collect();
+        offsets.resize(from_slots + 1, partners.len() as u32);
         CsrAdjacency { offsets, partners }
     }
 
@@ -141,23 +147,17 @@ impl CsrSnapshot {
                 Some(pair) => pair,
                 None => {
                     rebuilt += 1;
-                    // iter_oriented yields pairs sorted by (side0, side1)
-                    let fwd_pairs: Vec<(u32, u32)> = db
-                        .links_of(lt)
-                        .map(|(a, b)| (a.slot, b.slot))
-                        .collect();
-                    let mut bwd_pairs: Vec<(u32, u32)> =
-                        fwd_pairs.iter().map(|&(a, b)| (b, a)).collect();
-                    bwd_pairs.sort_unstable();
+                    let store = db.link_store(lt);
+                    let side = |s: usize| {
+                        CsrAdjacency::from_postings(
+                            store.postings(s),
+                            slots[def.ends[s].0 as usize] as usize,
+                            store.len(),
+                        )
+                    };
                     Arc::new(LinkCsr {
-                        fwd: CsrAdjacency::from_sorted_pairs(
-                            &fwd_pairs,
-                            slots[def.ends[0].0 as usize] as usize,
-                        ),
-                        bwd: CsrAdjacency::from_sorted_pairs(
-                            &bwd_pairs,
-                            slots[def.ends[1].0 as usize] as usize,
-                        ),
+                        fwd: side(0),
+                        bwd: side(1),
                     })
                 }
             };
@@ -256,6 +256,80 @@ impl CsrSnapshot {
 mod tests {
     use super::*;
     use mad_model::{AttrType, SchemaBuilder, Value};
+
+    /// The sort-based freeze the one-pass [`CsrAdjacency::from_postings`]
+    /// replaced: oriented pairs sorted by `(from, to)`.
+    fn from_sorted_pairs(pairs: &[(u32, u32)], from_slots: usize) -> CsrAdjacency {
+        let mut offsets = vec![0u32; from_slots + 1];
+        for &(f, _) in pairs {
+            offsets[f as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let partners = pairs.iter().map(|&(_, t)| t).collect();
+        CsrAdjacency { offsets, partners }
+    }
+
+    /// Random link sets (reflexive included, across chunk boundaries and
+    /// with tombstoned atoms): the one-pass build must equal the sorted
+    /// build in both directions.
+    #[test]
+    fn one_pass_build_equals_sorted_build() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(n)) as u32
+        };
+        for round in 0..40 {
+            let mut db = db_with_links();
+            let (a, b) = (AtomTypeId(0), AtomTypeId(1));
+            let parts = db.schema().atom_type_id("parts").unwrap();
+            let (ab, comp) = (LinkTypeId(0), LinkTypeId(1));
+            let (na, nb) = (1 + next(200), 1 + next(200));
+            for i in 0..na.max(nb) {
+                if i < na {
+                    db.insert_atom(a, vec![Value::Int(i.into())]).unwrap();
+                }
+                if i < nb {
+                    db.insert_atom(b, vec![Value::Int(i.into())]).unwrap();
+                }
+                db.insert_atom(parts, vec![Value::Int(i.into())]).unwrap();
+            }
+            let np = na.max(nb);
+            for _ in 0..next(600) {
+                let (x, y) = (next(na + 2), next(nb + 3));
+                let _ = db.connect(ab, AtomId::new(a, x), AtomId::new(b, y));
+                let (p, q) = (next(np), next(np));
+                let _ = db.connect(comp, AtomId::new(parts, p), AtomId::new(parts, q));
+            }
+            for _ in 0..round % 5 {
+                let _ = db.delete_atom(AtomId::new(b, next(nb + 3)));
+            }
+            let snap = CsrSnapshot::build(&db);
+            for lt in [ab, comp] {
+                let ends = db.schema().link_type(lt).ends;
+                let mut fwd: Vec<(u32, u32)> =
+                    db.links_of(lt).map(|(x, y)| (x.slot, y.slot)).collect();
+                fwd.sort_unstable();
+                let mut bwd: Vec<(u32, u32)> = fwd.iter().map(|&(x, y)| (y, x)).collect();
+                bwd.sort_unstable();
+                let horizon = |t: AtomTypeId| db.atom_slot_count(t);
+                assert_eq!(
+                    snap.adjacency(lt, Direction::Fwd),
+                    &from_sorted_pairs(&fwd, horizon(ends[0])),
+                    "round {round}: fwd of {lt:?}"
+                );
+                assert_eq!(
+                    snap.adjacency(lt, Direction::Bwd),
+                    &from_sorted_pairs(&bwd, horizon(ends[1])),
+                    "round {round}: bwd of {lt:?}"
+                );
+            }
+        }
+    }
 
     fn db_with_links() -> Database {
         let schema = SchemaBuilder::new()

@@ -27,7 +27,7 @@ use mad_model::{
     Schema, Value,
 };
 use std::ops::Bound;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Traversal direction through a link type.
 ///
@@ -82,9 +82,24 @@ struct CsrCacheState {
     last_rebuild: Option<(usize, usize)>,
 }
 
+impl CsrCache {
+    /// Lock the cache. A rebuild runs under this lock; if one panicked, the
+    /// lock is poisoned and whatever that rebuild left behind is dropped
+    /// here — the cache restarts cold instead of failing every later fork,
+    /// snapshot or EXPLAIN of this image.
+    fn lock(&self) -> MutexGuard<'_, CsrCacheState> {
+        self.0.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            *state = CsrCacheState::default();
+            self.0.clear_poison();
+            state
+        })
+    }
+}
+
 impl Clone for CsrCache {
     fn clone(&self) -> Self {
-        CsrCache(Mutex::new(self.0.lock().unwrap().clone()))
+        CsrCache(Mutex::new(self.lock().clone()))
     }
 }
 
@@ -94,12 +109,16 @@ impl Clone for CsrCache {
 /// indexes) lives behind an [`Arc`], and DML clones a store lazily via
 /// [`Arc::make_mut`] on first write. `Database::clone` is therefore **O(number
 /// of types)**, not O(data): a clone is a *copy-on-write fork* that shares
-/// all untouched stores with its origin. This is the substrate of the
-/// `mad_txn` transaction overlay — a transaction's fork physically *is* the
-/// committed image plus privately-rewritten stores for exactly the touched
-/// types — and it makes an `Arc<Database>` a cheap immutable published
-/// snapshot for concurrent readers (the type is `Sync`; the only interior
-/// mutability is the mutex-guarded CSR cache).
+/// all untouched stores with its origin. Inside a store the unit of copying
+/// is smaller still: atom rows and link postings sit in `Arc`'d chunks of
+/// [`CHUNK`](crate::CHUNK) slots and a hash index in `Arc`'d buckets,
+/// so the first write to a forked store copies its chunk directory plus the
+/// one chunk (or bucket) it touches. This is the substrate of the `mad_txn`
+/// transaction overlay — a transaction's fork physically *is* the committed
+/// image plus privately-rewritten chunks for exactly the touched slots —
+/// and it makes an `Arc<Database>` a cheap immutable published snapshot for
+/// concurrent readers (the type is `Sync`; the only interior mutability is
+/// the mutex-guarded CSR cache).
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     schema: Arc<Schema>,
@@ -134,8 +153,9 @@ impl Database {
         let atoms = (0..schema.atom_type_count())
             .map(|_| Arc::new(AtomStore::new()))
             .collect();
-        let links = (0..schema.link_type_count())
-            .map(|_| Arc::new(LinkStore::new()))
+        let links = schema
+            .link_types()
+            .map(|(_, def)| Arc::new(LinkStore::new(def.ends)))
             .collect();
         let link_versions = vec![0; schema.link_type_count()];
         Database {
@@ -176,8 +196,9 @@ impl Database {
 
     /// Add a link type (with empty occurrence).
     pub fn add_link_type(&mut self, def: LinkTypeDef) -> Result<LinkTypeId> {
+        let ends = def.ends;
         let id = Arc::make_mut(&mut self.schema).add_link_type(def)?;
-        self.links.push(Arc::new(LinkStore::new()));
+        self.links.push(Arc::new(LinkStore::new(ends)));
         self.link_versions.push(0);
         self.structural_version += 1;
         Ok(id)
@@ -594,7 +615,7 @@ impl Database {
     /// as long as the caller holds it, so a whole derivation runs against
     /// one consistent adjacency image.
     pub fn csr_snapshot(&self) -> Arc<CsrSnapshot> {
-        let mut guard = self.csr.0.lock().unwrap();
+        let mut guard = self.csr.lock();
         if let Some((version, snap)) = guard.snap.as_ref() {
             if *version == self.structural_version {
                 return Arc::clone(snap);
@@ -612,9 +633,7 @@ impl Database {
     /// this to report whether bitset derivation starts warm.
     pub fn csr_is_warm(&self) -> bool {
         self.csr
-            .0
             .lock()
-            .unwrap()
             .snap
             .as_ref()
             .is_some_and(|(v, _)| *v == self.structural_version)
@@ -625,7 +644,7 @@ impl Database {
     /// show the incremental invalidation at work: after one `connect`, only
     /// the touched pair is re-frozen.
     pub fn csr_rebuild_stats(&self) -> Option<(usize, usize)> {
-        self.csr.0.lock().unwrap().last_rebuild
+        self.csr.lock().last_rebuild
     }
 
     // ------------------------------------------------------------------
@@ -1208,6 +1227,102 @@ mod tests {
         // …and vice versa
         db.delete_atom(a).unwrap();
         assert!(fork.atom_exists(a));
+    }
+
+    /// A geo database with `n` states, each linked to its own area.
+    fn geo_db_with(n: i64) -> Database {
+        let mut db = geo_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let area = db.schema().atom_type_id("area").unwrap();
+        let sa = db.schema().link_type_id("state-area").unwrap();
+        for i in 0..n {
+            let s = db.insert_atom(state, vec![Value::from(format!("s{i}")), Value::from(i)]);
+            let a = db.insert_atom(area, vec![Value::from(i)]).unwrap();
+            db.connect(sa, s.unwrap(), a).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn a_write_after_a_fork_copies_one_chunk() {
+        let db = geo_db_with(300);
+        let state = db.schema().atom_type_id("state").unwrap();
+        let mut fork = db.clone();
+        fork.update_attr(AtomId::new(state, 130), 1, Value::from(0.5)).unwrap();
+        // the touched store copied one chunk and shares every other one
+        let (origin_rows, fork_rows) = (db.atoms[0].rows.chunks(), fork.atoms[0].rows.chunks());
+        assert_eq!(origin_rows.len(), 300usize.div_ceil(crate::CHUNK));
+        let copied: Vec<usize> = (0..origin_rows.len())
+            .filter(|&i| !Arc::ptr_eq(&origin_rows[i], &fork_rows[i]))
+            .collect();
+        assert_eq!(copied, vec![130 / crate::CHUNK], "only the chunk of slot 130 is copied");
+        // every other store is shared whole
+        for i in 1..db.atoms.len() {
+            assert!(Arc::ptr_eq(&db.atoms[i], &fork.atoms[i]));
+        }
+        for i in 0..db.links.len() {
+            assert!(Arc::ptr_eq(&db.links[i], &fork.links[i]));
+        }
+        assert_eq!(db.atom(AtomId::new(state, 130)).unwrap()[1], Value::Float(130.0));
+    }
+
+    #[test]
+    fn a_connect_after_a_fork_copies_one_chunk_per_side() {
+        let mut db = geo_db_with(300);
+        let area = db.schema().atom_type_id("area").unwrap();
+        let sa = db.schema().link_type_id("state-area").unwrap();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let a = db.insert_atom(area, vec![Value::from(999)]).unwrap();
+        let mut fork = db.clone();
+        fork.connect(sa, AtomId::new(state, 5), a).unwrap();
+        let (origin, forked) = (&db.links[sa.0 as usize], &fork.links[sa.0 as usize]);
+        for side in [&origin.fwd, &origin.bwd].into_iter().zip([&forked.fwd, &forked.bwd]) {
+            let copied = side
+                .0
+                .chunks()
+                .iter()
+                .zip(side.1.chunks())
+                .filter(|(x, y)| !Arc::ptr_eq(x, y))
+                .count();
+            assert_eq!(copied, 1);
+        }
+        assert!(!db.linked(sa, AtomId::new(state, 5), a));
+    }
+
+    #[test]
+    fn a_poisoned_csr_cache_recovers_on_fork_and_snapshot() {
+        let db = geo_db_with(10);
+        let sa = db.schema().link_type_id("state-area").unwrap();
+        let _ = db.csr_snapshot();
+        // a panic while the cache lock is held (as inside a rebuild)
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = db.csr.0.lock();
+            panic!("injected: a rebuild that panics");
+        }));
+        assert!(poisoner.is_err());
+        assert!(db.csr.0.is_poisoned());
+        // forking, snapshotting and deriving all keep working
+        let mut fork = db.clone();
+        assert!(!db.csr.0.is_poisoned(), "the first lock clears the poison");
+        assert!(!db.csr_is_warm(), "what the panicking rebuild left is dropped");
+        let area = fork.schema().atom_type_id("area").unwrap();
+        let state = fork.schema().atom_type_id("state").unwrap();
+        let a = fork.insert_atom(area, vec![Value::from(77)]).unwrap();
+        fork.connect(sa, AtomId::new(state, 3), a).unwrap();
+        for image in [&db, &fork] {
+            let snap = image.csr_snapshot();
+            assert!(image.csr_is_warm());
+            let frontier: mad_model::BitSet = [3usize].into_iter().collect();
+            let mut out = mad_model::BitSet::with_capacity(16);
+            snap.expand_frontier(sa, Direction::Fwd, &frontier, &mut out);
+            let want: Vec<usize> = image
+                .partners(sa, AtomId::new(state, 3), Direction::Fwd)
+                .iter()
+                .map(|p| p.slot as usize)
+                .collect();
+            assert_eq!(out.iter().collect::<Vec<_>>(), want);
+        }
+        assert_eq!(fork.partners(sa, AtomId::new(state, 3), Direction::Fwd).len(), 2);
     }
 
     #[test]

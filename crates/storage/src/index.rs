@@ -10,10 +10,21 @@
 //!
 //! Indexes are maintained incrementally by [`crate::Database`] on every
 //! insert / delete / update of an indexed atom type.
+//!
+//! A hash index is a fixed directory of [`BUCKETS`] `Arc`'d sub-maps keyed
+//! by the key's hash, so a write to a forked index copies one bucket. An
+//! ordered index is one `BTreeMap` and a write to a forked one copies it
+//! whole — the one O(n) copy a fork still makes.
 
+use mad_model::fxhash::FxHasher;
 use mad_model::{AtomId, AtomTypeId, FxHashMap, Value};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
+use std::sync::Arc;
+
+/// Buckets per hash index (a power of two).
+pub const BUCKETS: usize = 64;
 
 /// Which data structure backs an [`AttrIndex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,14 +35,26 @@ pub enum IndexKind {
     Ordered,
 }
 
+/// One bucket of a hash index.
+type Bucket = FxHashMap<Value, Vec<AtomId>>;
+
 /// The data structure behind an [`AttrIndex`] — exactly one per index, so
 /// an equality-only index carries no dead BTree (and vice versa).
 #[derive(Clone, Debug)]
 enum Backend {
-    /// Equality lookups only.
-    Hash(FxHashMap<Value, Vec<AtomId>>),
+    /// Equality lookups only, in copy-on-write buckets.
+    Hash(Box<[Arc<Bucket>; BUCKETS]>),
     /// Equality and range lookups.
     Ordered(BTreeMap<Value, Vec<AtomId>>),
+}
+
+/// The bucket of `key`. The bits are taken from the middle of the hash:
+/// the sub-map probes with the low bits and tags with the top ones.
+#[inline]
+fn bucket_of(key: &Value) -> usize {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    (h.finish() >> 32) as usize & (BUCKETS - 1)
 }
 
 /// A secondary index over one attribute of one atom type.
@@ -67,7 +90,7 @@ impl AttrIndex {
             ty,
             attr,
             backend: match kind {
-                IndexKind::Hash => Backend::Hash(FxHashMap::default()),
+                IndexKind::Hash => Backend::Hash(Box::new(std::array::from_fn(|_| Arc::default()))),
                 IndexKind::Ordered => Backend::Ordered(BTreeMap::new()),
             },
         }
@@ -84,7 +107,11 @@ impl AttrIndex {
     /// Register `id` under `key`.
     pub fn insert(&mut self, key: &Value, id: AtomId) {
         match &mut self.backend {
-            Backend::Hash(map) => posting_insert(map.entry(key.clone()).or_default(), id),
+            Backend::Hash(buckets) => {
+                // check: allow(panic, "bucket_of masks below BUCKETS")
+                let map = Arc::make_mut(&mut buckets[bucket_of(key)]);
+                posting_insert(map.entry(key.clone()).or_default(), id)
+            }
             Backend::Ordered(map) => posting_insert(map.entry(key.clone()).or_default(), id),
         }
     }
@@ -92,11 +119,17 @@ impl AttrIndex {
     /// Unregister `id` from `key`.
     pub fn remove(&mut self, key: &Value, id: AtomId) {
         match &mut self.backend {
-            Backend::Hash(map) => {
-                if let Some(v) = map.get_mut(key) {
-                    posting_remove(v, id);
-                    if v.is_empty() {
-                        map.remove(key);
+            Backend::Hash(buckets) => {
+                // check: allow(panic, "bucket_of masks below BUCKETS")
+                let bucket = &mut buckets[bucket_of(key)];
+                // a key this index does not hold must not copy its bucket
+                if bucket.contains_key(key) {
+                    let map = Arc::make_mut(bucket);
+                    if let Some(v) = map.get_mut(key) {
+                        posting_remove(v, id);
+                        if v.is_empty() {
+                            map.remove(key);
+                        }
                     }
                 }
             }
@@ -113,10 +146,12 @@ impl AttrIndex {
 
     /// Equality lookup: atoms whose attribute equals `key` (sorted).
     pub fn lookup_eq(&self, key: &Value) -> &[AtomId] {
-        match &self.backend {
-            Backend::Hash(map) => map.get(key).map_or(&[], |v| v.as_slice()),
-            Backend::Ordered(map) => map.get(key).map_or(&[], |v| v.as_slice()),
-        }
+        let postings = match &self.backend {
+            // check: allow(panic, "bucket_of masks below BUCKETS")
+            Backend::Hash(buckets) => buckets[bucket_of(key)].get(key),
+            Backend::Ordered(map) => map.get(key),
+        };
+        postings.map_or(&[], |v| v.as_slice())
     }
 
     /// Range lookup (ordered indexes only; a hash index returns `None` to
@@ -141,7 +176,7 @@ impl AttrIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         match &self.backend {
-            Backend::Hash(map) => map.len(),
+            Backend::Hash(buckets) => buckets.iter().map(|b| b.len()).sum(),
             Backend::Ordered(map) => map.len(),
         }
     }
@@ -149,7 +184,11 @@ impl AttrIndex {
     /// Total number of entries.
     pub fn entries(&self) -> usize {
         match &self.backend {
-            Backend::Hash(map) => map.values().map(Vec::len).sum(),
+            Backend::Hash(buckets) => buckets
+                .iter()
+                .flat_map(|b| b.values())
+                .map(Vec::len)
+                .sum(),
             Backend::Ordered(map) => map.values().map(Vec::len).sum(),
         }
     }
@@ -255,6 +294,34 @@ mod tests {
         assert_eq!(idx.lookup_eq(&Value::Int(1)), &[] as &[AtomId]);
         // removing again is harmless
         idx.remove(&Value::Int(1), id(1));
+    }
+
+    #[test]
+    fn hash_write_after_fork_copies_one_bucket() {
+        let mut origin = AttrIndex::new(AtomTypeId(0), 0, IndexKind::Hash);
+        for i in 0..1000u32 {
+            origin.insert(&Value::Int(i64::from(i % 300)), id(i));
+        }
+        let mut fork = origin.clone();
+        fork.insert(&Value::Int(7), id(5000));
+        fork.remove(&Value::Int(8), id(8));
+        fork.remove(&Value::Int(9999), id(1)); // absent key: copies nothing
+        // the fork sees its writes, the origin does not
+        assert_eq!(fork.lookup_eq(&Value::Int(7)).last(), Some(&id(5000)));
+        assert_eq!(origin.lookup_eq(&Value::Int(7)), &[id(7), id(307), id(607), id(907)]);
+        assert_eq!(fork.lookup_eq(&Value::Int(8)), &[id(308), id(608), id(908)]);
+        assert_eq!(origin.lookup_eq(&Value::Int(8)).len(), 4);
+        assert_eq!((origin.entries(), fork.entries()), (1000, 1000));
+        // …and only the buckets of keys 7 and 8 were copied
+        let (Backend::Hash(a), Backend::Hash(b)) = (&origin.backend, &fork.backend) else {
+            panic!("hash backend expected");
+        };
+        let copied = a.iter().zip(b.iter()).filter(|(x, y)| !Arc::ptr_eq(x, y)).count();
+        let touched = if bucket_of(&Value::Int(7)) == bucket_of(&Value::Int(8)) { 1 } else { 2 };
+        assert_eq!(copied, touched);
+        // writes to the origin stay out of the fork
+        origin.insert(&Value::Int(1), id(6000));
+        assert!(!fork.lookup_eq(&Value::Int(1)).contains(&id(6000)));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! makes the super-component vs. sub-component views of §3.1 well-defined.
 
 pub mod atom_store;
+mod chunk;
 pub mod csr;
 pub mod database;
 pub mod index;
@@ -38,6 +39,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use atom_store::AtomStore;
+pub use chunk::CHUNK;
 pub use csr::{CsrAdjacency, CsrSnapshot};
 pub use database::Database;
 pub use index::{AttrIndex, IndexKind};
