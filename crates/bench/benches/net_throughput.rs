@@ -1,16 +1,15 @@
 //! B10 — the network front-end: statement throughput and latency
 //! percentiles at 1/4/16/64/256 concurrent connections.
 //!
-//! Unlike the criterion benches, this harness needs *per-statement*
-//! latency distributions (p50/p99), so it measures directly: `N` client
-//! threads each push a fixed statement quota through one in-process
-//! [`mad_net::Server`] on loopback, every round-trip is timed, and the
-//! aggregate reports
+//! This harness needs *per-statement* latency distributions (p50/p99), so
+//! it times every round-trip itself rather than through
+//! `mad_bench::measure`: `N` client threads each push a fixed statement
+//! quota through one in-process [`mad_net::Server`] on loopback, and one
+//! table row per `(kind, N)` reports
 //!
-//! * `B10_net/<kind>_stmts_per_sec/cN` — completed statements per second
-//!   across all `N` connections (wall clock of the whole burst),
-//! * `B10_net/<kind>_p50_ns/cN`, `B10_net/<kind>_p99_ns/cN` — round-trip
-//!   latency percentiles in nanoseconds,
+//! * `stmts/s` — completed statements per second across all `N`
+//!   connections (wall clock of the whole burst),
+//! * `p50 ns`, `p99 ns` — round-trip latency percentiles in nanoseconds,
 //!
 //! for `kind = read` (a pushdown SELECT), `kind = prepared` (the same
 //! SELECT as a server-side prepared statement: `PREPARE` once per
@@ -23,15 +22,12 @@
 //! The per-connection quota shrinks above 16 connections so the total
 //! statement volume stays bounded; throughput is still per-second over
 //! the whole burst.
-//!
-//! `-- --quick` shrinks the quota and merges the results into
-//! `BENCH_derive.json` (same contract as the criterion shim).
 
+use mad_bench::table;
 use mad_model::Value;
 use mad_net::{Client, Server};
 use mad_txn::DbHandle;
 use mad_workload::mixed_database;
-use std::collections::BTreeMap;
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -115,21 +111,19 @@ fn burst(
 // observability layer (whose histograms bucket the same statistic)
 use mad_obs::percentile_sorted as percentile;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| quick.then(|| "BENCH_derive.json".to_owned()));
-    let quota = if quick { 60 } else { 300 };
+/// Statements per connection below 16 connections.
+const QUOTA: usize = 300;
 
-    let mut results: BTreeMap<String, f64> = BTreeMap::new();
+fn main() {
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for conns in CONNECTIONS {
         // keep the total statement volume bounded at high connection
         // counts; throughput stays a per-second rate over the burst
-        let per_conn = if conns > 16 { (quota * 16 / conns).max(12) } else { quota };
+        let per_conn = if conns > 16 {
+            (QUOTA * 16 / conns).max(12)
+        } else {
+            QUOTA
+        };
         let server = Server::serve(populated_handle(conns), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
         // zero-parameter form: the session caches the plan keyed by the
@@ -161,61 +155,20 @@ fn main() {
             let (mut lat, wall) = burst(addr, conns, per_conn, setup, stmt);
             lat.sort_unstable();
             let total = lat.len() as f64;
-            results.insert(
-                format!("B10_net/{kind}_stmts_per_sec/c{conns}"),
-                total / wall,
-            );
-            results.insert(format!("B10_net/{kind}_p50_ns/c{conns}"), percentile(&lat, 0.50));
-            results.insert(format!("B10_net/{kind}_p99_ns/c{conns}"), percentile(&lat, 0.99));
+            rows.push(vec![
+                kind.to_owned(),
+                format!("c{conns}"),
+                format!("{:.1}", total / wall),
+                format!("{:.0}", percentile(&lat, 0.50)),
+                format!("{:.0}", percentile(&lat, 0.99)),
+            ]);
         }
         server.shutdown();
     }
 
-    for (k, v) in &results {
-        println!("{k:<46} {v:>14.1}");
-    }
-    if let Some(path) = json_path {
-        merge_json(&path, &results);
-        println!("bench report written to {path}");
-    }
-}
-
-/// Merge into the flat `{"id": number}` report, same shape the criterion
-/// shim writes.
-fn merge_json(path: &str, fresh: &BTreeMap<String, f64>) {
-    let mut merged: BTreeMap<String, f64> = std::fs::read_to_string(path)
-        .ok()
-        .map(|text| parse_flat_json(&text))
-        .unwrap_or_default();
-    merged.extend(fresh.iter().map(|(k, v)| (k.clone(), *v)));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!("  \"{}\": {:.1}", k.replace('"', "\\\""), v));
-    }
-    out.push_str("\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-fn parse_flat_json(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let mut rest = text;
-    while let Some(q) = rest.find('"') {
-        rest = &rest[q + 1..];
-        let Some(endq) = rest.find('"') else { break };
-        let key = rest[..endq].to_owned();
-        rest = &rest[endq + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            out.insert(key, v);
-        }
-        rest = &rest[end..];
-    }
-    out
+    println!("B10 — network front-end over loopback");
+    print!(
+        "{}",
+        table(&["kind", "conns", "stmts/s", "p50 ns", "p99 ns"], &rows)
+    );
 }

@@ -1,27 +1,26 @@
 //! B11 — streaming replication: lag vs write rate, sync-quorum commit
 //! cost, and read throughput scaling across standby replicas.
 //!
-//! Like B10 this harness measures directly rather than through criterion:
-//! replication lag is a *distributed* observable (primary commit sequence
-//! minus standby replicated sequence) sampled while traffic runs, not a
-//! closed-loop iteration time. Everything runs in-process over loopback:
+//! Like B10 this harness measures directly rather than through
+//! `mad_bench::measure`: replication lag is a *distributed* observable
+//! (primary commit sequence minus standby replicated sequence) sampled
+//! while traffic runs, not a closed-loop iteration time. Everything runs
+//! in-process over loopback, and one table has a row per metric:
 //!
-//! * `B11_repl/lag_commits/r<rate>` — mean standby lag in commits,
+//! * `lag_commits/r<rate>` — mean standby lag in commits,
 //!   sampled once per commit while a writer publishes at `rate`
 //!   commits/sec (`r0` = unthrottled) against one async standby;
-//! * `B11_repl/drain_ms/r<rate>` — after the burst, milliseconds until
+//! * `drain_ms/r<rate>` — after the burst, milliseconds until
 //!   the standby has replayed everything the primary acknowledged;
-//! * `B11_repl/commits_per_sec/<mode>` — direct-handle commit
+//! * `commits_per_sec/<mode>` — direct-handle commit
 //!   throughput with `async` acks vs a `quorum1` sync standby (the
 //!   durability-of-acknowledgment price);
-//! * `B11_repl/reads_per_sec/n<replicas>` — aggregate SELECT throughput
+//! * `reads_per_sec/n<replicas>` — aggregate SELECT throughput
 //!   of 8 TCP reader connections round-robined across `n` standby-backed
 //!   servers (the scale-out story: every replica serves its own
 //!   snapshot, so read throughput grows with the replica count).
-//!
-//! `-- --quick` shrinks the quotas and merges the results into
-//! `BENCH_derive.json` (same contract as the criterion shim).
 
+use mad_bench::table;
 use mad_model::Value;
 use mad_net::{Client, Server};
 use mad_repl::{ReplPrimary, Standby, StandbyConfig};
@@ -111,10 +110,10 @@ fn bench_lag(results: &mut BTreeMap<String, f64>, rate: u64, quota: usize) {
     }
     let drain = t.elapsed().as_secs_f64() * 1e3;
     results.insert(
-        format!("B11_repl/lag_commits/r{rate}"),
+        format!("lag_commits/r{rate}"),
         lag_sum as f64 / quota as f64,
     );
-    results.insert(format!("B11_repl/drain_ms/r{rate}"), drain);
+    results.insert(format!("drain_ms/r{rate}"), drain);
     cluster.stop();
 }
 
@@ -128,10 +127,7 @@ fn bench_ack_modes(results: &mut BTreeMap<String, f64>, quota: usize) {
             commit_one(&cluster.primary, i);
         }
         let wall = t.elapsed().as_secs_f64();
-        results.insert(
-            format!("B11_repl/commits_per_sec/{mode}"),
-            quota as f64 / wall,
-        );
+        results.insert(format!("commits_per_sec/{mode}"), quota as f64 / wall);
         cluster.stop();
     }
 }
@@ -197,7 +193,7 @@ fn bench_read_scaling(results: &mut BTreeMap<String, f64>, quota: usize) {
             t.elapsed().as_secs_f64()
         });
         results.insert(
-            format!("B11_repl/reads_per_sec/n{replicas}"),
+            format!("reads_per_sec/n{replicas}"),
             (READERS * quota) as f64 / wall,
         );
         for s in servers {
@@ -208,67 +204,17 @@ fn bench_read_scaling(results: &mut BTreeMap<String, f64>, quota: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| quick.then(|| "BENCH_derive.json".to_owned()));
-    let (lag_quota, ack_quota, read_quota) = if quick { (80, 60, 40) } else { (400, 300, 200) };
-
     let mut results: BTreeMap<String, f64> = BTreeMap::new();
     for rate in [100u64, 500, 0] {
-        bench_lag(&mut results, rate, lag_quota);
+        bench_lag(&mut results, rate, 400);
     }
-    bench_ack_modes(&mut results, ack_quota);
-    bench_read_scaling(&mut results, read_quota);
+    bench_ack_modes(&mut results, 300);
+    bench_read_scaling(&mut results, 200);
 
-    for (k, v) in &results {
-        println!("{k:<46} {v:>14.1}");
-    }
-    if let Some(path) = json_path {
-        merge_json(&path, &results);
-        println!("bench report written to {path}");
-    }
-}
-
-/// Merge into the flat `{"id": number}` report, same shape the criterion
-/// shim writes.
-fn merge_json(path: &str, fresh: &BTreeMap<String, f64>) {
-    let mut merged: BTreeMap<String, f64> = std::fs::read_to_string(path)
-        .ok()
-        .map(|text| parse_flat_json(&text))
-        .unwrap_or_default();
-    merged.extend(fresh.iter().map(|(k, v)| (k.clone(), *v)));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!("  \"{}\": {:.1}", k.replace('"', "\\\""), v));
-    }
-    out.push_str("\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-fn parse_flat_json(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let mut rest = text;
-    while let Some(q) = rest.find('"') {
-        rest = &rest[q + 1..];
-        let Some(endq) = rest.find('"') else { break };
-        let key = rest[..endq].to_owned();
-        rest = &rest[endq + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            out.insert(key, v);
-        }
-        rest = &rest[end..];
-    }
-    out
+    let rows: Vec<Vec<String>> = results
+        .into_iter()
+        .map(|(k, v)| vec![k, format!("{v:.1}")])
+        .collect();
+    println!("B11 — streaming replication");
+    print!("{}", table(&["metric", "value"], &rows));
 }

@@ -1,29 +1,31 @@
 //! B9 — write-ahead-log durability: commit latency vs fsync policy, group
 //! commit under concurrent writers, recovery time vs log length.
 //!
-//! Three measurements of the `mad_wal` subsystem through `mad_txn`:
+//! Measurements of the `mad_wal` subsystem through `mad_txn`, each a row
+//! of one table (µs per iteration):
 //!
 //! * `commit_latency/<policy>` — one uncontended durable commit (begin →
-//!   insert group → commit) under each [`FsyncPolicy`]: `never` prices
-//!   the pure append, `per_commit` adds a blocking fsync, `group` sits
-//!   between (a lone writer cannot batch, but skips redundant syncs).
-//! * `burst_<policy>/wN` — wall clock of N writer threads each pushing a
-//!   fixed commit quota through one durable handle. The headline claim:
-//!   group commit amortizes one fsync over the commits that arrive while
-//!   the previous fsync is in flight, so `burst_group/w4` should beat
-//!   `burst_per_commit/w4` by ≥ 2x on fsync-bound storage.
+//!   one attribute update → commit) under each [`FsyncPolicy`]: `never`
+//!   prices the pure append, `per_commit` adds a blocking fsync, `group`
+//!   sits between (a lone writer cannot batch, but skips redundant syncs).
+//! * `burst_<policy>/wN` — wall clock of N writer threads together pushing
+//!   96 commits through one durable handle, with the fsyncs each commit
+//!   cost beside it. Group commit amortizes one fsync over the commits
+//!   that arrive while the previous fsync is in flight, so
+//!   `burst_group/w16` should need fewer than one fsync per commit and
+//!   beat `burst_per_commit/w16` on fsync-bound storage.
 //! * `recovery/commits_N` — time for `DbHandle::open_durable` to scan,
 //!   verify and replay a log of N commits.
 //!
-//! Run with `-- --quick` to merge median ns/op into `BENCH_derive.json`.
+//! `cargo bench -p mad-bench --bench wal_commit [filter …]` runs the rows
+//! whose name contains one of the filters (all without one).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mad_model::Value;
+use mad_bench::{bench_filters, measure, measure_batched, selected, table};
+use mad_model::{MadError, Value};
 use mad_txn::{DbHandle, FsyncPolicy, Transaction};
 use mad_workload::mixed_database;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
@@ -50,7 +52,10 @@ fn commit_group(handle: &DbHandle, tag: u64) {
     loop {
         let mut t = Transaction::begin(handle);
         let s = t
-            .insert_atom(state, vec![Value::from(format!("b{tag}")), Value::from(1.0)])
+            .insert_atom(
+                state,
+                vec![Value::from(format!("b{tag}")), Value::from(1.0)],
+            )
             .unwrap();
         let a = t.insert_atom(area, vec![Value::from(tag as i64)]).unwrap();
         t.connect(sa, s, a).unwrap();
@@ -70,8 +75,12 @@ fn commit_update(handle: &DbHandle, slot: u32, n: u64) {
     let db = handle.committed();
     let state = db.schema().atom_type_id("state").unwrap();
     let mut t = Transaction::begin(handle);
-    t.update_attr(mad_model::AtomId::new(state, slot), 1, Value::from(n as f64))
-        .unwrap();
+    t.update_attr(
+        mad_model::AtomId::new(state, slot),
+        1,
+        Value::from(n as f64),
+    )
+    .unwrap();
     t.commit().unwrap();
 }
 
@@ -87,31 +96,35 @@ fn burst_database(writers: u64) -> mad_storage::Database {
     db
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("B9_wal");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
+fn main() {
+    let filters = bench_filters();
+    let mut rows: Vec<Vec<String>> = Vec::new();
 
     // ------------------------------------------------------------------
     // single-writer commit latency per fsync policy (update-only, so the
     // database does not grow across iterations and the number isolates
     // the durability cost, not CoW store copies)
-    for policy in [FsyncPolicy::Never, FsyncPolicy::Group, FsyncPolicy::PerCommit] {
+    for policy in [
+        FsyncPolicy::Never,
+        FsyncPolicy::Group,
+        FsyncPolicy::PerCommit,
+    ] {
+        let name = format!("commit_latency/{}", policy_name(policy));
+        if !selected(&filters, &name) {
+            continue;
+        }
         let path = fresh_wal_path();
         let handle = DbHandle::create_durable(mixed_database().unwrap(), &path, policy).unwrap();
         let state = handle.committed().schema().atom_type_id("state").unwrap();
         let contended = mad_model::AtomId::new(state, 0);
         let mut n = 0u64;
-        group.bench_function(format!("commit_latency/{}", policy_name(policy)), |b| {
-            b.iter(|| {
-                n += 1;
-                let mut t = Transaction::begin(&handle);
-                t.update_attr(contended, 1, Value::from(n as f64)).unwrap();
-                t.commit().unwrap()
-            })
+        let us = measure(100, || {
+            n += 1;
+            let mut t = Transaction::begin(&handle);
+            t.update_attr(contended, 1, Value::from(n as f64))?;
+            t.commit()
         });
+        rows.push(vec![name, format!("{:.1}", us.unwrap()), String::new()]);
         drop(handle);
         std::fs::remove_file(&path).ok();
     }
@@ -121,65 +134,72 @@ fn bench(c: &mut Criterion) {
     const COMMITS_PER_BURST: u64 = 96; // total, split across the writers
     for policy in [FsyncPolicy::PerCommit, FsyncPolicy::Group] {
         for writers in [1u64, 4, 16] {
-            group.bench_function(
-                format!("burst_{}/w{writers}", policy_name(policy)),
-                |b| {
-                    b.iter_batched(
-                        || {
-                            // handle + log creation is setup, not burst
-                            let path = fresh_wal_path();
-                            let handle =
-                                DbHandle::create_durable(burst_database(writers), &path, policy)
-                                    .unwrap();
-                            (path, handle)
-                        },
-                        |(path, handle)| {
-                            let quota = COMMITS_PER_BURST / writers;
-                            std::thread::scope(|scope| {
-                                for w in 0..writers {
-                                    let handle = handle.clone();
-                                    scope.spawn(move || {
-                                        for i in 0..quota {
-                                            commit_update(&handle, 1 + w as u32, i);
-                                        }
-                                    });
+            let name = format!("burst_{}/w{writers}", policy_name(policy));
+            if !selected(&filters, &name) {
+                continue;
+            }
+            let quota = COMMITS_PER_BURST / writers;
+            let mut fsyncs = Vec::new();
+            let us = measure_batched(
+                2,
+                || {
+                    // handle + log creation is setup, not burst
+                    let path = fresh_wal_path();
+                    let handle =
+                        DbHandle::create_durable(burst_database(writers), &path, policy).unwrap();
+                    (path, handle)
+                },
+                |(path, handle)| {
+                    let before = handle.wal_fsync_count().unwrap();
+                    std::thread::scope(|scope| {
+                        for w in 0..writers {
+                            let handle = handle.clone();
+                            scope.spawn(move || {
+                                for i in 0..quota {
+                                    commit_update(&handle, 1 + w as u32, i);
                                 }
                             });
-                            let fsyncs = handle.wal_fsync_count().unwrap();
-                            drop(handle);
-                            std::fs::remove_file(&path).ok();
-                            fsyncs
-                        },
-                        criterion::BatchSize::PerIteration,
-                    )
+                        }
+                    });
+                    fsyncs.push(handle.wal_fsync_count().unwrap() - before);
+                    drop(handle);
+                    std::fs::remove_file(&path).ok();
+                    Ok::<_, MadError>(())
                 },
             );
+            let per_commit =
+                fsyncs.iter().sum::<u64>() as f64 / (fsyncs.len() as u64 * quota * writers) as f64;
+            rows.push(vec![
+                name,
+                format!("{:.1}", us.unwrap()),
+                format!("{per_commit:.2}"),
+            ]);
         }
     }
 
     // ------------------------------------------------------------------
     // recovery time vs log length
     for commits in [100u64, 1000] {
+        let name = format!("recovery/commits_{commits}");
+        if !selected(&filters, &name) {
+            continue;
+        }
         let path = fresh_wal_path();
         let handle =
-            DbHandle::create_durable(mixed_database().unwrap(), &path, FsyncPolicy::Never)
-                .unwrap();
+            DbHandle::create_durable(mixed_database().unwrap(), &path, FsyncPolicy::Never).unwrap();
         for i in 0..commits {
             commit_group(&handle, i);
         }
         drop(handle);
-        group.bench_function(format!("recovery/commits_{commits}"), |b| {
-            b.iter(|| {
-                let h = DbHandle::open_durable(&path, FsyncPolicy::Never).unwrap();
-                assert_eq!(h.recovery_info().unwrap().commits_replayed, commits);
-                h
-            })
+        let us = measure(10, || {
+            let h = DbHandle::open_durable(&path, FsyncPolicy::Never)?;
+            assert_eq!(h.recovery_info().unwrap().commits_replayed, commits);
+            Ok::<_, MadError>(h)
         });
+        rows.push(vec![name, format!("{:.1}", us.unwrap()), String::new()]);
         std::fs::remove_file(&path).ok();
     }
 
-    group.finish();
+    println!("B9 — WAL durability");
+    print!("{}", table(&["bench", "µs/iter", "fsyncs/commit"], &rows));
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

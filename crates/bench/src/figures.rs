@@ -1,10 +1,10 @@
 //! Regeneration of every figure of the paper plus the in-text examples.
 //!
-//! Output sections map 1:1 to the experiment index in `DESIGN.md`
-//! (E1 = Fig. 1, …, E8) plus the B2 duplication table. `EXPERIMENTS.md`
-//! records this output against the paper's artifacts. Run via
-//! `cargo run -p mad-bench --bin figures` or as part of `cargo bench`
-//! (the `figures` bench target).
+//! One output section per artifact: Fig. 1–5, the in-text examples E6, E7
+//! and E8, and the B2 duplication table. The output is deterministic;
+//! `tests/golden/figures.txt` holds it and `scripts/ci.sh` diffs a fresh
+//! run against it. Run via `cargo run --release -p mad-bench --bin
+//! figures`.
 
 use crate::{presets, table};
 use mad_core::atom_ops::{self, AtomPred};

@@ -2,24 +2,24 @@
 
 //! # mad-bench — benchmark & figure-regeneration harness
 //!
-//! Everything the experiment index of `DESIGN.md` needs:
+//! * [`table`] — aligned text tables, the output format of every figure,
+//!   claim table and bench target in this crate,
+//! * [`presets`] — the workload configurations shared by the claim tables
+//!   and the `figures` binary,
+//! * [`measure`] / [`measure_batched`] — the one wall-clock timer: the
+//!   minimum over five batches of the mean per call.
 //!
-//! * [`table`] — aligned text tables (the output format of the regenerated
-//!   figures and of the claim benchmarks),
-//! * [`presets`] — the workload configurations used by the criterion
-//!   benches and the `figures` binary, so numbers in `EXPERIMENTS.md` are
-//!   reproducible from one place,
-//! * [`measure`] — a deterministic wall-clock helper for the table-style
-//!   experiments (criterion handles the statistical ones).
+//! Entry points:
 //!
-//! Regeneration entry points:
-//!
-//! * `cargo run -p mad-bench --bin figures` (= the `figures` bench target)
-//!   — Fig. 1–5, E6, E7, E8 and the B2 duplication table ([`figures`]),
-//! * `cargo run --release -p mad-bench --bin tables` (= the `claim_tables`
-//!   bench target) — the B1/B3/B4/B5/B6/B7 summary tables ([`tables`]),
-//! * `cargo bench -p mad-bench` — all of the above plus the statistical
-//!   criterion versions of B1, B3–B7 and E8.
+//! * `cargo run --release -p mad-bench --bin figures` — Fig. 1–5, E6, E7,
+//!   E8 and the B2 duplication table ([`figures`]); deterministic, and
+//!   diffed against `tests/golden/figures.txt` by `scripts/ci.sh`,
+//! * `cargo run --release -p mad-bench --bin tables [b1 b3 … e8]` — the
+//!   B1, B3–B7 and E8 claim tables ([`tables`]); no argument runs all,
+//! * `cargo bench -p mad-bench --bench <target> [filter …]` — the
+//!   system-level benches B8 (`concurrent_sessions`), B9 (`wal_commit`),
+//!   B10 (`net_throughput`) and B11 (`repl_lag`); B8 and B9 run only the
+//!   rows whose name contains one of the filters.
 
 pub mod figures;
 pub mod tables;
@@ -58,23 +58,51 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Mean wall-clock microseconds per call of `f`, measured as the **minimum
 /// over five batches** of `iters` calls each — the minimum is the standard
-/// robust estimator against noisy-neighbor interference.
-pub fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+/// robust estimator against noisy-neighbor interference. The first error
+/// `f` returns ends the measurement.
+pub fn measure<T, E>(iters: usize, mut f: impl FnMut() -> Result<T, E>) -> Result<f64, E> {
+    measure_batched(iters, || (), |()| f())
+}
+
+/// [`measure`] for a routine that consumes a fresh input per call: each
+/// batch builds its `iters` inputs with `setup` before the clock starts,
+/// so only `f` (and the drop of what it consumes) is timed.
+pub fn measure_batched<I, T, E>(
+    iters: usize,
+    mut setup: impl FnMut() -> I,
+    mut f: impl FnMut(I) -> Result<T, E>,
+) -> Result<f64, E> {
     // one warm-up call
-    let _ = f();
+    f(setup())?;
     let mut best = f64::INFINITY;
     for _ in 0..5 {
+        let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
         let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
+        for input in inputs {
+            std::hint::black_box(f(input)?);
         }
         let mean = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
         best = best.min(mean);
     }
-    best
+    Ok(best)
 }
 
-/// Workload presets shared by the criterion benches and the figure binary.
+/// The substring filters of a bench target: its arguments, minus the
+/// `--bench` flag `cargo bench` passes.
+pub fn bench_filters() -> Vec<String> {
+    std::env::args()
+        .skip(1)
+        .filter(|a| a != "--bench")
+        .collect()
+}
+
+/// Whether the row `name` runs under `filters`: every row runs when there
+/// is no filter, otherwise those whose name contains one.
+pub fn selected(filters: &[String], name: &str) -> bool {
+    filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
+}
+
+/// Workload presets shared by the claim tables and the figure binary.
 pub mod presets {
     use mad_workload::{BomParams, GeoParams};
 
@@ -204,8 +232,51 @@ mod tests {
 
     #[test]
     fn measure_returns_positive() {
-        let us = measure(3, || (0..1000).sum::<u64>());
+        let us = measure(3, || Ok::<_, ()>((0..1000).sum::<u64>())).unwrap();
         assert!(us >= 0.0);
+    }
+
+    #[test]
+    fn measure_stops_at_the_first_error() {
+        let mut calls = 0;
+        let r = measure(3, || {
+            calls += 1;
+            if calls < 4 {
+                Ok(())
+            } else {
+                Err(calls)
+            }
+        });
+        assert_eq!(r, Err(4));
+    }
+
+    #[test]
+    fn measure_batched_builds_one_input_per_call() {
+        let mut built = 0;
+        let mut consumed = 0;
+        measure_batched(
+            4,
+            || {
+                built += 1;
+                built
+            },
+            |_| {
+                consumed += 1;
+                Ok::<_, ()>(())
+            },
+        )
+        .unwrap();
+        // one warm-up call plus five batches of four
+        assert_eq!((built, consumed), (21, 21));
+    }
+
+    #[test]
+    fn filters_select_by_substring() {
+        assert!(selected(&[], "commit_w4_disjoint"));
+        let f = vec!["w4".to_owned(), "recovery".to_owned()];
+        assert!(selected(&f, "commit_w4_disjoint"));
+        assert!(selected(&f, "recovery/commits_100"));
+        assert!(!selected(&f, "txn_commit"));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! A small self-contained JSON tree, parser and printer.
 //!
 //! The build environment cannot fetch `serde`/`serde_json`, so — following
-//! the precedent of [`crate::fxhash`] — the ~300 lines of JSON handling the
-//! snapshot machinery needs are inlined here. [`ToJson`]/[`FromJson`] play
-//! the role of `Serialize`/`Deserialize`; the concrete wire format is ours
-//! to choose, and only needs to round-trip through this module itself.
+//! the precedent of [`crate::fxhash`] — the JSON handling the workspace
+//! needs is inlined here. JSON is an output format (`SHOW STATS … AS
+//! JSON`, benchmark reports) and, through [`ToJson`] (the role of
+//! `Serialize`), the human-readable equality image tests compare
+//! databases by. [`Json::parse`] reads documents back as a tree; nothing
+//! deserializes into model types (snapshots travel in the binary codec).
 //!
 //! Conventions (mirroring serde's externally-tagged default closely enough
 //! that snapshots stay human-readable):
@@ -371,7 +373,7 @@ fn utf8_len(first: u8) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Conversion traits
+// Conversion trait
 // ---------------------------------------------------------------------------
 
 /// Conversion into a [`Json`] tree (the shim's `Serialize`).
@@ -380,24 +382,9 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Conversion from a [`Json`] tree (the shim's `Deserialize`).
-pub trait FromJson: Sized {
-    /// Reconstruct a value, validating the shape.
-    fn from_json(v: &Json) -> Result<Self>;
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<bool> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(err("expected bool")),
-        }
     }
 }
 
@@ -406,14 +393,6 @@ macro_rules! json_int {
         impl ToJson for $t {
             fn to_json(&self) -> Json {
                 Json::Int(*self as i64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<$t> {
-                match v {
-                    Json::Int(i) => <$t>::try_from(*i).map_err(|_| err("integer out of range")),
-                    _ => Err(err("expected integer")),
-                }
             }
         }
     )*};
@@ -426,29 +405,9 @@ impl ToJson for f64 {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<f64> {
-        match v {
-            Json::Float(x) => Ok(*x),
-            Json::Int(i) => Ok(*i as f64),
-            Json::Str(s) => s.parse().map_err(|_| err("expected number")),
-            _ => Err(err("expected number")),
-        }
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<String> {
-        match v {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(err("expected string")),
-        }
     }
 }
 
@@ -461,24 +420,9 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Option<T>> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Vec<T>> {
-        v.as_arr()?.iter().map(T::from_json).collect()
     }
 }
 
@@ -488,27 +432,9 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     }
 }
 
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<(A, B)> {
-        match v.as_arr()? {
-            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(err("expected 2-element array")),
-        }
-    }
-}
-
 impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Json) -> Result<(A, B, C)> {
-        match v.as_arr()? {
-            [a, b, c] => Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
-            _ => Err(err("expected 3-element array")),
-        }
     }
 }
 
@@ -522,21 +448,9 @@ impl ToJson for AtomTypeId {
     }
 }
 
-impl FromJson for AtomTypeId {
-    fn from_json(v: &Json) -> Result<AtomTypeId> {
-        u32::from_json(v).map(AtomTypeId)
-    }
-}
-
 impl ToJson for LinkTypeId {
     fn to_json(&self) -> Json {
         Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for LinkTypeId {
-    fn from_json(v: &Json) -> Result<LinkTypeId> {
-        u32::from_json(v).map(LinkTypeId)
     }
 }
 
@@ -546,45 +460,15 @@ impl ToJson for AtomId {
     }
 }
 
-impl FromJson for AtomId {
-    fn from_json(v: &Json) -> Result<AtomId> {
-        let (ty, slot): (AtomTypeId, u32) = FromJson::from_json(v)?;
-        Ok(AtomId::new(ty, slot))
-    }
-}
-
 impl ToJson for LinkPair {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.lo().to_json(), self.hi().to_json()])
     }
 }
 
-impl FromJson for LinkPair {
-    fn from_json(v: &Json) -> Result<LinkPair> {
-        let (a, b): (AtomId, AtomId) = FromJson::from_json(v)?;
-        Ok(LinkPair::new(a, b))
-    }
-}
-
 impl ToJson for AttrType {
     fn to_json(&self) -> Json {
         Json::Str(self.name().to_owned())
-    }
-}
-
-impl FromJson for AttrType {
-    fn from_json(v: &Json) -> Result<AttrType> {
-        match v {
-            Json::Str(s) => match s.as_str() {
-                "BOOL" => Ok(AttrType::Bool),
-                "INT" => Ok(AttrType::Int),
-                "FLOAT" => Ok(AttrType::Float),
-                "TEXT" => Ok(AttrType::Text),
-                "ID" => Ok(AttrType::Id),
-                other => Err(err(format!("unknown attribute domain `{other}`"))),
-            },
-            _ => Err(err("expected attribute domain string")),
-        }
     }
 }
 
@@ -601,41 +485,12 @@ impl ToJson for Value {
     }
 }
 
-impl FromJson for Value {
-    fn from_json(v: &Json) -> Result<Value> {
-        match v {
-            Json::Null => Ok(Value::Null),
-            Json::Obj(members) => match members.as_slice() {
-                [(tag, payload)] => match tag.as_str() {
-                    "Bool" => bool::from_json(payload).map(Value::Bool),
-                    "Int" => i64::from_json(payload).map(Value::Int),
-                    "Float" => f64::from_json(payload).map(Value::Float),
-                    "Text" => String::from_json(payload).map(Value::Text),
-                    "Id" => AtomId::from_json(payload).map(Value::Id),
-                    other => Err(err(format!("unknown value tag `{other}`"))),
-                },
-                _ => Err(err("expected single-key value object")),
-            },
-            _ => Err(err("expected attribute value")),
-        }
-    }
-}
-
 impl ToJson for AttrDef {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("name".into(), self.name.to_json()),
             ("ty".into(), self.ty.to_json()),
         ])
-    }
-}
-
-impl FromJson for AttrDef {
-    fn from_json(v: &Json) -> Result<AttrDef> {
-        Ok(AttrDef {
-            name: String::from_json(v.get("name")?)?,
-            ty: AttrType::from_json(v.get("ty")?)?,
-        })
     }
 }
 
@@ -649,31 +504,12 @@ impl ToJson for AtomTypeDef {
     }
 }
 
-impl FromJson for AtomTypeDef {
-    fn from_json(v: &Json) -> Result<AtomTypeDef> {
-        Ok(AtomTypeDef {
-            name: String::from_json(v.get("name")?)?,
-            attrs: Vec::from_json(v.get("attrs")?)?,
-            derived_from: Option::from_json(v.get("derived_from")?)?,
-        })
-    }
-}
-
 impl ToJson for Cardinality {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("min".into(), self.min.to_json()),
             ("max".into(), self.max.to_json()),
         ])
-    }
-}
-
-impl FromJson for Cardinality {
-    fn from_json(v: &Json) -> Result<Cardinality> {
-        Ok(Cardinality {
-            min: u32::from_json(v.get("min")?)?,
-            max: Option::from_json(v.get("max")?)?,
-        })
     }
 }
 
@@ -685,23 +521,6 @@ impl ToJson for LinkTypeDef {
             ("cards".into(), Json::Arr(self.cards.iter().map(ToJson::to_json).collect())),
             ("derived_from".into(), self.derived_from.to_json()),
         ])
-    }
-}
-
-impl FromJson for LinkTypeDef {
-    fn from_json(v: &Json) -> Result<LinkTypeDef> {
-        let ends: Vec<AtomTypeId> = Vec::from_json(v.get("ends")?)?;
-        let cards: Vec<Cardinality> = Vec::from_json(v.get("cards")?)?;
-        let (ends, cards) = match (ends.as_slice(), cards.as_slice()) {
-            ([a, b], [ca, cb]) => ([*a, *b], [*ca, *cb]),
-            _ => return Err(err("link type needs exactly two ends and cards")),
-        };
-        Ok(LinkTypeDef {
-            name: String::from_json(v.get("name")?)?,
-            ends,
-            cards,
-            derived_from: Option::from_json(v.get("derived_from")?)?,
-        })
     }
 }
 
@@ -745,22 +564,6 @@ mod tests {
         for x in [900.0, 1e15, 1e19, -3e22, f64::MAX] {
             let v = Json::Float(x);
             assert_eq!(Json::parse(&v.render()).unwrap(), v, "x = {x}");
-        }
-    }
-
-    #[test]
-    fn value_roundtrip() {
-        for v in [
-            Value::Null,
-            Value::Bool(false),
-            Value::Int(7),
-            Value::Float(1.25),
-            Value::Text("SP".into()),
-            Value::Id(AtomId::new(AtomTypeId(3), 9)),
-        ] {
-            let j = v.to_json();
-            let back = Value::from_json(&Json::parse(&j.render()).unwrap()).unwrap();
-            assert_eq!(back, v);
         }
     }
 

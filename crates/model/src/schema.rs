@@ -17,7 +17,7 @@ use crate::fxhash::FxHashMap;
 use crate::ids::{AtomTypeId, LinkTypeId};
 use crate::types::{AtomTypeDef, Cardinality, LinkTypeDef};
 use crate::value::AttrType;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{Json, ToJson};
 use crate::AttrDef;
 use std::fmt;
 
@@ -30,7 +30,7 @@ pub struct Schema {
     link_by_name: FxHashMap<String, LinkTypeId>,
     /// For each atom type, the link types touching it (the basis of link-type
     /// inheritance and of symmetric navigation). Derived; rebuilt after
-    /// deserialization rather than serialized.
+    /// decoding rather than encoded.
     links_of_atom: Vec<Vec<LinkTypeId>>,
 }
 
@@ -41,18 +41,6 @@ impl ToJson for Schema {
             ("atom_types".into(), self.atom_types.to_json()),
             ("link_types".into(), self.link_types.to_json()),
         ])
-    }
-}
-
-impl FromJson for Schema {
-    fn from_json(v: &Json) -> Result<Self> {
-        let mut schema = Schema {
-            atom_types: Vec::from_json(v.get("atom_types")?)?,
-            link_types: Vec::from_json(v.get("link_types")?)?,
-            ..Schema::default()
-        };
-        schema.rebuild_indexes();
-        Ok(schema)
     }
 }
 

@@ -44,5 +44,5 @@ pub use csr::{CsrAdjacency, CsrSnapshot};
 pub use database::Database;
 pub use index::{AttrIndex, IndexKind};
 pub use link_store::LinkStore;
-pub use snapshot::{load_json, save_json, DatabaseSnapshot};
+pub use snapshot::DatabaseSnapshot;
 pub use stats::DatabaseStats;

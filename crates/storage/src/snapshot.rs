@@ -1,17 +1,16 @@
-//! Database snapshots: export/import of full databases (schema + occurrence)
-//! to JSON.
+//! Database snapshots: full images of a database (schema + occurrence).
 //!
 //! Fig. 4 of the paper presents GEO_DB as a *formal specification* — schema
 //! and occurrence written down together. A [`DatabaseSnapshot`] is the
-//! machine-readable analogue, used by the figure-regeneration harness and to
-//! freeze synthetic workloads for reproducible benchmarks.
+//! machine-readable analogue. Its binary form is the WAL's bootstrap image
+//! and what replication ships to a new standby; its JSON rendering is the
+//! human-readable equality image tests compare databases by.
 
 use crate::database::Database;
 use crate::index::IndexKind;
 use mad_model::bin::{BinDecode, BinEncode, Reader};
-use mad_model::json::{FromJson, Json, ToJson};
+use mad_model::json::{Json, ToJson};
 use mad_model::{AtomId, MadError, Result, Schema, Value};
-use std::path::Path;
 
 /// A serializable image of a [`Database`].
 #[derive(Clone, Debug)]
@@ -34,17 +33,6 @@ impl ToJson for DatabaseSnapshot {
             ("links".into(), self.links.to_json()),
             ("indexes".into(), self.indexes.to_json()),
         ])
-    }
-}
-
-impl FromJson for DatabaseSnapshot {
-    fn from_json(v: &Json) -> Result<Self> {
-        Ok(DatabaseSnapshot {
-            schema: Schema::from_json(v.get("schema")?)?,
-            atoms: Vec::from_json(v.get("atoms")?)?,
-            links: Vec::from_json(v.get("links")?)?,
-            indexes: Vec::from_json(v.get("indexes")?)?,
-        })
     }
 }
 
@@ -88,16 +76,6 @@ impl DatabaseSnapshot {
     /// Render to a JSON string (compact).
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
-    }
-
-    /// Render to a pretty-printed JSON string.
-    pub fn to_json_pretty(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Parse from a JSON string produced by the renderers above.
-    pub fn from_json_str(text: &str) -> Result<Self> {
-        DatabaseSnapshot::from_json(&Json::parse(text)?)
     }
 
     /// Capture the state of `db`.
@@ -178,22 +156,6 @@ impl DatabaseSnapshot {
         }
         Ok(db)
     }
-}
-
-/// Serialize `db` to pretty JSON at `path`.
-pub fn save_json(db: &Database, path: impl AsRef<Path>) -> Result<()> {
-    let snap = DatabaseSnapshot::capture(db);
-    std::fs::write(path, snap.to_json_pretty()).map_err(|e| MadError::Snapshot {
-        detail: e.to_string(),
-    })
-}
-
-/// Deserialize a database from JSON at `path`.
-pub fn load_json(path: impl AsRef<Path>) -> Result<Database> {
-    let json = std::fs::read_to_string(path).map_err(|e| MadError::Snapshot {
-        detail: e.to_string(),
-    })?;
-    DatabaseSnapshot::from_json_str(&json)?.restore()
 }
 
 #[cfg(test)]
@@ -277,29 +239,6 @@ mod tests {
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(DatabaseSnapshot::from_bytes(&bytes[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn json_roundtrip_through_string() {
-        let db = sample_db();
-        let snap = DatabaseSnapshot::capture(&db);
-        let json = snap.to_json_string();
-        let snap2 = DatabaseSnapshot::from_json_str(&json).unwrap();
-        let db2 = snap2.restore().unwrap();
-        assert_eq!(db2.total_atoms(), db.total_atoms());
-        assert_eq!(db2.total_links(), db.total_links());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let db = sample_db();
-        let dir = std::env::temp_dir().join("mad-snapshot-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.json");
-        save_json(&db, &path).unwrap();
-        let db2 = load_json(&path).unwrap();
-        assert_eq!(db2.total_atoms(), 3);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

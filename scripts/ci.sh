@@ -32,7 +32,10 @@
 #      JSON forms, and the slow-query ring buffer recorded the traffic;
 #      plus the end-to-end byte guard: the Fig. 2 scan as `madc` prints it
 #      (server render → frame CRC → client CRC check → decode) must equal
-#      tests/golden/brazil_scan.txt byte for byte.
+#      tests/golden/brazil_scan.txt byte for byte,
+#  11. the paper figures: the deterministic `figures` binary (Fig. 1–5,
+#      E6–E8, the B2 duplication table) must print tests/golden/figures.txt
+#      byte for byte.
 #
 # Any step failing fails the script.
 set -euo pipefail
@@ -102,5 +105,8 @@ grep -q 'net\.stmt_ns' <<<"$SMOKE" || fail "SHOW STATS net lost the statement hi
 grep -q '"mql.statements"' <<<"$SMOKE" || fail "SHOW STATS mql AS JSON lost the statement counter"
 # --slow-query-ms 0 records every statement: the ring buffer must be non-empty
 grep -Eq 'net\.slow\.recorded +[1-9]' <<<"$SMOKE" || fail "slow-query log recorded nothing at threshold 0"
+
+echo "== paper figures against tests/golden/figures.txt"
+cargo run --release -q -p mad-bench --bin figures | diff -u tests/golden/figures.txt -
 
 echo "ci.sh: all green"
