@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! Print the claim tables B1, B3–B7 and E8 (see `mad_bench::tables`):
 //! `tables [name …]`, where no name runs them all.
 fn main() {

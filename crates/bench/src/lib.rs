@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-bench — benchmark & figure-regeneration harness
 //!
 //! * [`table`] — aligned text tables, the output format of every figure,

@@ -15,13 +15,8 @@
 pub enum TokKind {
     /// An identifier or keyword; the text is carried verbatim.
     Ident(String),
-    /// An integer literal; `Some(v)` when the value fit into a `u64`
-    /// (hex and decimal), `None` for exotic forms the lints ignore.
-    Int(Option<u64>),
-    /// A float literal.
-    Float,
-    /// A string, byte-string, raw-string or char literal (content is
-    /// irrelevant to every lint).
+    /// A string, byte-string, raw-string, char or number literal
+    /// (content is irrelevant to every lint).
     Literal,
     /// A lifetime (`'a`).
     Lifetime,
@@ -48,7 +43,7 @@ pub struct Tok {
 /// One parsed `// check: allow(kind, "reason")` annotation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Annotation {
-    /// The lint kind being allowed (`panic`, `cast`, `lock`, …).
+    /// The lint kind being allowed (`panic`, `lock`, `reg-block`).
     pub kind: String,
     /// The justification string (mandatory).
     pub reason: String,
@@ -175,9 +170,8 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             b'0'..=b'9' => {
-                let (next, kind) = lex_number(b, src, i);
-                i = next;
-                push(&mut out, kind, line, &mut line_has_code);
+                i = lex_number(b, i);
+                push(&mut out, TokKind::Literal, line, &mut line_has_code);
             }
             c if is_ident_start(c) => {
                 let start = i;
@@ -402,37 +396,22 @@ fn lex_raw_or_byte(b: &[u8], mut i: usize, line: &mut u32, out: &mut Lexed) -> u
     }
 }
 
-/// Lex a number starting at a digit; returns (next index, token kind).
-fn lex_number(b: &[u8], src: &str, i: usize) -> (usize, TokKind) {
-    let start = i;
+/// Lex a number starting at a digit; returns the index after it.
+fn lex_number(b: &[u8], i: usize) -> usize {
     let mut j = i;
     if b[j] == b'0' && matches!(peek(b, j + 1), b'x' | b'X' | b'b' | b'B' | b'o' | b'O') {
-        let radix = match peek(b, j + 1) {
-            b'x' | b'X' => 16,
-            b'o' | b'O' => 8,
-            _ => 2,
-        };
         j += 2;
-        let digits_start = j;
         while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
             j += 1;
         }
-        let digits: String = src[digits_start..j]
-            .chars()
-            .filter(|&c| c != '_')
-            .take_while(|c| c.is_digit(radix))
-            .collect();
-        let v = u64::from_str_radix(&digits, radix).ok();
-        return (j, TokKind::Int(v));
+        return j;
     }
     while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'_') {
         j += 1;
     }
-    // a float only when `.` is followed by a digit (so `0..2` and
-    // `1.max(2)` stay integers), or on an exponent
-    let mut is_float = false;
+    // a fraction only when `.` is followed by a digit (so `0..2` and
+    // `1.max(2)` stay separate tokens), or an exponent
     if peek(b, j) == b'.' && peek(b, j + 1).is_ascii_digit() {
-        is_float = true;
         j += 1;
         while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'_') {
             j += 1;
@@ -442,7 +421,6 @@ fn lex_number(b: &[u8], src: &str, i: usize) -> (usize, TokKind) {
         && (peek(b, j + 1).is_ascii_digit()
             || (matches!(peek(b, j + 1), b'+' | b'-') && peek(b, j + 2).is_ascii_digit()))
     {
-        is_float = true;
         j += 1;
         if matches!(peek(b, j), b'+' | b'-') {
             j += 1;
@@ -452,18 +430,10 @@ fn lex_number(b: &[u8], src: &str, i: usize) -> (usize, TokKind) {
         }
     }
     // type suffix (u32, f64, usize, …)
-    let digits_end = j;
     while j < b.len() && is_ident_byte(b[j]) {
         j += 1;
     }
-    if src[digits_end..j].starts_with('f') {
-        is_float = true;
-    }
-    if is_float {
-        return (j, TokKind::Float);
-    }
-    let digits: String = src[start..digits_end].chars().filter(|&c| c != '_').collect();
-    (j, TokKind::Int(digits.parse().ok()))
+    j
 }
 
 /// Parse a `check:` annotation out of a line comment, if present.
@@ -527,7 +497,7 @@ mod tests {
     fn idents_numbers_puncts() {
         let k = kinds("let x = foo.bar(42);");
         assert!(k.contains(&TokKind::Ident("let".into())));
-        assert!(k.contains(&TokKind::Int(Some(42))));
+        assert!(k.contains(&TokKind::Literal));
         assert!(k.contains(&TokKind::Punct('.')));
     }
 
@@ -535,18 +505,18 @@ mod tests {
     fn ranges_are_not_floats() {
         assert_eq!(
             kinds("0..19"),
-            vec![TokKind::Int(Some(0)), TokKind::Joined(".."), TokKind::Int(Some(19))]
+            vec![TokKind::Literal, TokKind::Joined(".."), TokKind::Literal]
         );
-        assert_eq!(kinds("2.5"), vec![TokKind::Float]);
-        // method call on an integer stays an integer
+        assert_eq!(kinds("2.5e-3f64"), vec![TokKind::Literal]);
+        // a method call on an integer keeps its `.`
         let k = kinds("1.max(2)");
-        assert_eq!(k[0], TokKind::Int(Some(1)));
+        assert_eq!(k[1], TokKind::Punct('.'));
     }
 
     #[test]
     fn hex_and_underscored_ints() {
-        assert_eq!(kinds("0xEDB8_8320")[0], TokKind::Int(Some(0xEDB8_8320)));
-        assert_eq!(kinds("1_000u64")[0], TokKind::Int(Some(1000)));
+        assert_eq!(kinds("0xEDB8_8320"), vec![TokKind::Literal]);
+        assert_eq!(kinds("1_000u64"), vec![TokKind::Literal]);
     }
 
     #[test]
@@ -611,7 +581,7 @@ mod tests {
 
     #[test]
     fn standalone_annotation_applies_to_next_line() {
-        let lexed = lex("// check: allow(cast, \"bounded above\")\nlet y = x as u32;\n");
+        let lexed = lex("// check: allow(panic, \"bounded above\")\nlet y = x[0];\n");
         assert_eq!(lexed.annotations[0].applies_to, 2);
     }
 

@@ -29,7 +29,7 @@
 //!
 //! The **registration-lock blocking lint** (`reg-block`) enforces the
 //! event loop's liveness contract: while a readiness-registration guard
-//! (`Config::registration_locks`, by name) is held, no blocking call may
+//! ([`crate::REGISTRATION_LOCKS`], by name) is held, no blocking call may
 //! run — a worker parked on a condvar or a socket while holding `reg`
 //! would stall connection accept/retire for every client. Flagged calls:
 //! `wait`, `wait_timeout`, `recv`, `recv_timeout`, `join`, `sleep`,
@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use crate::lexer::TokKind;
 use crate::spec::Spec;
 use crate::tree::{scan_items, Node};
-use crate::{Config, Diagnostic, ParsedFile};
+use crate::{Diagnostic, ParsedFile, LOCK_CRATES, REGISTRATION_LOCKS};
 
 /// A guard currently held on the walker's simulated stack.
 struct Held {
@@ -83,10 +83,10 @@ const BLOCKING_CALLS: [&str; 10] = [
 ];
 
 /// Run the lint.
-pub fn check(files: &[ParsedFile], spec: &Spec, cfg: &Config, diags: &mut Vec<Diagnostic>) {
+pub fn check(files: &[ParsedFile], spec: &Spec, diags: &mut Vec<Diagnostic>) {
     let relevant: Vec<&ParsedFile> = files
         .iter()
-        .filter(|f| cfg.lock_crates.contains(&f.crate_name) && !f.assume_test)
+        .filter(|f| LOCK_CRATES.contains(&f.crate_name.as_str()) && !f.assume_test)
         .collect();
     // pass 1: fn name → union of directly-acquired ranked locks
     let mut call_map: BTreeMap<String, BTreeMap<String, u32>> = BTreeMap::new();
@@ -107,7 +107,7 @@ pub fn check(files: &[ParsedFile], spec: &Spec, cfg: &Config, diags: &mut Vec<Di
         for func in items.fns.iter().filter(|f| !f.is_test) {
             let Some(body) = func.body else { continue };
             let mut w =
-                Walker { file: f, spec, cfg, call_map: &call_map, diags, next_id: 0 };
+                Walker { file: f, spec, call_map: &call_map, diags, next_id: 0 };
             let mut held = Vec::new();
             w.block(body, &mut held);
         }
@@ -209,7 +209,6 @@ fn closure_extent(nodes: &[Node], i: usize) -> Option<usize> {
 struct Walker<'a> {
     file: &'a ParsedFile,
     spec: &'a Spec,
-    cfg: &'a Config,
     call_map: &'a BTreeMap<String, BTreeMap<String, u32>>,
     diags: &'a mut Vec<Diagnostic>,
     next_id: u32,
@@ -412,7 +411,7 @@ impl Walker<'_> {
             return;
         }
         for h in held {
-            if self.cfg.registration_locks.contains(&h.lock) {
+            if REGISTRATION_LOCKS.contains(&h.lock.as_str()) {
                 self.diags.push(Diagnostic {
                     file: self.file.rel_path.clone(),
                     line,
@@ -557,7 +556,6 @@ mod tests {
                 ("published".into(), 2),
                 ("repl".into(), 3),
             ],
-            layers: vec![],
         }
     }
 
@@ -565,14 +563,12 @@ mod tests {
         let file = SrcFile {
             crate_name: "mad-txn".into(),
             rel_path: "crates/txn/src/x.rs".into(),
-            is_crate_root: false,
             assume_test: false,
             text: src.into(),
         };
         let mut diags = Vec::new();
         let parsed = parse_file(&file, &mut diags);
-        let cfg = Config::default();
-        check(&[parsed], &spec(), &cfg, &mut diags);
+        check(&[parsed], &spec(), &mut diags);
         diags
     }
 
@@ -708,7 +704,6 @@ mod tests {
         let file = SrcFile {
             crate_name: "mad-net".into(),
             rel_path: "crates/net/src/x.rs".into(),
-            is_crate_root: false,
             assume_test: false,
             text: src.into(),
         };
@@ -716,8 +711,7 @@ mod tests {
         let parsed = parse_file(&file, &mut diags);
         let mut spec = spec();
         spec.lock_ranks.push(("reg".into(), 8));
-        let cfg = Config::default();
-        check(&[parsed], &spec, &cfg, &mut diags);
+        check(&[parsed], &spec, &mut diags);
         diags
     }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `mad-check` — the MAD workspace static analyzer.
 //!
 //! Exit codes: 0 clean, 1 diagnostics reported, 2 the analyzer could
@@ -14,11 +13,8 @@ usage: mad-check [--root DIR] [--ratchet-update]
 
 Runs the MAD project lints over the workspace:
   lock-order     lock-hierarchy (deadlock) lint per ARCHITECTURE.md
-  layering       crate DAG edges must point downward
+  reg-block      no blocking call while a registration lock is held
   panic-ratchet  unannotated panic sites vs check_ratchet.toml budget
-  cast           narrowing casts in wire-codec files
-  wire-tag       codec arm counts vs wire enum variants
-  forbid-unsafe  #![forbid(unsafe_code)] on every crate root
 
 options:
   --root DIR         workspace root (default: walk up to the Cargo.toml

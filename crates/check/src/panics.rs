@@ -108,7 +108,6 @@ mod tests {
             &SrcFile {
                 crate_name: "mad-model".into(),
                 rel_path: "crates/model/src/x.rs".into(),
-                is_crate_root: false,
                 assume_test: false,
                 text: src.into(),
             },

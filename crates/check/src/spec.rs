@@ -1,25 +1,21 @@
-//! Parser for the normative tables in `ARCHITECTURE.md`.
+//! Parser for the normative lock-hierarchy table in `ARCHITECTURE.md`.
 //!
-//! The analyzer does not hard-code policy: the lock hierarchy and the
-//! crate layering are declared as markdown tables under anchored
-//! headings in `ARCHITECTURE.md`, and *those tables are the spec* —
-//! editing the document changes what the lints enforce. This module
-//! extracts them with a small line-oriented scan (first cell = rank,
-//! second cell = name, backticks stripped; separator rows and trailing
-//! columns ignored).
+//! The analyzer does not hard-code policy: the lock hierarchy is
+//! declared as a markdown table under an anchored heading in
+//! `ARCHITECTURE.md`, and *that table is the spec* — editing the
+//! document changes what the lock lint enforces. This module extracts it
+//! with a small line-oriented scan (first cell = rank, second cell =
+//! name, backticks stripped; separator rows and trailing columns
+//! ignored).
 
 /// Heading that anchors the lock-hierarchy table.
 pub const LOCK_HEADING: &str = "Lock hierarchy (normative)";
-/// Heading that anchors the crate-layering table.
-pub const LAYER_HEADING: &str = "Crate layering (normative)";
 
 /// The machine-readable policy extracted from ARCHITECTURE.md.
 #[derive(Clone, Debug, Default)]
 pub struct Spec {
     /// Lock name → hierarchy rank (lower acquires first).
     pub lock_ranks: Vec<(String, u32)>,
-    /// Crate name → layer (deps must point strictly downward).
-    pub layers: Vec<(String, u32)>,
 }
 
 impl Spec {
@@ -27,36 +23,22 @@ impl Spec {
     pub fn lock_rank(&self, name: &str) -> Option<u32> {
         self.lock_ranks.iter().find(|(n, _)| n == name).map(|&(_, r)| r)
     }
-
-    /// Layer of a crate, if declared.
-    pub fn layer(&self, krate: &str) -> Option<u32> {
-        self.layers.iter().find(|(n, _)| n == krate).map(|&(_, r)| r)
-    }
 }
 
-/// Parse the two normative tables out of the architecture document.
-/// Returns `Err` with a description when either table is missing or
+/// Parse the lock-hierarchy table out of the architecture document.
+/// Returns `Err` with a description when the table is missing or
 /// malformed — the analyzer refuses to run without its spec.
 pub fn parse(doc: &str) -> Result<Spec, String> {
     let lock_ranks = parse_table(doc, LOCK_HEADING)?;
-    let layers = parse_table(doc, LAYER_HEADING)?;
     if lock_ranks.is_empty() {
         return Err(format!("table under `{LOCK_HEADING}` has no rows"));
-    }
-    if layers.is_empty() {
-        return Err(format!("table under `{LAYER_HEADING}` has no rows"));
     }
     for (name, _) in &lock_ranks {
         if lock_ranks.iter().filter(|(n, _)| n == name).count() > 1 {
             return Err(format!("duplicate lock `{name}` in hierarchy table"));
         }
     }
-    for (name, _) in &layers {
-        if layers.iter().filter(|(n, _)| n == name).count() > 1 {
-            return Err(format!("duplicate crate `{name}` in layering table"));
-        }
-    }
-    Ok(Spec { lock_ranks, layers })
+    Ok(Spec { lock_ranks })
 }
 
 /// Find `heading`, then collect `(name, rank)` from the first table
@@ -96,7 +78,7 @@ fn parse_table(doc: &str, heading: &str) -> Result<Vec<(String, u32)>, String> {
             continue;
         }
         let Ok(rank) = cells[0].parse::<u32>() else {
-            continue; // header row ("Rank", "Layer")
+            continue; // header row ("Rank")
         };
         if cells[1].is_empty() {
             return Err(format!(
@@ -124,24 +106,15 @@ Prose before the table.
 | 1 | `state` | `mad-txn` |
 | 2 | `published` | `mad-txn` |
 
-### Crate layering (normative)
-
-| Layer | Crate |
-|------:|-------|
-| 0 | `mad-model` |
-| 1 | `mad-storage` |
-
 More prose.
 ";
 
     #[test]
-    fn parses_both_tables() {
+    fn parses_the_lock_table() {
         let spec = parse(DOC).unwrap();
         assert_eq!(spec.lock_rank("state"), Some(1));
         assert_eq!(spec.lock_rank("published"), Some(2));
         assert_eq!(spec.lock_rank("nope"), None);
-        assert_eq!(spec.layer("mad-model"), Some(0));
-        assert_eq!(spec.layer("mad-storage"), Some(1));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The flat token stream from [`crate::lexer`] is folded into a tree of
 //! delimiter groups, then scanned for the items the lints need: `fn`
-//! bodies (with test-ness and enclosing `impl` header), `enum` variant
-//! lists, and `mod` nesting. This is deliberately *not* a Rust parser —
+//! bodies with their test-ness, and `mod` nesting. This is deliberately *not* a Rust parser —
 //! unknown constructs are skipped token-by-token, which is safe because
 //! every lint is a conservative pattern match over the tree.
 
@@ -113,24 +112,8 @@ pub struct FnItem<'a> {
     /// Inside `#[cfg(test)]`/`#[test]` (directly or via an enclosing
     /// test module)?
     pub is_test: bool,
-    /// Flattened header of the enclosing `impl` block, if any, e.g.
-    /// `BinEncode for WalRecord`.
-    pub impl_header: Option<String>,
     /// The body block's children (`None` for a bodyless trait method).
     pub body: Option<&'a [Node]>,
-}
-
-/// A scanned `enum` item.
-#[derive(Debug)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// Line of the `enum` keyword.
-    pub line: u32,
-    /// In test code?
-    pub is_test: bool,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
 }
 
 /// Everything the item scanner extracts from one file.
@@ -138,14 +121,12 @@ pub struct EnumItem {
 pub struct FileItems<'a> {
     /// All functions, including ones nested in `mod`s and `impl`s.
     pub fns: Vec<FnItem<'a>>,
-    /// All enums.
-    pub enums: Vec<EnumItem>,
 }
 
 /// Scan a file's token tree for items.
 pub fn scan_items(nodes: &[Node]) -> FileItems<'_> {
     let mut items = FileItems::default();
-    walk(nodes, false, None, &mut items);
+    walk(nodes, false, &mut items);
     items
 }
 
@@ -155,12 +136,7 @@ const ITEM_KEYWORDS: &[&str] = &[
     "extern", "macro_rules",
 ];
 
-fn walk<'a>(
-    nodes: &'a [Node],
-    in_test: bool,
-    impl_header: Option<&str>,
-    items: &mut FileItems<'a>,
-) {
+fn walk<'a>(nodes: &'a [Node], in_test: bool, items: &mut FileItems<'a>) {
     let mut i = 0usize;
     while i < nodes.len() {
         // gather attributes on the upcoming item
@@ -238,71 +214,18 @@ fn walk<'a>(
                     name,
                     line,
                     is_test: test,
-                    impl_header: impl_header.map(str::to_owned),
                     body,
                 });
                 i = j + 1;
             }
-            "mod" => {
+            "mod" | "impl" | "trait" => {
+                // walk the brace body; a `;` first means an out-of-line
+                // `mod name;`
                 let mut j = k + 1;
                 while j < nodes.len() {
                     match &nodes[j] {
                         Node::Group { delim: '{', children, .. } => {
-                            walk(children, test, None, items);
-                            break;
-                        }
-                        n if n.is_punct(';') => break,
-                        _ => j += 1,
-                    }
-                }
-                i = j + 1;
-            }
-            "enum" => {
-                let name = nodes
-                    .get(k + 1)
-                    .and_then(Node::ident)
-                    .unwrap_or("<anon>")
-                    .to_owned();
-                let line = nodes[k].line();
-                let mut j = k + 1;
-                while j < nodes.len() {
-                    match &nodes[j] {
-                        Node::Group { delim: '{', children, .. } => {
-                            items.enums.push(EnumItem {
-                                name,
-                                line,
-                                is_test: test,
-                                variants: enum_variants(children),
-                            });
-                            break;
-                        }
-                        n if n.is_punct(';') => break,
-                        _ => j += 1,
-                    }
-                }
-                i = j + 1;
-            }
-            "impl" => {
-                // header = everything up to the brace body
-                let mut j = k + 1;
-                let mut header_nodes: Vec<&Node> = Vec::new();
-                while j < nodes.len() {
-                    if let Node::Group { delim: '{', children, .. } = &nodes[j] {
-                        let header = flatten_refs(&header_nodes);
-                        walk(children, test, Some(&header), items);
-                        break;
-                    }
-                    header_nodes.push(&nodes[j]);
-                    j += 1;
-                }
-                i = j + 1;
-            }
-            "trait" => {
-                let mut j = k + 1;
-                while j < nodes.len() {
-                    match &nodes[j] {
-                        Node::Group { delim: '{', children, .. } => {
-                            walk(children, test, None, items);
+                            walk(children, test, items);
                             break;
                         }
                         n if n.is_punct(';') => break,
@@ -322,7 +245,7 @@ fn walk<'a>(
                 }
                 i = j + 1;
             }
-            "struct" | "union" | "use" | "type" | "static" | "const" | "extern" => {
+            "struct" | "enum" | "union" | "use" | "type" | "static" | "const" | "extern" => {
                 // skip to the terminating `;` or brace body
                 let mut j = k + 1;
                 while j < nodes.len() {
@@ -348,42 +271,8 @@ fn walk<'a>(
     }
 }
 
-/// Extract variant names from an enum body: split on top-level commas,
-/// take the first identifier of each chunk (after attributes).
-fn enum_variants(children: &[Node]) -> Vec<String> {
-    let mut variants = Vec::new();
-    let mut expect_name = true;
-    let mut i = 0usize;
-    while i < children.len() {
-        let n = &children[i];
-        if n.is_punct(',') {
-            expect_name = true;
-            i += 1;
-            continue;
-        }
-        if n.is_punct('#') {
-            i += 2; // attribute: `#` + `[...]` group
-            continue;
-        }
-        if expect_name {
-            if let Some(name) = n.ident() {
-                variants.push(name.to_owned());
-                expect_name = false;
-            }
-        }
-        i += 1;
-    }
-    variants
-}
-
-/// Flatten nodes back into compact text (used for attribute contents and
-/// impl headers).
+/// Flatten nodes back into compact text (used for attribute contents).
 pub fn flatten(nodes: &[Node]) -> String {
-    let refs: Vec<&Node> = nodes.iter().collect();
-    flatten_refs(&refs)
-}
-
-fn flatten_refs(nodes: &[&Node]) -> String {
     let mut s = String::new();
     for n in nodes {
         flatten_one(n, &mut s);
@@ -403,8 +292,6 @@ fn flatten_one(n: &Node, s: &mut String) {
             TokKind::Punct(c) => s.push(*c),
             TokKind::Joined(op) => s.push_str(op),
             TokKind::Lifetime => s.push_str("'_"),
-            TokKind::Int(Some(v)) => s.push_str(&v.to_string()),
-            TokKind::Int(None) | TokKind::Float => s.push('0'),
             TokKind::Literal => s.push_str("\"\""),
             // leaves never carry delimiters — build_tree folds them
             TokKind::Open(_) | TokKind::Close(_) => {}
@@ -459,26 +346,6 @@ mod tests {
             .map(|f| (f.name.as_str(), f.is_test))
             .collect();
         assert_eq!(names, vec![("a", false), ("b", true), ("helper", true), ("c", false)]);
-        assert_eq!(items.fns[3].impl_header.as_deref(), Some("Foo"));
-    }
-
-    #[test]
-    fn scans_trait_impl_headers() {
-        let t = tree("impl BinEncode for WalRecord { fn encode(&self, out: &mut Vec<u8>) {} }");
-        let items = scan_items(&t);
-        assert_eq!(items.fns[0].impl_header.as_deref(), Some("BinEncode for WalRecord"));
-    }
-
-    #[test]
-    fn scans_enum_variants() {
-        let t = tree(
-            "pub enum WalOp { Set { name: String }, Delete(u32), #[doc = \"x\"] Tick, }\n\
-             enum Generic<T> where T: Copy { A(T), B }",
-        );
-        let items = scan_items(&t);
-        assert_eq!(items.enums[0].name, "WalOp");
-        assert_eq!(items.enums[0].variants, vec!["Set", "Delete", "Tick"]);
-        assert_eq!(items.enums[1].variants, vec!["A", "B"]);
     }
 
     #[test]
@@ -495,10 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn statics_and_consts_are_skipped() {
+    fn statics_consts_and_enums_are_skipped() {
         let t = tree(
             "static TABLE: [u32; 256] = crc32_table();\n\
              const MAX: usize = 64 << 20;\n\
+             enum Generic<T> where T: Copy { A(T), #[doc = \"x\"] B { f: fn() } }\n\
              fn after() {}",
         );
         let items = scan_items(&t);

@@ -1,52 +1,29 @@
-//! Workspace discovery: members from the root `Cargo.toml`, per-crate
-//! manifests (name, dependency edges with line numbers, crate roots),
-//! and the `.rs` source walk. All hand-rolled — `mad-check` has zero
-//! dependencies, so the TOML reader is a line-oriented subset parser
-//! covering exactly the manifest shapes this workspace uses.
+//! Workspace discovery: members from the root `Cargo.toml`, each
+//! member's package name, and the `.rs` source walk. All hand-rolled —
+//! `mad-check` has zero dependencies, so the TOML reader is a
+//! line-oriented subset parser covering exactly the manifest shapes this
+//! workspace uses.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::SrcFile;
 
-/// One workspace member (or the root facade package).
-#[derive(Clone, Debug)]
-pub struct CrateInfo {
-    /// Package name (`mad-txn`).
-    pub name: String,
-    /// Directory relative to the workspace root (`crates/txn`; empty
-    /// for the root package).
-    pub dir: String,
-    /// Manifest path relative to the workspace root.
-    pub manifest: String,
-    /// `[dependencies]` entries with their manifest line numbers
-    /// (dev-dependencies excluded — test-only edges are not layering).
-    pub deps: Vec<(String, u32)>,
-    /// Crate roots (lib root and bin roots) relative to the workspace
-    /// root — the files that must carry `#![forbid(unsafe_code)]`.
-    pub roots: Vec<String>,
-    /// Lives under `vendor/` (offline shim, exempt from most lints)?
-    pub is_vendor: bool,
-}
-
-/// Load the workspace: every member's manifest plus all `.rs` sources.
-/// Files under `tests/`, `benches/` and `examples/` are loaded with
-/// `assume_test` set so the test-aware lints skip them wholesale.
-pub fn load(root: &Path) -> Result<(Vec<CrateInfo>, Vec<SrcFile>), String> {
+/// Load every `.rs` source of every member and of the root facade
+/// package. Files under `tests/`, `benches/` and `examples/` are loaded
+/// with `assume_test` set so the test-aware lints skip them wholesale.
+pub fn load(root: &Path) -> Result<Vec<SrcFile>, String> {
     let root_manifest = read(root, "Cargo.toml")?;
     let mut dirs = members(&root_manifest);
     dirs.insert(0, String::new()); // the root facade package
-    let mut crates = Vec::new();
     let mut files = Vec::new();
     for dir in dirs {
         let manifest_rel = join_rel(&dir, "Cargo.toml");
-        let manifest = read(root, &manifest_rel)?;
-        let mut info = parse_manifest(&dir, &manifest_rel, &manifest)?;
-        conventional_roots(root, &mut info);
-        collect_sources(root, &info, &mut files)?;
-        crates.push(info);
+        let name = package_name(&read(root, &manifest_rel)?)
+            .ok_or_else(|| format!("{manifest_rel}: missing [package] name"))?;
+        collect_sources(root, &dir, &name, &mut files)?;
     }
-    Ok((crates, files))
+    Ok(files)
 }
 
 /// Extract the `members = [...]` array from the root manifest.
@@ -75,78 +52,31 @@ fn members(manifest: &str) -> Vec<String> {
     out
 }
 
-/// Parse one member manifest for name, deps and crate roots.
-fn parse_manifest(dir: &str, manifest_rel: &str, text: &str) -> Result<CrateInfo, String> {
-    let mut name = None;
-    let mut deps = Vec::new();
-    let mut roots = Vec::new();
-    let mut section = String::new();
-    let mut lib_path: Option<String> = None;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = (idx + 1) as u32;
+/// The `name` key of the manifest's `[package]` table.
+fn package_name(text: &str) -> Option<String> {
+    let mut in_package = false;
+    for line in text.lines() {
         let t = line.trim();
         if t.starts_with('[') {
-            section = t.trim_matches(|c| c == '[' || c == ']').to_string();
-            continue;
-        }
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let key = t.split(['=', ' ']).next().unwrap_or("");
-        match section.as_str() {
-            "package" if key == "name" && name.is_none() => name = quoted(t),
-            "dependencies" if !key.is_empty() => {
-                deps.push((key.trim_matches('"').to_string(), lineno));
-            }
-            "lib" if key == "path" => lib_path = quoted(t),
-            "bin" if key == "path" => {
-                if let Some(p) = quoted(t) {
-                    roots.push(join_rel(dir, &p));
-                }
-            }
-            _ => {}
+            in_package = t == "[package]";
+        } else if in_package && t.split(['=', ' ']).next() == Some("name") {
+            return quoted(t);
         }
     }
-    let name = name.ok_or_else(|| format!("{manifest_rel}: missing [package] name"))?;
-    roots.insert(0, join_rel(dir, lib_path.as_deref().unwrap_or("src/lib.rs")));
-    Ok(CrateInfo {
-        name,
-        dir: dir.to_string(),
-        manifest: manifest_rel.to_string(),
-        deps,
-        roots,
-        is_vendor: dir.starts_with("vendor/"),
-    })
-}
-
-/// Add the bin roots Cargo discovers by convention (`src/main.rs`,
-/// `src/bin/*.rs`) — benches/examples/tests are separate compilation
-/// units but not crate roots for the forbid check.
-fn conventional_roots(root: &Path, info: &mut CrateInfo) {
-    let main = join_rel(&info.dir, "src/main.rs");
-    if root.join(&main).is_file() && !info.roots.contains(&main) {
-        info.roots.push(main);
-    }
-    let bin_dir = root.join(join_rel(&info.dir, "src/bin"));
-    let mut bins = Vec::new();
-    if bin_dir.is_dir() {
-        let _ = walk_rs(&bin_dir, &mut bins);
-    }
-    bins.sort();
-    for b in bins {
-        let rel = rel_of(root, &b);
-        if !info.roots.contains(&rel) {
-            info.roots.push(rel);
-        }
-    }
+    None
 }
 
 /// Load the crate's sources: `src/**` as production code, `tests/`,
 /// `benches/` and `examples/` as test code.
-fn collect_sources(root: &Path, info: &CrateInfo, out: &mut Vec<SrcFile>) -> Result<(), String> {
+fn collect_sources(
+    root: &Path,
+    dir: &str,
+    crate_name: &str,
+    out: &mut Vec<SrcFile>,
+) -> Result<(), String> {
     for (sub, assume_test) in [("src", false), ("tests", true), ("benches", true), ("examples", true)]
     {
-        let rel = join_rel(&info.dir, sub);
+        let rel = join_rel(dir, sub);
         let abs = root.join(&rel);
         if !abs.is_dir() {
             continue;
@@ -159,9 +89,8 @@ fn collect_sources(root: &Path, info: &CrateInfo, out: &mut Vec<SrcFile>) -> Res
             let text = fs::read_to_string(&p)
                 .map_err(|e| format!("{}: {e}", p.display()))?;
             out.push(SrcFile {
-                crate_name: info.name.clone(),
-                rel_path: rel_path.clone(),
-                is_crate_root: info.roots.contains(&rel_path),
+                crate_name: crate_name.to_string(),
+                rel_path,
                 assume_test,
                 text,
             });
@@ -225,37 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn manifest_parses_deps_and_roots() {
-        let text = "\
-[package]
-name = \"mad-net\"
-
-[lib]
-name = \"mad_net\"
-path = \"src/lib.rs\"
-
-[dependencies]
-mad-model = { path = \"../model\" }
-mad-txn = { path = \"../txn\" }
-
-[dev-dependencies]
-proptest = { path = \"../../vendor/proptest\" }
-
-[[bin]]
-name = \"madc\"
-path = \"src/bin/madc.rs\"
-";
-        let info = parse_manifest("crates/net", "crates/net/Cargo.toml", text).unwrap();
-        assert_eq!(info.name, "mad-net");
-        let dep_names: Vec<&str> = info.deps.iter().map(|(d, _)| d.as_str()).collect();
-        assert_eq!(dep_names, vec!["mad-model", "mad-txn"]);
-        assert_eq!(info.roots, vec!["crates/net/src/lib.rs", "crates/net/src/bin/madc.rs"]);
-        assert!(!info.is_vendor);
-    }
-
-    #[test]
-    fn root_package_uses_bare_paths() {
-        let info = parse_manifest("", "Cargo.toml", "[package]\nname = \"mad\"\n").unwrap();
-        assert_eq!(info.roots, vec!["src/lib.rs"]);
+    fn package_name_is_read_from_the_package_table() {
+        let text = "[package]\nname = \"mad-net\"\n\n[[bin]]\nname = \"madc\"\n";
+        assert_eq!(package_name(text).as_deref(), Some("mad-net"));
+        assert_eq!(package_name("[lib]\nname = \"mad_net\"\n"), None);
     }
 }

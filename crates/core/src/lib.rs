@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-core — the molecule algebra
 //!
 //! The primary contribution of Mitschang, *Extending the Relational Algebra

@@ -1,3 +1,4 @@
+#![deny(clippy::as_conversions, clippy::cast_possible_truncation)]
 //! Stable binary encoding for WAL records and snapshots.
 //!
 //! Like [`crate::json`], this is a hand-rolled, dependency-free shim in
@@ -338,7 +339,7 @@ impl BinEncode for Value {
             Value::Null => out.push(0),
             Value::Bool(b) => {
                 out.push(1);
-                out.push(*b as u8);
+                out.push(u8::from(*b));
             }
             Value::Int(i) => {
                 out.push(2);
@@ -818,10 +819,10 @@ mod tests {
     fn checked_width_helpers() {
         assert_eq!(len_u32(0), 0);
         assert_eq!(len_u32(4096), 4096);
-        assert_eq!(usize_of_u32(u32::MAX), u32::MAX as usize);
+        assert_eq!(usize_of_u32(u32::MAX), usize::try_from(u32::MAX).unwrap());
         assert_eq!(u64_of_usize(17), 17);
         assert_eq!(usize_of_u64(42).unwrap(), 42);
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(usize_of_u64(u64::MAX).unwrap(), u64::MAX as usize);
+        assert_eq!(usize_of_u64(u64::MAX).unwrap(), usize::try_from(u64::MAX).unwrap());
     }
 }

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-model — the MAD data model kernel
 //!
 //! This crate defines the *static* side of the molecule-atom data model (MAD)

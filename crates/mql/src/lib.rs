@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-mql — MOL/MQL, the molecule query language (§4)
 //!
 //! The paper defines MQL's semantics *by translation into the molecule

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! `madc` — the MAD client REPL.
 //!
 //! ```text

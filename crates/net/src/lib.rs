@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-net — the TCP server front-end of the MAD database
 //!
 //! The paper's molecule-atom data model is meant to be *served*: the MQL

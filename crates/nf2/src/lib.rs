@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-nf2 — the NF² (non-first-normal-form) substrate and baseline
 //!
 //! §5 of the paper compares the molecule algebra with the NF² relational

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! Observability substrate for the MAD workspace.
 //!
 //! Layer-0, dependency-free (std only), following the same offline-shim

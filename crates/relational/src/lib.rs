@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-relational — the relational substrate and baseline
 //!
 //! The paper positions the MAD model *against* the flat relational model

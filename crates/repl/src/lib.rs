@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-repl — streaming WAL replication, standby promotion, fault injection
 //!
 //! PR 4 made commits durable (one node, one log); PR 5 put the database

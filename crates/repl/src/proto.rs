@@ -1,3 +1,4 @@
+#![deny(clippy::as_conversions, clippy::cast_possible_truncation)]
 //! The replication wire format.
 //!
 //! This module is the **normative spec** of what crosses a replication

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-storage — the atom-network storage engine
 //!
 //! This crate is the *occurrence* side of the MAD model: it stores atom-type

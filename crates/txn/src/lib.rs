@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-txn — snapshot-isolated transactions over a shared MAD database
 //!
 //! PRs 1–2 made molecule *derivation* fast; this crate makes the database

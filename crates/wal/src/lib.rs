@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-wal — write-ahead-log durability for the MAD database
 //!
 //! PR 3 gave the engine snapshot-isolated transactions whose commit path

@@ -1,3 +1,4 @@
+#![deny(clippy::as_conversions, clippy::cast_possible_truncation)]
 //! The WAL record format: logged operations, record payloads, framing.
 //!
 //! This module is the **normative spec** of what goes on disk (see
@@ -371,7 +372,12 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        let mut c = i as u32; // check: allow(cast, "const-fn loop index bounded to 0..256; u32::try_from is not const")
+        #[expect(
+            clippy::as_conversions,
+            clippy::cast_possible_truncation,
+            reason = "const-fn loop index bounded to 0..256; u32::try_from is not const"
+        )]
+        let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
@@ -389,7 +395,8 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
-            let low = (prev & 0xff) as usize; // check: allow(cast, "masked to 0..=255")
+            #[expect(clippy::as_conversions, reason = "masked to 0..=255; usize::from is not const")]
+            let low = (prev & 0xff) as usize;
             t[k][i] = (prev >> 8) ^ t[0][low]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
             i += 1;
         }

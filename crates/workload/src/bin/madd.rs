@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! `madd` — the MAD server daemon.
 //!
 //! ```text

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad-workload — fixtures and workload generators
 //!
 //! * [`brazil`] — the hand-built geographic database of Fig. 1/2/4: Brazil's

@@ -8,9 +8,12 @@
 #   3. clippy over the whole workspace with warnings promoted to errors
 #      (vendored shim crates included — they are workspace members),
 #   4. mad-check, the workspace's own static analyzer: lock-hierarchy
-#      order against the normative ARCHITECTURE.md table, crate layering,
-#      the panic/cast ratchets, `#![forbid(unsafe_code)]` coverage and
-#      wire-tag exhaustiveness (see crates/check),
+#      order against the normative ARCHITECTURE.md table, the
+#      registration-lock blocking ban and the panic ratchet (see
+#      crates/check). Unsafe code is forbidden by the workspace lints,
+#      wire-codec casts by clippy (step 3), and crate layering and wire
+#      tags are tier-1 tests (tests/crate_layering.rs,
+#      tests/wire_roundtrip.rs; step 2),
 #   5. rustdoc, warning-free (every crate carries `//!` module docs),
 #   6. the crash-recovery scenario end to end: mixed workload over a
 #      durable handle, kill at a random WAL record boundary, recovery,
@@ -56,7 +59,7 @@ cargo test --offline -q --manifest-path madbench/Cargo.toml
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== mad-check (lock order, layering, panic/cast ratchets, wire tags)"
+echo "== mad-check (lock order, registration-lock blocking, panic ratchet)"
 cargo run --release --quiet -p mad-check
 
 echo "== cargo doc --workspace --no-deps (warnings are errors)"

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! # mad — facade crate
 //!
 //! Re-exports the whole MAD-model workspace under one roof, so that examples,

@@ -22,12 +22,44 @@ fn text_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// The `kind`s and `op`s the wire re-interns exactly (`intern_kind` and
+/// `intern_op` in `mad_net::frame`); any other value folds to a generic
+/// label and would not round-trip.
+const KINDS: [&str; 9] = [
+    "atom type",
+    "atom type id",
+    "attribute",
+    "attribute index",
+    "link type",
+    "molecule type",
+    "structure node",
+    "structure node alias",
+    "projection node",
+];
+const OPS: [&str; 12] = [
+    "×", "Ω", "Δ", "Π", "Σ", "α", "δ", "μ", "ν", "σ", "ω", "closure",
+];
+
 fn error_strategy() -> impl Strategy<Value = MadError> {
     let leaf = prop_oneof![
         text_strategy().prop_map(|name| MadError::UnknownName {
             kind: "atom type",
             name
         }),
+        (0usize..KINDS.len(), text_strategy()).prop_map(|(k, name)| MadError::DuplicateName {
+            kind: KINDS[k],
+            name
+        }),
+        text_strategy().prop_map(|detail| MadError::InvalidStructure { detail }),
+        (0usize..OPS.len(), text_strategy()).prop_map(|(o, detail)| {
+            MadError::IncompatibleOperands {
+                op: OPS[o],
+                detail,
+            }
+        }),
+        text_strategy().prop_map(|detail| MadError::InvalidQualification { detail }),
+        text_strategy().prop_map(|detail| MadError::Snapshot { detail }),
+        text_strategy().prop_map(|detail| MadError::Recursion { detail }),
         (text_strategy(), text_strategy(), text_strategy()).prop_map(
             |(context, expected, found)| MadError::TypeMismatch {
                 context,
