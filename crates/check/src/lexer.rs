@@ -43,7 +43,7 @@ pub struct Tok {
 /// One parsed `// check: allow(kind, "reason")` annotation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Annotation {
-    /// The lint kind being allowed (`panic`, `lock`, `reg-block`).
+    /// The lint kind being allowed (`panic` is the only known one).
     pub kind: String,
     /// The justification string (mandatory).
     pub reason: String,

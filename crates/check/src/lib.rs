@@ -1,45 +1,33 @@
-//! `mad_check` — a project-specific static analyzer for the MAD
-//! workspace.
+//! `mad_check` — the panic ratchet of the MAD workspace.
 //!
 //! It checks only what rustc, clippy and the tier-1 tests cannot say.
 //! Unsafe code is forbidden by the workspace lints, casts in the wire
 //! codecs are denied by clippy, wire tags are pinned by
-//! `tests/wire_roundtrip.rs` and the crate layering by
-//! `tests/crate_layering.rs`. What is left needs a view of guard scopes
-//! or a committed budget. The analyzer is hand-rolled in the same
-//! offline discipline as the rest of the tree: no `syn`, no external
-//! crates — a Rust token lexer in the style of the MQL lexer
-//! ([`lexer`]), a token-tree/item scanner ([`tree`]), and three lints:
+//! `tests/wire_roundtrip.rs`, the crate layering by
+//! `tests/crate_layering.rs`, and the lock hierarchy by the ranked locks
+//! of `mad_obs::rank`, which debug builds check on every acquisition.
+//! What is left needs a committed budget. The analyzer is hand-rolled in
+//! the same offline discipline as the rest of the tree: no `syn`, no
+//! external crates — a Rust token lexer in the style of the MQL lexer
+//! ([`lexer`]), a token-tree/item scanner ([`tree`]), and one lint:
 //!
-//! * **lock-order** ([`locks`]) — every lexically nested
-//!   `.lock()`/`.read()`/`.write()` guard scope in `mad-txn`/`mad-wal`/
-//!   `mad-repl`/`mad-net` must acquire locks in increasing rank of the
-//!   normative ARCHITECTURE.md table ([`spec`]), with one level of
-//!   interprocedural propagation through a call-graph approximation. A
-//!   violation is a statically detected deadlock candidate on the
-//!   commit path.
-//! * **reg-block** ([`locks`]) — no blocking call while a
-//!   readiness-registration lock is held.
 //! * **panic-ratchet** ([`panics`]) — `unwrap`/`expect`/`panic!`/
 //!   `unreachable!`/slice-indexing in non-test code is budgeted by a
 //!   committed ratchet file ([`ratchet`]) whose counts may only
 //!   decrease.
 //!
-//! Suppressions use `// check: allow(kind, "reason")` comments — a
+//! Suppressions use `// check: allow(panic, "reason")` comments — a
 //! trailing comment applies to its own line, a standalone comment to
 //! the next line. The reason string is mandatory; a malformed
 //! annotation or an unknown kind is itself a diagnostic, so a typo can
-//! never silently disable a lint.
+//! never silently disable the lint.
 
 pub mod lexer;
-pub mod locks;
 pub mod panics;
 pub mod ratchet;
-pub mod spec;
 pub mod tree;
 pub mod workspace;
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use lexer::Annotation;
@@ -52,7 +40,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line (0 for file-level problems).
     pub line: u32,
-    /// Lint name, e.g. `lock-order`.
+    /// Lint name, e.g. `panic-ratchet`.
     pub lint: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -78,7 +66,7 @@ pub struct SrcFile {
     pub text: String,
 }
 
-/// A lexed-and-treed source file, ready for the lints.
+/// A lexed-and-treed source file, ready for the lint.
 pub struct ParsedFile {
     /// Owning crate package name.
     pub crate_name: String,
@@ -101,8 +89,8 @@ impl ParsedFile {
     }
 }
 
-/// The annotation kinds the lints understand.
-pub const ALLOW_KINDS: &[&str] = &["panic", "lock", "reg-block"];
+/// The annotation kinds the lint understands.
+pub const ALLOW_KINDS: &[&str] = &["panic"];
 
 /// Parse one source file; lexer/tree problems become diagnostics.
 pub fn parse_file(src: &SrcFile, diags: &mut Vec<Diagnostic>) -> ParsedFile {
@@ -140,23 +128,6 @@ pub fn parse_file(src: &SrcFile, diags: &mut Vec<Diagnostic>) -> ParsedFile {
     }
 }
 
-/// Crates whose guard scopes the lock lint walks.
-pub const LOCK_CRATES: &[&str] = &["mad-txn", "mad-wal", "mad-repl", "mad-net"];
-
-/// Readiness-registration locks: while one of these is held, no
-/// blocking call may run (the event loop would stall every connection).
-/// Checked by name within [`LOCK_CRATES`].
-pub const REGISTRATION_LOCKS: &[&str] = &["reg"];
-
-/// The full analysis result.
-pub struct Analysis {
-    /// All diagnostics except the ratchet comparison, sorted by
-    /// file/line.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Unannotated panic-site counts per crate (input to the ratchet).
-    pub panic_counts: BTreeMap<String, usize>,
-}
-
 /// How to treat the committed ratchet file.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RatchetMode {
@@ -168,22 +139,19 @@ pub enum RatchetMode {
     Update,
 }
 
-/// Full filesystem run: load the workspace under `root`, parse the
-/// ARCHITECTURE.md spec, run every lint, and enforce (or update) the
-/// ratchet. `Err` means the analyzer could not run at all (missing
-/// spec, unreadable tree) as opposed to "ran and found problems".
+/// Full filesystem run: load the workspace under `root`, count its
+/// panic sites, and enforce (or update) the ratchet. `Err` means the
+/// analyzer could not run at all (unreadable tree or ratchet file) as
+/// opposed to "ran and found problems".
 pub fn run_workspace(
     root: &std::path::Path,
     mode: RatchetMode,
 ) -> Result<Vec<Diagnostic>, String> {
-    let arch = std::fs::read_to_string(root.join("ARCHITECTURE.md"))
-        .map_err(|e| format!("ARCHITECTURE.md: {e}"))?;
-    let spec = spec::parse(&arch)?;
     let sources = workspace::load(root)?;
     let mut diags = Vec::new();
     let files: Vec<ParsedFile> =
         sources.iter().map(|s| parse_file(s, &mut diags)).collect();
-    let mut analysis = analyze(&files, &spec, diags);
+    let panic_counts = panics::audit(&files);
     let ratchet_path = root.join(ratchet::RATCHET_FILE);
     match mode {
         RatchetMode::Enforce => {
@@ -194,12 +162,12 @@ pub fn run_workspace(
                 )
             })?;
             let budget = ratchet::parse(&text)?;
-            ratchet::compare(&budget, &analysis.panic_counts, &mut analysis.diagnostics);
+            ratchet::compare(&budget, &panic_counts, &mut diags);
         }
         RatchetMode::Update => {
             if let Ok(old) = std::fs::read_to_string(&ratchet_path) {
                 let budget = ratchet::parse(&old)?;
-                for (krate, &n) in &analysis.panic_counts {
+                for (krate, &n) in &panic_counts {
                     if let Some(&(b, _)) = budget.get(krate) {
                         if n > b {
                             return Err(format!(
@@ -210,20 +178,12 @@ pub fn run_workspace(
                     }
                 }
             }
-            std::fs::write(&ratchet_path, ratchet::render(&analysis.panic_counts))
+            std::fs::write(&ratchet_path, ratchet::render(&panic_counts))
                 .map_err(|e| format!("{}: {e}", ratchet::RATCHET_FILE))?;
         }
     }
-    analysis.diagnostics.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(analysis.diagnostics)
-}
-
-/// Run every lint over parsed sources.
-pub fn analyze(files: &[ParsedFile], spec: &spec::Spec, mut diags: Vec<Diagnostic>) -> Analysis {
-    locks::check(files, spec, &mut diags);
-    let panic_counts = panics::audit(files, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Analysis { diagnostics: diags, panic_counts }
+    Ok(diags)
 }
 
 #[cfg(test)]
@@ -232,18 +192,21 @@ mod tests {
 
     #[test]
     fn an_unknown_allow_kind_is_a_diagnostic() {
-        // casts are clippy's to deny, so `cast` is no kind here; a
-        // leftover annotation must not pass silently
-        let src = SrcFile {
-            crate_name: "mad-wal".into(),
-            rel_path: "crates/wal/src/x.rs".into(),
-            assume_test: false,
-            text: "let y = x as u32; // check: allow(cast, \"bounded\")\n".into(),
-        };
-        let mut diags = Vec::new();
-        parse_file(&src, &mut diags);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].lint, "annotation");
-        assert!(diags[0].message.contains("`cast`"), "{}", diags[0].message);
+        // casts are clippy's to deny and lock order is the ranked locks'
+        // to check, so none of these is a kind here; a leftover
+        // annotation must not pass silently
+        for kind in ["cast", "lock", "reg-block"] {
+            let src = SrcFile {
+                crate_name: "mad-wal".into(),
+                rel_path: "crates/wal/src/x.rs".into(),
+                assume_test: false,
+                text: format!("let y = x.lock(); // check: allow({kind}, \"ordered\")\n"),
+            };
+            let mut diags = Vec::new();
+            parse_file(&src, &mut diags);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].lint, "annotation");
+            assert!(diags[0].message.contains(&format!("`{kind}`")), "{}", diags[0].message);
+        }
     }
 }

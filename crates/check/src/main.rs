@@ -1,7 +1,7 @@
-//! `mad-check` — the MAD workspace static analyzer.
+//! `mad-check` — the MAD workspace panic ratchet.
 //!
 //! Exit codes: 0 clean, 1 diagnostics reported, 2 the analyzer could
-//! not run (missing spec table, unreadable workspace, bad usage).
+//! not run (unreadable workspace or ratchet file, bad usage).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -11,10 +11,9 @@ use mad_check::{run_workspace, RatchetMode};
 const USAGE: &str = "\
 usage: mad-check [--root DIR] [--ratchet-update]
 
-Runs the MAD project lints over the workspace:
-  lock-order     lock-hierarchy (deadlock) lint per ARCHITECTURE.md
-  reg-block      no blocking call while a registration lock is held
-  panic-ratchet  unannotated panic sites vs check_ratchet.toml budget
+Counts the unannotated panic sites (unwrap/expect/panic!/unreachable!/
+slice indexing in non-test code) of every workspace crate and checks
+them against the check_ratchet.toml budget.
 
 options:
   --root DIR         workspace root (default: walk up to the Cargo.toml

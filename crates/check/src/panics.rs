@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::tree::{scan_items, Node};
-use crate::{Diagnostic, ParsedFile};
+use crate::tree::{scan_fns, Node};
+use crate::ParsedFile;
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -21,15 +21,14 @@ const NON_EXPR_IDENTS: &[&str] =
 
 /// Count unannotated panic sites per crate. Only `mad*` crates are
 /// audited (the vendor shims are exempt).
-pub fn audit(files: &[ParsedFile], _diags: &mut [Diagnostic]) -> BTreeMap<String, usize> {
+pub fn audit(files: &[ParsedFile]) -> BTreeMap<String, usize> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for f in files {
         if f.assume_test || !(f.crate_name == "mad" || f.crate_name.starts_with("mad-")) {
             continue;
         }
         counts.entry(f.crate_name.clone()).or_default();
-        let items = scan_items(&f.tree);
-        for func in items.fns.iter().filter(|x| !x.is_test) {
+        for func in scan_fns(&f.tree).iter().filter(|x| !x.is_test) {
             let Some(body) = func.body else { continue };
             let mut sites = Vec::new();
             collect_sites(body, None, &mut sites);
@@ -113,7 +112,7 @@ mod tests {
             },
             &mut sink,
         );
-        let counts = audit(&[f], &mut []);
+        let counts = audit(&[f]);
         counts["mad-model"]
     }
 

@@ -1,10 +1,11 @@
 //! Token-tree construction and a lightweight item scanner.
 //!
 //! The flat token stream from [`crate::lexer`] is folded into a tree of
-//! delimiter groups, then scanned for the items the lints need: `fn`
-//! bodies with their test-ness, and `mod` nesting. This is deliberately *not* a Rust parser —
-//! unknown constructs are skipped token-by-token, which is safe because
-//! every lint is a conservative pattern match over the tree.
+//! delimiter groups, then scanned for the items the panic lint needs:
+//! `fn` bodies with their test-ness, and `mod` nesting. This is
+//! deliberately *not* a Rust parser — unknown constructs are skipped
+//! token-by-token, which is safe because the lint is a conservative
+//! pattern match over the tree.
 
 use crate::lexer::{LexError, Tok, TokKind};
 
@@ -19,8 +20,6 @@ pub enum Node {
         delim: char,
         /// Line of the opening delimiter.
         line: u32,
-        /// Line of the closing delimiter.
-        close_line: u32,
         /// The tokens between the delimiters, recursively grouped.
         children: Vec<Node>,
     },
@@ -38,11 +37,6 @@ impl Node {
     /// Is this node the given single punctuation character?
     pub fn is_punct(&self, c: char) -> bool {
         matches!(self, Node::Leaf(Tok { kind: TokKind::Punct(p), .. }) if *p == c)
-    }
-
-    /// Is this node the given joined operator (`::`, `=>`, …)?
-    pub fn is_joined(&self, op: &str) -> bool {
-        matches!(self, Node::Leaf(Tok { kind: TokKind::Joined(o), .. }) if *o == op)
     }
 
     /// The source line of this node (opening line for groups).
@@ -76,7 +70,7 @@ pub fn build_tree(toks: &[Tok], errors: &mut Vec<LexError>) -> Vec<Node> {
                 match stack.pop() {
                     Some((delim, line, parent)) if delim == want => {
                         let children = std::mem::replace(&mut top, parent);
-                        top.push(Node::Group { delim, line, close_line: t.line, children });
+                        top.push(Node::Group { delim, line, children });
                     }
                     Some(other) => {
                         errors.push(LexError {
@@ -97,7 +91,7 @@ pub fn build_tree(toks: &[Tok], errors: &mut Vec<LexError>) -> Vec<Node> {
     while let Some((delim, line, parent)) = stack.pop() {
         errors.push(LexError { line, detail: format!("unclosed `{delim}`") });
         let children = std::mem::replace(&mut top, parent);
-        top.push(Node::Group { delim, line, close_line: line, children });
+        top.push(Node::Group { delim, line, children });
     }
     top
 }
@@ -105,10 +99,6 @@ pub fn build_tree(toks: &[Tok], errors: &mut Vec<LexError>) -> Vec<Node> {
 /// A scanned `fn` item.
 #[derive(Debug)]
 pub struct FnItem<'a> {
-    /// Function name.
-    pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// Inside `#[cfg(test)]`/`#[test]` (directly or via an enclosing
     /// test module)?
     pub is_test: bool,
@@ -116,18 +106,12 @@ pub struct FnItem<'a> {
     pub body: Option<&'a [Node]>,
 }
 
-/// Everything the item scanner extracts from one file.
-#[derive(Debug, Default)]
-pub struct FileItems<'a> {
-    /// All functions, including ones nested in `mod`s and `impl`s.
-    pub fns: Vec<FnItem<'a>>,
-}
-
-/// Scan a file's token tree for items.
-pub fn scan_items(nodes: &[Node]) -> FileItems<'_> {
-    let mut items = FileItems::default();
-    walk(nodes, false, &mut items);
-    items
+/// Scan a file's token tree for every `fn`, including ones nested in
+/// `mod`s and `impl`s.
+pub fn scan_fns(nodes: &[Node]) -> Vec<FnItem<'_>> {
+    let mut fns = Vec::new();
+    walk(nodes, false, &mut fns);
+    fns
 }
 
 /// Item keywords that terminate a skip and start a fresh item scan.
@@ -136,7 +120,7 @@ const ITEM_KEYWORDS: &[&str] = &[
     "extern", "macro_rules",
 ];
 
-fn walk<'a>(nodes: &'a [Node], in_test: bool, items: &mut FileItems<'a>) {
+fn walk<'a>(nodes: &'a [Node], in_test: bool, fns: &mut Vec<FnItem<'a>>) {
     let mut i = 0usize;
     while i < nodes.len() {
         // gather attributes on the upcoming item
@@ -190,12 +174,6 @@ fn walk<'a>(nodes: &'a [Node], in_test: bool, items: &mut FileItems<'a>) {
         };
         match kw {
             "fn" => {
-                let name = nodes
-                    .get(k + 1)
-                    .and_then(Node::ident)
-                    .unwrap_or("<anon>")
-                    .to_owned();
-                let line = nodes[k].line();
                 // the body is the first brace group at this level; a `;`
                 // first means a bodyless trait method
                 let mut j = k + 1;
@@ -210,12 +188,7 @@ fn walk<'a>(nodes: &'a [Node], in_test: bool, items: &mut FileItems<'a>) {
                         _ => j += 1,
                     }
                 }
-                items.fns.push(FnItem {
-                    name,
-                    line,
-                    is_test: test,
-                    body,
-                });
+                fns.push(FnItem { is_test: test, body });
                 i = j + 1;
             }
             "mod" | "impl" | "trait" => {
@@ -225,7 +198,7 @@ fn walk<'a>(nodes: &'a [Node], in_test: bool, items: &mut FileItems<'a>) {
                 while j < nodes.len() {
                     match &nodes[j] {
                         Node::Group { delim: '{', children, .. } => {
-                            walk(children, test, items);
+                            walk(children, test, fns);
                             break;
                         }
                         n if n.is_punct(';') => break,
@@ -339,13 +312,10 @@ mod tests {
              #[cfg(test)]\nmod tests { #[test] fn b() {} fn helper() {} }\n\
              impl Foo { pub(crate) fn c(&self) -> u32 { 1 } }",
         );
-        let items = scan_items(&t);
-        let names: Vec<(&str, bool)> = items
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.is_test))
-            .collect();
-        assert_eq!(names, vec![("a", false), ("b", true), ("helper", true), ("c", false)]);
+        let fns = scan_fns(&t);
+        // a, b, helper, c
+        let test_ness: Vec<bool> = fns.iter().map(|f| f.is_test).collect();
+        assert_eq!(test_ness, vec![false, true, true, false]);
     }
 
     #[test]
@@ -354,11 +324,12 @@ mod tests {
             "trait T { fn sig(&self) -> u32; fn with_default(&self) {} }\n\
              pub const fn table() -> [u32; 4] { [0; 4] }",
         );
-        let items = scan_items(&t);
-        assert_eq!(items.fns.len(), 3);
-        assert!(items.fns[0].body.is_none());
-        assert!(items.fns[1].body.is_some());
-        assert_eq!(items.fns[2].name, "table");
+        let fns = scan_fns(&t);
+        assert_eq!(fns.len(), 3);
+        assert!(fns[0].body.is_none());
+        assert!(fns[1].body.is_some());
+        // `table`'s body is the brace group, not the `[u32; 4]` type
+        assert!(matches!(fns[2].body, Some([Node::Group { delim: '[', .. }])));
     }
 
     #[test]
@@ -369,8 +340,8 @@ mod tests {
              enum Generic<T> where T: Copy { A(T), #[doc = \"x\"] B { f: fn() } }\n\
              fn after() {}",
         );
-        let items = scan_items(&t);
-        assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].name, "after");
+        let fns = scan_fns(&t);
+        assert_eq!(fns.len(), 1);
+        assert_eq!(fns[0].body.map(<[Node]>::len), Some(0), "only `after` is a fn");
     }
 }

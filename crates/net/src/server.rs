@@ -24,7 +24,7 @@ use mad_model::{MadError, Result};
 use mad_mql::Session;
 use mad_obs::{Histogram, Registry, SlowEntry, SlowLog};
 use mad_txn::{DbHandle, ReplAck};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -116,10 +116,6 @@ struct Shared {
     /// Set by the poller once the drain finished; workers exit when the
     /// ready queue is empty and this is set.
     drained: AtomicBool,
-    /// Connection id → stream clone for every **live** connection, so
-    /// tests and tooling can kill a connection out from under its
-    /// client; entries leave with their connection.
-    reg: Mutex<HashMap<u64, TcpStream>>,
     active: AtomicUsize,
     served: AtomicUsize,
     /// Requests answered (statements, pings, encoding switches).
@@ -207,7 +203,6 @@ impl Server {
             stopping: AtomicBool::new(false),
             hard_stop: AtomicBool::new(false),
             drained: AtomicBool::new(false),
-            reg: Mutex::new(HashMap::new()),
             active: AtomicUsize::new(0),
             served: AtomicUsize::new(0),
             requests: AtomicUsize::new(0),
@@ -532,11 +527,6 @@ fn accept_conn(shared: &Arc<Shared>, conns: &mut Vec<Conn>, stream: TcpStream) {
         return;
     }
     let id = shared.served.fetch_add(1, Ordering::SeqCst) as u64;
-    // without a registered clone, tooling could not kill this connection
-    // out from under a stuck client — refuse it instead of serving it
-    // untracked
-    let Ok(clone) = stream.try_clone() else { return };
-    lock(&shared.reg).insert(id, clone);
     shared.active.fetch_add(1, Ordering::SeqCst);
     let stmt_ns = shared.obs.histogram(&format!("net.conn.{id}.stmt_ns"));
     let conn_shared = Arc::new(ConnShared {
@@ -856,11 +846,9 @@ fn retired(conn: &Conn) -> bool {
     done && (conn.hard_dead || (conn.pending.is_empty() && lock(&conn.shared.outbox).is_empty()))
 }
 
-/// Deregister a retired connection: socket, kill-handle, per-connection
-/// metrics.
+/// Deregister a retired connection: socket and per-connection metrics.
 fn finish_conn(shared: &Shared, conn: &Conn) {
     let _ = conn.stream.shutdown(Shutdown::Both);
-    lock(&shared.reg).remove(&conn.shared.id);
     // the connection's metrics leave the registry with it; the global
     // `net.stmt_ns` histogram keeps the totals
     shared.obs.remove_prefix(&format!("net.conn.{}.", conn.shared.id));
@@ -1208,7 +1196,16 @@ mod tests {
     #[test]
     fn conflict_retry_and_reconnect_policies() {
         use crate::RetryPolicy;
-        let server = Server::serve(geo_handle(), "127.0.0.1:0").unwrap();
+        // the idle timeout is what kills the connection server-side below
+        let server = Server::serve_with(
+            geo_handle(),
+            "127.0.0.1:0",
+            ServerConfig {
+                idle_timeout: Some(Duration::from_millis(300)),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
         let addr = server.local_addr();
         let policy = RetryPolicy::default();
 
@@ -1224,9 +1221,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MadError::UnknownName { .. }), "got {err:?}");
 
-        // reconnect: kill the connection server-side, then recover
-        for (_, conn) in lock(&server.shared.reg).iter() {
-            let _ = conn.shutdown(Shutdown::Both);
+        // reconnect: the server reaps the silent connection, then recover
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.connections_reaped() == 0 {
+            assert!(std::time::Instant::now() < deadline, "connection never reaped");
+            std::thread::sleep(Duration::from_millis(10));
         }
         assert!(client.ping().is_err(), "connection should be dead");
         client.reconnect_retry(&policy).unwrap();

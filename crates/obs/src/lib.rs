@@ -2,7 +2,7 @@
 //!
 //! Layer-0, dependency-free (std only), following the same offline-shim
 //! discipline as `mad_check`: every subsystem above may depend on it and
-//! nothing here depends on anything. Four pieces:
+//! nothing here depends on anything. Five pieces:
 //!
 //! * [`hist`] — fixed-bucket log-scale latency [`Histogram`]s with
 //!   p50/p90/p99/max readout, recordable concurrently without locks
@@ -24,6 +24,9 @@
 //! * [`slow`] — a bounded ring-buffer [`SlowLog`] of statement traces
 //!   whose total time crossed a configurable threshold; the network
 //!   server keeps one per listener.
+//! * [`rank`] — [`RankedMutex`]/[`RankedRwLock`], the std locks with a
+//!   place in the lock hierarchy; debug builds panic on an acquisition
+//!   out of rank order.
 //!
 //! Everything here is panic-free in non-test code: mutex poisoning is
 //! absorbed (`PoisonError::into_inner` — metrics must never take the
@@ -31,11 +34,13 @@
 //! slice is indexed unchecked.
 
 pub mod hist;
+pub mod rank;
 pub mod registry;
 pub mod slow;
 pub mod trace;
 
 pub use hist::{percentile_sorted, HistSnapshot, Histogram};
+pub use rank::{Rank, RankedMutex, RankedRwLock};
 pub use registry::{Counter, MetricValue, Registry};
 pub use slow::{SlowEntry, SlowLog};
 pub use trace::{StageKind, StageRec, StmtTrace};

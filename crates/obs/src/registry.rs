@@ -17,9 +17,9 @@
 //! * The registry mutex guards only the name→metric map (register,
 //!   remove, snapshot). It is **unranked and must stay a leaf**: a
 //!   snapshot polls gauge closures that may take ranked locks (e.g. the
-//!   txn `state` mutex), so calling [`Registry::snapshot`] while holding
-//!   any ranked lock would invert the hierarchy. `SHOW STATS` runs with
-//!   no locks held.
+//!   txn `active` mutex), so calling [`Registry::snapshot`] while holding
+//!   any ranked lock would invert the hierarchy; debug builds assert it
+//!   does not. `SHOW STATS` runs with no locks held.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -181,8 +181,13 @@ impl Registry {
     /// are dropped from the registry as a side effect.
     ///
     /// Gauge closures may take ranked locks — do not call this while
-    /// holding one (see the module docs).
+    /// holding one (see the module docs; debug builds assert it).
     pub fn snapshot(&self, filter: Option<&str>) -> Vec<(String, MetricValue)> {
+        debug_assert!(
+            crate::rank::highest_held().is_none(),
+            "Registry::snapshot while holding the ranked lock `{}`",
+            crate::rank::highest_held().map_or("", crate::rank::Rank::name)
+        );
         let matches = |name: &str| match filter {
             None => true,
             Some(f) => {
@@ -308,6 +313,16 @@ mod tests {
         r.remove_prefix("net.conn.1.");
         let names: Vec<String> = r.snapshot(None).into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["net.stmts"]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Registry::snapshot while holding the ranked lock `published`")]
+    fn a_snapshot_under_a_ranked_lock_panics() {
+        let r = Registry::new();
+        let published = crate::RankedRwLock::new(crate::rank::PUBLISHED, ());
+        let _g = published.read().unwrap();
+        r.snapshot(None);
     }
 
     #[test]

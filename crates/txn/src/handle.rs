@@ -4,7 +4,8 @@
 //! # The commit protocol
 //!
 //! One protocol, four locks (normative description in ARCHITECTURE.md,
-//! "The commit protocol"):
+//! "The commit protocol"), each a ranked lock of the lock hierarchy
+//! (`mad_obs::rank`; debug builds check the order on every acquisition):
 //!
 //! * the **ticket** orders everything that must agree on commit order:
 //!   sequence assignment, first-committer-wins validation, the buffered
@@ -30,6 +31,7 @@
 use crate::txn::WriteKey;
 use mad_model::bin::u64_of_usize;
 use mad_model::{FxHashMap, FxHashSet, MadError, Result};
+use mad_obs::rank::{self, RankedMutex, RankedRwLock};
 use mad_obs::trace::{self, StageKind, StageTimer};
 use mad_obs::{Counter, Registry};
 use mad_storage::Database;
@@ -38,7 +40,7 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Condvar, PoisonError};
 use std::time::Instant;
 
 /// A poisoned handle lock means a panic escaped another thread while the
@@ -181,15 +183,15 @@ struct ConflictLog {
 #[derive(Debug)]
 struct Inner {
     /// The commit ticket (see [`TicketState`]).
-    ticket: Mutex<TicketState>,
+    ticket: RankedMutex<TicketState>,
     /// Active transactions: begin sequence → how many began there.
-    active: Mutex<BTreeMap<u64, usize>>,
+    active: RankedMutex<BTreeMap<u64, usize>>,
     /// See [`ConflictLog`]. Pruned off the commit path — see
     /// [`DbHandle::prune_commit_log`].
-    conflict_log: Mutex<ConflictLog>,
+    conflict_log: RankedMutex<ConflictLog>,
     /// The published image. The write guard lives for one assignment, so
     /// readers never wait on validation, a rebase or the WAL.
-    published: RwLock<PublishedImage>,
+    published: RankedRwLock<PublishedImage>,
     /// The write-ahead log, when the handle is durable.
     wal: Option<Wal>,
     durability: Durability,
@@ -200,11 +202,11 @@ struct Inner {
     /// [`DbHandle::install_replicated`] instead).
     read_only: bool,
     /// Replication ack bookkeeping, with its condvar for quorum waits.
-    repl: Mutex<ReplState>,
+    repl: RankedMutex<ReplState>,
     repl_cv: Condvar,
     /// Auto-checkpoint knob and counters (interior-mutable so the policy
     /// can be set on a running handle).
-    ckpt_policy: Mutex<CheckpointPolicy>,
+    ckpt_policy: RankedMutex<CheckpointPolicy>,
     /// Fast-path gate: true only when a policy is armed on a durable
     /// handle, so undurable/unconfigured commits pay one relaxed load.
     ckpt_armed: AtomicBool,
@@ -351,17 +353,20 @@ impl DbHandle {
         };
         let handle = DbHandle {
             inner: Arc::new(Inner {
-                ticket: Mutex::new(TicketState { seq, feeds: Vec::new() }),
-                active: Mutex::new(BTreeMap::new()),
-                conflict_log: Mutex::new(ConflictLog::default()),
-                published: RwLock::new(PublishedImage { db: Arc::new(db), seq }),
+                ticket: RankedMutex::new(rank::TICKET, TicketState { seq, feeds: Vec::new() }),
+                active: RankedMutex::new(rank::ACTIVE, BTreeMap::new()),
+                conflict_log: RankedMutex::new(rank::CONFLICT_LOG, ConflictLog::default()),
+                published: RankedRwLock::new(
+                    rank::PUBLISHED,
+                    PublishedImage { db: Arc::new(db), seq },
+                ),
                 wal,
                 durability,
                 recovery,
                 read_only,
-                repl: Mutex::new(ReplState::default()),
+                repl: RankedMutex::new(rank::REPL, ReplState::default()),
                 repl_cv: Condvar::new(),
-                ckpt_policy: Mutex::new(CheckpointPolicy::default()),
+                ckpt_policy: RankedMutex::new(rank::CKPT_POLICY, CheckpointPolicy::default()),
                 ckpt_armed: AtomicBool::new(false),
                 commits_since_ckpt: AtomicU64::new(0),
                 ckpt_claimed: AtomicBool::new(false),
@@ -639,7 +644,7 @@ impl DbHandle {
                      replication is unknown"
                 )));
             }
-            repl = self.inner.repl_cv.wait(repl).map_err(poisoned)?;
+            repl = repl.wait(&self.inner.repl_cv).map_err(poisoned)?;
         }
     }
 
@@ -800,7 +805,6 @@ impl DbHandle {
         // image is read under it, so (db, seq) is the final word
         let _t = self.inner.ticket.lock().map_err(poisoned)?;
         let img = self.inner.image();
-        // check: allow(lock, "resolves to Wal::checkpoint (sync/files), not DbHandle::checkpoint; the name-keyed call graph conflates them")
         let stats = wal.checkpoint(&img.db, img.seq)?;
         self.inner.commits_since_ckpt.store(0, Ordering::Relaxed);
         Ok(stats)
@@ -1041,7 +1045,7 @@ impl DbHandle {
     /// Test hook: hold the commit ticket, proving reads stay unblocked
     /// while a commit (or fsync stall) owns the publication path.
     #[cfg(test)]
-    pub(crate) fn lock_publication_for_test(&self) -> std::sync::MutexGuard<'_, impl Sized> {
+    pub(crate) fn lock_publication_for_test(&self) -> rank::RankedMutexGuard<'_, impl Sized> {
         self.inner.ticket.lock().unwrap()
     }
 }

@@ -37,13 +37,14 @@ use crate::record::{
 };
 use crate::WalOp;
 use mad_model::{MadError, Result};
+use mad_obs::rank::{self, RankedMutex};
 use mad_obs::trace::{StageKind, StageTimer};
 use mad_storage::{Database, DatabaseSnapshot};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 
 /// When does a committing transaction wait for its record to hit stable
 /// storage?
@@ -156,8 +157,8 @@ pub struct Wal {
     /// The **manifest** path (what callers know as "the log").
     path: PathBuf,
     policy: FsyncPolicy,
-    files: Mutex<Files>,
-    sync: Mutex<SyncState>,
+    files: RankedMutex<Files>,
+    sync: RankedMutex<SyncState>,
     synced: Condvar,
     fsyncs: AtomicU64,
     /// Group-commit fsync batches performed (`wal.group_batches`).
@@ -173,7 +174,7 @@ pub struct Wal {
     poisoned: AtomicBool,
     /// Armed fault-injection plan (tests and failure scenarios only; see
     /// [`crate::fault`]).
-    fault: Mutex<FaultState>,
+    fault: RankedMutex<FaultState>,
 }
 
 impl std::fmt::Debug for Files {
@@ -380,7 +381,7 @@ impl Wal {
         Wal {
             path,
             policy,
-            files: Mutex::new(Files {
+            files: RankedMutex::new(rank::FILES, Files {
                 file,
                 next_lsn: 1,
                 bytes,
@@ -388,7 +389,7 @@ impl Wal {
                 segs,
                 max_seg_bytes: DEFAULT_SEGMENT_BYTES,
             }),
-            sync: Mutex::new(SyncState {
+            sync: RankedMutex::new(rank::SYNC, SyncState {
                 durable_lsn: 1,
                 syncing: false,
             }),
@@ -397,7 +398,7 @@ impl Wal {
             batches: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
-            fault: Mutex::new(FaultState::default()),
+            fault: RankedMutex::new(rank::FAULT, FaultState::default()),
         }
     }
 
@@ -554,7 +555,7 @@ impl Wal {
         let wal = Wal {
             path,
             policy,
-            files: Mutex::new(Files {
+            files: RankedMutex::new(rank::FILES, Files {
                 file,
                 next_lsn: lsn,
                 bytes: total_bytes,
@@ -562,7 +563,7 @@ impl Wal {
                 segs,
                 max_seg_bytes: DEFAULT_SEGMENT_BYTES,
             }),
-            sync: Mutex::new(SyncState {
+            sync: RankedMutex::new(rank::SYNC, SyncState {
                 durable_lsn: lsn,
                 syncing: false,
             }),
@@ -571,7 +572,7 @@ impl Wal {
             batches: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
-            fault: Mutex::new(FaultState::default()),
+            fault: RankedMutex::new(rank::FAULT, FaultState::default()),
         };
         let info = RecoveryInfo {
             commits_replayed: commits,
@@ -783,7 +784,7 @@ impl Wal {
             if st.syncing {
                 // an fsync is in flight; by the time it finishes it may or
                 // may not cover our record — loop to re-check
-                st = self.synced.wait(st).unwrap();
+                st = st.wait(&self.synced).unwrap();
                 continue;
             }
             // become the syncer for everything appended so far — but first
@@ -974,7 +975,7 @@ impl Wal {
         // claim the syncer slot so no fsync races the segment swap
         let mut st = self.sync.lock().unwrap();
         while st.syncing {
-            st = self.synced.wait(st).unwrap();
+            st = st.wait(&self.synced).unwrap();
         }
         st.syncing = true;
         drop(st);
@@ -1496,7 +1497,7 @@ mod tests {
         // seq allocation + append happen under one lock (mirroring the
         // publisher's commit ticket: commit order IS append order);
         // only the durability wait runs concurrently
-        let publication = Mutex::new(0u64);
+        let publication = std::sync::Mutex::new(0u64);
         let writers = 8usize;
         let per_writer = 25u64;
         std::thread::scope(|scope| {

@@ -2,17 +2,18 @@
 # The tier-1 gate, runnable locally and in CI:
 #
 #   1. release build (the profile the benches and examples use),
-#   2. full test suite, then the benchmark package's own smoke tests —
-#      madbench sits outside the workspace, so without this step an API
-#      change in mad-txn/mad-storage can break the benchmark unnoticed,
+#   2. full test suite (a debug build: every acquisition of a ranked
+#      lock asserts the lock hierarchy, see mad_obs::rank), then the
+#      benchmark package's own smoke tests — madbench sits outside the
+#      workspace, so without this step an API change in
+#      mad-txn/mad-storage can break the benchmark unnoticed,
 #   3. clippy over the whole workspace with warnings promoted to errors
 #      (vendored shim crates included — they are workspace members),
-#   4. mad-check, the workspace's own static analyzer: lock-hierarchy
-#      order against the normative ARCHITECTURE.md table, the
-#      registration-lock blocking ban and the panic ratchet (see
-#      crates/check). Unsafe code is forbidden by the workspace lints,
-#      wire-codec casts by clippy (step 3), and crate layering and wire
-#      tags are tier-1 tests (tests/crate_layering.rs,
+#   4. mad-check, the workspace's panic ratchet (see crates/check).
+#      Unsafe code is forbidden by the workspace lints, wire-codec casts
+#      by clippy (step 3), lock order by the ranked locks' debug
+#      assertions, and crate layering, the lock table and wire tags are
+#      tier-1 tests (tests/crate_layering.rs, tests/lock_ranks.rs,
 #      tests/wire_roundtrip.rs; step 2),
 #   5. rustdoc, warning-free (every crate carries `//!` module docs),
 #   6. the crash-recovery scenario end to end: mixed workload over a
@@ -59,7 +60,7 @@ cargo test --offline -q --manifest-path madbench/Cargo.toml
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== mad-check (lock order, registration-lock blocking, panic ratchet)"
+echo "== mad-check (panic ratchet)"
 cargo run --release --quiet -p mad-check
 
 echo "== cargo doc --workspace --no-deps (warnings are errors)"

@@ -4,11 +4,12 @@
 //!   the final record must recover cleanly to the previous commit;
 //! * kill-at-arbitrary-record-boundary: the workload crash scenario over
 //!   many seeds;
-//! * MQL sessions over a recovered handle.
+//! * MQL sessions over a recovered handle;
+//! * auto-checkpoints folding the log on the commit path.
 
 use mad::model::Value;
 use mad::storage::DatabaseSnapshot;
-use mad::txn::{DbHandle, FsyncPolicy, Transaction};
+use mad::txn::{CheckpointPolicy, DbHandle, FsyncPolicy, Transaction};
 use mad::wal::{active_segment_path, frame_boundaries};
 use mad::workload::{run_crash_recovery, CrashParams, MixedParams};
 use std::path::PathBuf;
@@ -181,5 +182,35 @@ fn mql_sessions_resume_on_recovered_state() {
     };
     assert_eq!(mt.len(), 1);
     assert_eq!(mt.molecules[0].atoms_at(1).len(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn auto_checkpoints_fold_the_log_and_recovery_lands_on_the_last_commit() {
+    // runs the commit path's auto-checkpoint, so the debug-build lock
+    // rank checks see its ckpt_policy → ticket → sync/files acquisitions
+    let dir = tmpdir("autockpt");
+    let path = dir.join("mad.wal");
+    let db = mad::workload::mixed_database().unwrap();
+    let handle = DbHandle::create_durable(db, &path, FsyncPolicy::Group).unwrap();
+    handle.set_checkpoint_policy(CheckpointPolicy { max_bytes: None, max_commits: Some(3) });
+    let state = handle.committed().schema().atom_type_id("state").unwrap();
+    for i in 0..7i64 {
+        let mut t = Transaction::begin(&handle);
+        t.insert_atom(state, vec![Value::from(format!("c{i}")), Value::from(i as f64)])
+            .unwrap();
+        t.commit().unwrap();
+    }
+    // commits 3 and 6 crossed the trigger; commit 7 is the only record
+    // after the last bootstrap image
+    assert_eq!(handle.auto_checkpoint_count(), 2);
+    let image = DatabaseSnapshot::capture(&handle.committed()).to_json_string();
+    drop(handle);
+
+    let reopened = DbHandle::open_durable(&path, FsyncPolicy::Never).unwrap();
+    let info = reopened.recovery_info().unwrap();
+    assert_eq!((info.commits_replayed, info.last_seq), (1, 7));
+    assert_eq!(DatabaseSnapshot::capture(&reopened.committed()).to_json_string(), image);
+    drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
 }
