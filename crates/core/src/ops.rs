@@ -313,6 +313,13 @@ fn preselect_roots(db: &Database, md: &MoleculeStructure, qual: &QualExpr) -> Op
     Some(out)
 }
 
+/// The copy propagation made of atom `a` at node `ni`.
+fn copy_of(atom_maps: &[FxHashMap<AtomId, AtomId>], ni: usize, a: AtomId) -> Result<AtomId> {
+    atom_maps.get(ni).and_then(|m| m.get(&a)).copied().ok_or_else(|| MadError::IntegrityViolation {
+        detail: format!("propagation made no copy of atom {a} at node {ni}"),
+    })
+}
+
 /// The pure half of Π: prune `mt` to the aliases in `keep` (which must
 /// contain the root and be predecessor-closed — see the module docs) and
 /// record the attribute projection (`attr_projection` maps an alias to
@@ -1037,8 +1044,8 @@ impl Engine {
         for m in &rst.molecules {
             for (ei, e) in md.edges().iter().enumerate() {
                 for &(p, c) in &m.links[ei] {
-                    let np = atom_maps[e.from][&p];
-                    let nc = atom_maps[e.to][&c];
+                    let np = copy_of(&atom_maps, e.from, p)?;
+                    let nc = copy_of(&atom_maps, e.to, c)?;
                     if self.db.connect(new_links[ei], np, nc)? {
                         links_copied += 1;
                     }
@@ -1071,35 +1078,42 @@ impl Engine {
         let molecules: Vec<Molecule> = rst
             .molecules
             .iter()
-            .map(|m| Molecule {
-                root: atom_maps[md.root()][&m.root],
-                atoms: m
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .map(|(ni, v)| {
-                        let mut out: Vec<AtomId> =
-                            v.iter().map(|a| atom_maps[ni][a]).collect();
-                        out.sort_unstable();
-                        out
-                    })
-                    .collect(),
-                links: m
-                    .links
-                    .iter()
-                    .enumerate()
-                    .map(|(ei, v)| {
-                        let e = &md.edges()[ei];
-                        let mut out: Vec<(AtomId, AtomId)> = v
-                            .iter()
-                            .map(|(p, c)| (atom_maps[e.from][p], atom_maps[e.to][c]))
-                            .collect();
-                        out.sort_unstable();
-                        out
-                    })
-                    .collect(),
+            .map(|m| {
+                Ok(Molecule {
+                    root: copy_of(&atom_maps, md.root(), m.root)?,
+                    atoms: m
+                        .atoms
+                        .iter()
+                        .enumerate()
+                        .map(|(ni, v)| {
+                            let mut out = v
+                                .iter()
+                                .map(|&a| copy_of(&atom_maps, ni, a))
+                                .collect::<Result<Vec<AtomId>>>()?;
+                            out.sort_unstable();
+                            Ok(out)
+                        })
+                        .collect::<Result<_>>()?,
+                    links: m
+                        .links
+                        .iter()
+                        .enumerate()
+                        .map(|(ei, v)| {
+                            let e = &md.edges()[ei];
+                            let mut out = v
+                                .iter()
+                                .map(|&(p, c)| {
+                                    let np = copy_of(&atom_maps, e.from, p)?;
+                                    Ok((np, copy_of(&atom_maps, e.to, c)?))
+                                })
+                                .collect::<Result<Vec<(AtomId, AtomId)>>>()?;
+                            out.sort_unstable();
+                            Ok(out)
+                        })
+                        .collect::<Result<_>>()?,
+                })
             })
-            .collect();
+            .collect::<Result<_>>()?;
         trace.push(Stage::Propagation {
             atom_types: new_type_names,
             link_types: new_link_names,

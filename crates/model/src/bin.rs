@@ -161,8 +161,11 @@ impl<'a> Reader<'a> {
 /// holds in memory but cannot express on the wire is a logic error
 /// upstream; a silently wrapped prefix would corrupt every later byte of
 /// the stream, so this fails loudly instead.
+#[expect(
+    clippy::expect_used,
+    reason = "a >= 4 GiB in-memory value cannot round-trip; wrapping the length prefix would corrupt the stream, so fail loudly"
+)]
 pub fn len_u32(n: usize) -> u32 {
-    // check: allow(panic, "a >= 4 GiB in-memory value cannot round-trip; wrapping the length prefix would corrupt the stream, so fail loudly")
     u32::try_from(n).expect("value length exceeds the u32 wire prefix")
 }
 

@@ -60,7 +60,10 @@ pub fn sweep_read(stream: &mut TcpStream, buf: &mut Vec<u8>, scratch: &mut [u8])
         match stream.read(scratch) {
             Ok(0) => return ReadSweep::Eof,
             Ok(n) => {
-                // check: allow(panic, "read returns n <= scratch.len() by contract")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "read returns n <= scratch.len() by contract"
+                )]
                 buf.extend_from_slice(&scratch[..n]);
                 total += n;
                 if total >= READ_SWEEP_CAP {
@@ -100,7 +103,10 @@ pub fn sweep_write(stream: &mut TcpStream, buf: &mut Vec<u8>) -> WriteSweep {
         if written == buf.len() {
             break WriteSweep::Drained;
         }
-        // check: allow(panic, "the Drained break above keeps written <= buf.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the Drained break above keeps written <= buf.len()"
+        )]
         match stream.write(&buf[written..]) {
             // a zero-length write on a non-empty buffer: the peer's
             // receive window is gone for good — treat as failure

@@ -1,8 +1,7 @@
 //! Observability substrate for the MAD workspace.
 //!
-//! Layer-0, dependency-free (std only), following the same offline-shim
-//! discipline as `mad_check`: every subsystem above may depend on it and
-//! nothing here depends on anything. Five pieces:
+//! Layer-0, dependency-free (std only): every subsystem above may depend
+//! on it and nothing here depends on anything. Five pieces:
 //!
 //! * [`hist`] — fixed-bucket log-scale latency [`Histogram`]s with
 //!   p50/p90/p99/max readout, recordable concurrently without locks

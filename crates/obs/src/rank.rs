@@ -61,10 +61,12 @@ pub const SYNC: Rank = Rank { level: 7, name: "sync" };
 pub const FILES: Rank = Rank { level: 8, name: "files" };
 /// `mad-wal` fault-injection schedule.
 pub const FAULT: Rank = Rank { level: 9, name: "fault" };
+/// `mad-obs` metrics registry name→metric map.
+pub const REGISTRY: Rank = Rank { level: 10, name: "registry" };
 
 /// Every rank, in acquisition order.
-pub const HIERARCHY: [Rank; 9] =
-    [TICKET, ACTIVE, CONFLICT_LOG, PUBLISHED, REPL, CKPT_POLICY, SYNC, FILES, FAULT];
+pub const HIERARCHY: [Rank; 10] =
+    [TICKET, ACTIVE, CONFLICT_LOG, PUBLISHED, REPL, CKPT_POLICY, SYNC, FILES, FAULT, REGISTRY];
 
 thread_local! {
     /// Bit `level` is set while this thread holds that rank (recorded
@@ -91,6 +93,10 @@ impl Held {
     /// Record `rank` as held, or panic if the thread already holds it or
     /// anything above it. A no-op without `debug_assertions`.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "an inverted acquisition is a deadlock candidate; reporting it is this check's job"
+    )]
     fn take(rank: Rank) -> Held {
         if !cfg!(debug_assertions) {
             return Held(0);
@@ -98,7 +104,6 @@ impl Held {
         let bit = 1u32 << rank.level;
         let held = HELD.with(Cell::get);
         if let Some(top) = highest_in(held & !(bit - 1)) {
-            // check: allow(panic, "an inverted acquisition is a deadlock candidate; reporting it is this check's job")
             panic!(
                 "lock order violation: `{}` (rank {}) acquired while holding `{}` (rank {})",
                 rank.name, rank.level, top.name, top.level

@@ -15,17 +15,21 @@
 //!   conventionally capture a `Weak` to their subsystem and return
 //!   `None` once it is gone, which unregisters them lazily.
 //! * The registry mutex guards only the name→metric map (register,
-//!   remove, snapshot). It is **unranked and must stay a leaf**: a
-//!   snapshot polls gauge closures that may take ranked locks (e.g. the
-//!   txn `active` mutex), so calling [`Registry::snapshot`] while holding
-//!   any ranked lock would invert the hierarchy; debug builds assert it
-//!   does not. `SHOW STATS` runs with no locks held.
+//!   remove, snapshot). It is the last rank of the lock hierarchy,
+//!   [`REGISTRY`], so a metric can be registered under any other ranked
+//!   lock. A snapshot clones the gauge closures out under the mutex and
+//!   polls them after releasing it: the closures may take ranked locks
+//!   (e.g. the txn `active` mutex). Calling [`Registry::snapshot`] while
+//!   holding a ranked lock would invert the hierarchy inside those polls;
+//!   debug builds assert it does not. `SHOW STATS` runs with no locks
+//!   held.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError};
 
 use crate::hist::{HistSnapshot, Histogram};
+use crate::rank::{RankedMutex, RankedMutexGuard, REGISTRY};
 
 /// A monotonically increasing (or stored-value) atomic metric handle.
 ///
@@ -57,19 +61,38 @@ impl Counter {
 }
 
 /// Poll closure of a numeric gauge; `None` unregisters it lazily.
-pub type GaugeFn = Box<dyn Fn() -> Option<u64> + Send + Sync>;
+pub type GaugeFn = Arc<dyn Fn() -> Option<u64> + Send + Sync>;
 /// Poll closure of a text metric; `None` unregisters it lazily.
-pub type TextFn = Box<dyn Fn() -> Option<String> + Send + Sync>;
+pub type TextFn = Arc<dyn Fn() -> Option<String> + Send + Sync>;
 /// Poll closure expanding to several `name.suffix` gauge rows at once
 /// (e.g. one row per attached standby); `None` unregisters it lazily.
-pub type MultiFn = Box<dyn Fn() -> Option<Vec<(String, u64)>> + Send + Sync>;
+pub type MultiFn = Arc<dyn Fn() -> Option<Vec<(String, u64)>> + Send + Sync>;
 
 enum Metric {
     Counter(Counter),
+    Hist(Arc<Histogram>),
+    Poll(Poll),
+}
+
+/// A polled metric. Cloning shares the closure, so a snapshot can run
+/// it without the map lock.
+#[derive(Clone)]
+enum Poll {
     Gauge(GaugeFn),
     Text(TextFn),
     Multi(MultiFn),
-    Hist(Arc<Histogram>),
+}
+
+impl Poll {
+    /// Do `self` and `other` share one closure?
+    fn same(&self, other: &Poll) -> bool {
+        match (self, other) {
+            (Poll::Gauge(a), Poll::Gauge(b)) => Arc::ptr_eq(a, b),
+            (Poll::Text(a), Poll::Text(b)) => Arc::ptr_eq(a, b),
+            (Poll::Multi(a), Poll::Multi(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 /// One metric's value in a snapshot.
@@ -96,9 +119,15 @@ impl MetricValue {
 }
 
 /// The shared name→metric map. Cheap to clone (one `Arc`).
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Registry {
-    inner: Arc<Mutex<BTreeMap<String, Metric>>>,
+    inner: Arc<RankedMutex<BTreeMap<String, Metric>>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry { inner: Arc::new(RankedMutex::new(REGISTRY, BTreeMap::new())) }
+    }
 }
 
 impl std::fmt::Debug for Registry {
@@ -115,7 +144,7 @@ impl Registry {
         Registry::default()
     }
 
-    fn map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
+    fn map(&self) -> RankedMutexGuard<'_, BTreeMap<String, Metric>> {
         // metrics must never take the process down: absorb poisoning
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -147,18 +176,18 @@ impl Registry {
 
     /// Register (or replace) a poll-gauge.
     pub fn gauge(&self, name: &str, f: impl Fn() -> Option<u64> + Send + Sync + 'static) {
-        self.map().insert(name.to_owned(), Metric::Gauge(Box::new(f)));
+        self.map().insert(name.to_owned(), Metric::Poll(Poll::Gauge(Arc::new(f))));
     }
 
     /// Register (or replace) a text metric.
     pub fn text(&self, name: &str, f: impl Fn() -> Option<String> + Send + Sync + 'static) {
-        self.map().insert(name.to_owned(), Metric::Text(Box::new(f)));
+        self.map().insert(name.to_owned(), Metric::Poll(Poll::Text(Arc::new(f))));
     }
 
     /// Register (or replace) a multi-row gauge: the closure returns
     /// `(suffix, value)` pairs rendered as `name.suffix` rows.
     pub fn multi(&self, name: &str, f: impl Fn() -> Option<Vec<(String, u64)>> + Send + Sync + 'static) {
-        self.map().insert(name.to_owned(), Metric::Multi(Box::new(f)));
+        self.map().insert(name.to_owned(), Metric::Poll(Poll::Multi(Arc::new(f))));
     }
 
     /// Remove one metric.
@@ -198,46 +227,54 @@ impl Registry {
             }
         };
         let mut out = Vec::new();
-        let mut dead = Vec::new();
-        let map = self.map();
-        for (name, metric) in map.iter() {
+        let mut polls = Vec::new();
+        for (name, metric) in self.map().iter() {
             match metric {
-                Metric::Counter(c) => {
-                    if matches(name) {
-                        out.push((name.clone(), MetricValue::Counter(c.get())));
-                    }
+                Metric::Counter(c) if matches(name) => {
+                    out.push((name.clone(), MetricValue::Counter(c.get())));
                 }
-                Metric::Hist(h) => {
-                    if matches(name) {
-                        out.push((name.clone(), MetricValue::Hist(Box::new(h.snapshot()))));
-                    }
+                Metric::Hist(h) if matches(name) => {
+                    out.push((name.clone(), MetricValue::Hist(Box::new(h.snapshot()))));
                 }
-                Metric::Gauge(f) => match f() {
-                    Some(v) if matches(name) => out.push((name.clone(), MetricValue::Gauge(v))),
-                    Some(_) => {}
-                    None => dead.push(name.clone()),
-                },
-                Metric::Text(f) => match f() {
-                    Some(v) if matches(name) => out.push((name.clone(), MetricValue::Text(v))),
-                    Some(_) => {}
-                    None => dead.push(name.clone()),
-                },
-                Metric::Multi(f) => match f() {
-                    Some(rows) => {
-                        for (suffix, v) in rows {
-                            let full = format!("{name}.{suffix}");
-                            if matches(&full) {
-                                out.push((full, MetricValue::Gauge(v)));
-                            }
-                        }
-                    }
-                    None => dead.push(name.clone()),
-                },
+                Metric::Counter(_) | Metric::Hist(_) => {}
+                Metric::Poll(p) => polls.push((name.clone(), p.clone())),
             }
         }
-        drop(map);
-        for name in dead {
-            self.remove(&name);
+        // poll with the map unlocked: a closure may take any ranked lock
+        let mut dead = Vec::new();
+        for (name, poll) in polls {
+            let alive = match &poll {
+                Poll::Gauge(f) => f().map(|v| {
+                    if matches(&name) {
+                        out.push((name.clone(), MetricValue::Gauge(v)));
+                    }
+                }),
+                Poll::Text(f) => f().map(|v| {
+                    if matches(&name) {
+                        out.push((name.clone(), MetricValue::Text(v)));
+                    }
+                }),
+                Poll::Multi(f) => f().map(|rows| {
+                    for (suffix, v) in rows {
+                        let full = format!("{name}.{suffix}");
+                        if matches(&full) {
+                            out.push((full, MetricValue::Gauge(v)));
+                        }
+                    }
+                }),
+            };
+            if alive.is_none() {
+                dead.push((name, poll));
+            }
+        }
+        if !dead.is_empty() {
+            // a closure re-registered under the same name meanwhile stays
+            let mut map = self.map();
+            for (name, poll) in dead {
+                if matches!(map.get(&name), Some(Metric::Poll(p)) if p.same(&poll)) {
+                    map.remove(&name);
+                }
+            }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -323,6 +360,35 @@ mod tests {
         let published = crate::RankedRwLock::new(crate::rank::PUBLISHED, ());
         let _g = published.read().unwrap();
         r.snapshot(None);
+    }
+
+    #[test]
+    fn gauges_are_polled_outside_the_map_lock() {
+        // the map lock ranks above `active`, so a poll under it would be
+        // an inverted acquisition (a panic in a debug build)
+        let r = Registry::new();
+        let active = Arc::new(crate::RankedMutex::new(crate::rank::ACTIVE, 7u64));
+        let weak = Arc::downgrade(&active);
+        r.gauge("txn.active", move || {
+            let active = weak.upgrade()?;
+            let n = *active.lock().unwrap_or_else(PoisonError::into_inner);
+            Some(n)
+        });
+        assert_eq!(r.snapshot(None), vec![("txn.active".to_owned(), MetricValue::Gauge(7))]);
+        drop(active);
+        assert!(r.snapshot(None).is_empty());
+    }
+
+    #[test]
+    fn a_dead_gauge_replaced_before_the_reap_survives() {
+        let r = Registry::new();
+        let r2 = r.clone();
+        r.gauge("sub.g", move || {
+            r2.gauge("sub.g", || Some(5));
+            None
+        });
+        assert!(r.snapshot(None).is_empty());
+        assert_eq!(r.snapshot(None), vec![("sub.g".to_owned(), MetricValue::Gauge(5))]);
     }
 
     #[test]

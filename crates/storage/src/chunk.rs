@@ -53,6 +53,10 @@ impl<T: Clone + Default> Chunked<T> {
 
     /// Mutable access to `slot`, growing the directory with empty chunks
     /// to reach it; copies the chunk first if a fork still shares it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the directory was grown past ci above, and a masked offset is below CHUNK"
+    )]
     pub(crate) fn entry(&mut self, slot: u32) -> &mut T {
         let s = slot as usize;
         let ci = s >> SHIFT;
@@ -60,7 +64,6 @@ impl<T: Clone + Default> Chunked<T> {
             self.chunks
                 .resize_with(ci + 1, || Arc::new(std::array::from_fn(|_| T::default())));
         }
-        // check: allow(panic, "the directory was grown past ci above, and a masked offset is below CHUNK")
         &mut Arc::make_mut(&mut self.chunks[ci])[s & MASK]
     }
 

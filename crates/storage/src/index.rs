@@ -108,7 +108,7 @@ impl AttrIndex {
     pub fn insert(&mut self, key: &Value, id: AtomId) {
         match &mut self.backend {
             Backend::Hash(buckets) => {
-                // check: allow(panic, "bucket_of masks below BUCKETS")
+                #[expect(clippy::indexing_slicing, reason = "bucket_of masks below BUCKETS")]
                 let map = Arc::make_mut(&mut buckets[bucket_of(key)]);
                 posting_insert(map.entry(key.clone()).or_default(), id)
             }
@@ -120,7 +120,7 @@ impl AttrIndex {
     pub fn remove(&mut self, key: &Value, id: AtomId) {
         match &mut self.backend {
             Backend::Hash(buckets) => {
-                // check: allow(panic, "bucket_of masks below BUCKETS")
+                #[expect(clippy::indexing_slicing, reason = "bucket_of masks below BUCKETS")]
                 let bucket = &mut buckets[bucket_of(key)];
                 // a key this index does not hold must not copy its bucket
                 if bucket.contains_key(key) {
@@ -147,7 +147,7 @@ impl AttrIndex {
     /// Equality lookup: atoms whose attribute equals `key` (sorted).
     pub fn lookup_eq(&self, key: &Value) -> &[AtomId] {
         let postings = match &self.backend {
-            // check: allow(panic, "bucket_of masks below BUCKETS")
+            #[expect(clippy::indexing_slicing, reason = "bucket_of masks below BUCKETS")]
             Backend::Hash(buckets) => buckets[bucket_of(key)].get(key),
             Backend::Ordered(map) => map.get(key),
         };

@@ -46,8 +46,7 @@ use std::time::Instant;
 /// A poisoned handle lock means a panic escaped another thread while the
 /// shared commit state was mid-update. `Result`-returning paths surface
 /// that as a transaction-state error instead of cascading the panic into
-/// every client thread; infallible accessors propagate the panic (each
-/// such site carries a `check: allow(panic, …)` annotation).
+/// every client thread; infallible accessors propagate the panic.
 fn poisoned<T>(_: PoisonError<T>) -> MadError {
     MadError::txn_state(
         "handle poisoned: a thread panicked while holding the commit state",
@@ -545,15 +544,21 @@ impl DbHandle {
     /// effect for commits that reach their replication wait afterwards;
     /// loosening to [`ReplAck::Async`] releases current quorum waiters.
     pub fn set_repl_ack(&self, mode: ReplAck) {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         let mut repl = self.inner.repl.lock().unwrap();
         repl.mode = mode;
         self.inner.repl_cv.notify_all();
     }
 
     /// The current replication acknowledgment mode.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+    )]
     pub fn repl_ack(&self) -> ReplAck {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
         self.inner.repl.lock().unwrap().mode
     }
 
@@ -566,7 +571,10 @@ impl DbHandle {
     /// unsubscribes on the next push.
     pub fn subscribe_commits(&self) -> mpsc::Receiver<FeedCommit> {
         let (tx, rx) = mpsc::channel();
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         self.inner.ticket.lock().unwrap().feeds.push(tx);
         rx
     }
@@ -584,7 +592,10 @@ impl DbHandle {
 
     /// Register a standby for quorum accounting; returns its token.
     pub fn register_standby(&self) -> u64 {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         let mut repl = self.inner.repl.lock().unwrap();
         let token = repl.next_token;
         repl.next_token += 1;
@@ -595,7 +606,10 @@ impl DbHandle {
     /// Record that the standby behind `token` has durably appended every
     /// record up to and including `seq`, waking quorum waiters.
     pub fn standby_ack(&self, token: u64, seq: u64) {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         let mut repl = self.inner.repl.lock().unwrap();
         if let Some(have) = repl.standbys.get_mut(&token) {
             *have = (*have).max(seq);
@@ -606,7 +620,10 @@ impl DbHandle {
     /// Deregister a standby (its connection died). Its acknowledgments no
     /// longer count toward quorums.
     pub fn standby_gone(&self, token: u64) {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         let mut repl = self.inner.repl.lock().unwrap();
         repl.standbys.remove(&token);
         self.inner.repl_cv.notify_all();
@@ -618,7 +635,10 @@ impl DbHandle {
     /// and locally durable, but replication is unknown, the same
     /// post-publication indeterminacy as a failed fsync wait.
     pub fn seal_replication(&self) {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+        )]
         let mut repl = self.inner.repl.lock().unwrap();
         repl.sealed = true;
         self.inner.repl_cv.notify_all();
@@ -707,8 +727,11 @@ impl DbHandle {
     /// Commits that push the log over a trigger fold it down inline —
     /// one committer at a time — so log size stays bounded without a
     /// manual `CHECKPOINT`. No effect on non-durable handles.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+    )]
     pub fn set_checkpoint_policy(&self, policy: CheckpointPolicy) {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
         *self.inner.ckpt_policy.lock().unwrap() = policy;
         self.inner
             .ckpt_armed
@@ -716,8 +739,11 @@ impl DbHandle {
     }
 
     /// The current auto-checkpoint policy.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
+    )]
     pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        // check: allow(panic, "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome")
         *self.inner.ckpt_policy.lock().unwrap()
     }
 

@@ -232,9 +232,9 @@ impl Transaction {
                 def.name
             )));
         }
-        if a.ty == def.ends[0] && b.ty == def.ends[1] { // check: allow(panic, "ends is a fixed two-element array")
+        if a.ty == def.ends[0] && b.ty == def.ends[1] {
             self.connect(lt, a, b)
-        } else if a.ty == def.ends[1] && b.ty == def.ends[0] { // check: allow(panic, "ends is a fixed two-element array")
+        } else if a.ty == def.ends[1] && b.ty == def.ends[0] {
             self.connect(lt, b, a)
         } else {
             Err(MadError::integrity(format!(

@@ -601,15 +601,17 @@ impl Wal {
 
     /// Number of live segments (1 after create or checkpoint; grows with
     /// rotation).
+    #[expect(clippy::unwrap_used, reason = "mutex poison propagates the original panic")]
     pub fn segment_count(&self) -> usize {
-        self.files.lock().unwrap().segs.len() // check: allow(panic, "mutex poison propagates the original panic")
+        self.files.lock().unwrap().segs.len()
     }
 
     /// Set the rotation threshold: an append finding the active segment
     /// at or past `bytes` rotates first. Tests use tiny values to force
     /// many segments; production leaves [`DEFAULT_SEGMENT_BYTES`].
+    #[expect(clippy::unwrap_used, reason = "mutex poison propagates the original panic")]
     pub fn set_max_segment_bytes(&self, bytes: u64) {
-        self.files.lock().unwrap().max_seg_bytes = bytes.max(1); // check: allow(panic, "mutex poison propagates the original panic")
+        self.files.lock().unwrap().max_seg_bytes = bytes.max(1);
     }
 
     /// Total fsyncs performed since open (the group-commit amortization
@@ -987,7 +989,9 @@ impl Wal {
         if result.is_ok() {
             // the fresh log is fully durable — and trustworthy again,
             // even if an earlier fsync failure had poisoned the old file
-            st.durable_lsn = self.files.lock().unwrap().next_lsn; // check: allow(panic, "mutex poison propagates the original panic")
+            #[expect(clippy::unwrap_used, reason = "mutex poison propagates the original panic")]
+            let next_lsn = self.files.lock().unwrap().next_lsn;
+            st.durable_lsn = next_lsn;
             self.poisoned.store(false, Ordering::SeqCst);
         }
         self.synced.notify_all();

@@ -364,10 +364,15 @@ const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// One slicing-table entry; `k < 8` at every call site.
 #[inline(always)]
+#[expect(clippy::indexing_slicing, reason = "k is a literal below 8; a u8 indexes 256 entries")]
 fn crc_entry(k: usize, b: u8) -> u32 {
-    CRC_TABLES[k][usize::from(b)] // check: allow(panic, "k is a literal below 8; a u8 indexes 256 entries")
+    CRC_TABLES[k][usize::from(b)]
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const evaluation: an out-of-range index fails the build"
+)]
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -387,17 +392,17 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
             };
             k += 1;
         }
-        t[0][i] = c; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
+        t[0][i] = c;
         i += 1;
     }
     let mut k = 1;
     while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let prev = t[k - 1][i]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
+            let prev = t[k - 1][i];
             #[expect(clippy::as_conversions, reason = "masked to 0..=255; usize::from is not const")]
             let low = (prev & 0xff) as usize;
-            t[k][i] = (prev >> 8) ^ t[0][low]; // check: allow(panic, "const evaluation: an out-of-range index fails the build")
+            t[k][i] = (prev >> 8) ^ t[0][low];
             i += 1;
         }
         k += 1;

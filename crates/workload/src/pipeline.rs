@@ -281,7 +281,10 @@ pub fn run_net_pipeline(wal_path: &Path, params: &NetPipelineParams) -> Result<N
                         .collect();
                     let outcomes = pipeline_groups(&mut client, &burst, k);
                     for outcome in outcomes {
-                        // check: allow(panic, "pipeline_groups yields at most one outcome per queued group")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "pipeline_groups yields at most one outcome per queued group"
+                        )]
                         let group = todo.pop_front().expect("one outcome per queued group");
                         match outcome {
                             GroupOutcome::Committed => {
