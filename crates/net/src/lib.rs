@@ -5,11 +5,14 @@
 //! (molecule derivation, transactions, the write-ahead log) stays on the
 //! server. This crate turns the workspace into that multi-user service:
 //!
-//! * [`Server`] — a readiness-based event loop serving one shared,
+//! * [`Server`] — readiness-based event loops serving one shared,
 //!   optionally durable [`mad_txn::DbHandle`] to many concurrent
-//!   clients: one poller thread owns every socket (see [`poller`]), a
-//!   fixed worker pool executes statements against one
-//!   [`mad_mql::Session::shared`] per connection. Clients may
+//!   clients: one loop per core, each owning the sockets assigned to it
+//!   (a new connection goes to the loop owning the fewest; see
+//!   [`poller`] for the sweeps). A lone statement runs inline on its
+//!   loop while none of that loop's connections is claimed by a worker;
+//!   otherwise a fixed worker pool executes it. Either way it runs
+//!   against one [`mad_mql::Session::shared`] per connection. Clients may
 //!   **pipeline** any number of requests; responses come back in
 //!   request order, and `BEGIN … COMMIT` spans as many round-trips (or
 //!   pipelined frames) as the client likes while other connections keep
@@ -35,8 +38,8 @@
 //! open transaction (the server's session drops, the transaction's `Drop`
 //! releases its registration — nothing the client left behind can pin the
 //! handle's commit log). A malformed frame closes *that* connection with a
-//! protocol error; the shared handle and every other connection are
-//! untouched.
+//! protocol error, and a statement that panics closes it after an error
+//! reply; the shared handle and every other connection are untouched.
 
 pub mod client;
 pub mod frame;

@@ -8,17 +8,19 @@
 //! readable now", a short or refused write means "not writable now", and
 //! the event loop simply retries on its next sweep. What this costs over
 //! a kernel selector is one failed syscall per idle connection per sweep;
-//! what it keeps is the same structure an epoll loop would have — one
-//! thread owning every socket, sweeping readiness, and dispatching parsed
-//! frames to workers — with zero unsafe code.
+//! what it keeps is the same structure an epoll loop would have — each
+//! event loop thread owning its sockets (the server runs one loop per
+//! core, and a socket belongs to exactly one loop), sweeping readiness,
+//! and dispatching parsed frames to workers — with zero unsafe code.
 //!
-//! Between sweeps the loop waits adaptively (see [`IdleWait`]): while
+//! Between sweeps a loop waits adaptively (see [`IdleWait`]): while
 //! traffic is hot it spins with [`std::thread::yield_now`] so the peer
 //! (often a benchmark client on the same box) gets the core immediately;
-//! once genuinely idle it parks on a [`Condvar`] with escalating
-//! timeouts, so an idle server costs a few hundred wakeups per second,
-//! not a spinning core. Workers signal the condvar when they append
-//! response bytes, so flushes stay prompt even from the parked state.
+//! once genuinely idle it parks on its own [`Condvar`] with escalating
+//! timeouts, so an idle loop costs a few hundred wakeups per second,
+//! not a spinning core. Workers signal the owning loop's condvar when
+//! they append response bytes, and the listening loop signals it when it
+//! hands over a new socket, so both stay prompt from the parked state.
 
 use mad_model::{MadError, Result};
 use std::io::{Read, Write};
@@ -180,6 +182,16 @@ impl IdleWait {
             self.streak = 0;
         }
     }
+
+    /// Called by a loop with nothing to sweep at all (no sockets, no
+    /// listener), so only a signal can bring it work: skip the spin and
+    /// park at the longest timeout at once, leaving the cores to the
+    /// threads that have work.
+    pub fn park(&mut self, signal: &Mutex<bool>, cv: &Condvar) {
+        let longest = SPIN_SWEEPS + PARK_STEP_SWEEPS * PARK_STEPS.len() as u32;
+        self.streak = self.streak.max(longest);
+        self.wait(signal, cv);
+    }
 }
 
 /// Switch a freshly accepted stream into the event loop's discipline:
@@ -261,5 +273,15 @@ mod tests {
         wait.wait(&signal, &cv);
         assert_eq!(wait.streak, 0, "a signal must reset the escalation");
         assert!(!*lock(&signal), "the signal must be consumed");
+        // a loop with nothing to sweep parks at once, and a signal still
+        // wakes it and resets the escalation
+        *lock(&signal) = true;
+        wait.park(&signal, &cv);
+        assert_eq!(wait.streak, 0);
+        wait.park(&signal, &cv);
+        assert!(
+            wait.streak > SPIN_SWEEPS,
+            "an unsignalled park stays escalated"
+        );
     }
 }

@@ -1,16 +1,22 @@
-//! The TCP server: a readiness-based event loop over non-blocking
+//! The TCP server: readiness-based event loops over non-blocking
 //! sockets, a fixed worker pool, pipelined request execution.
 //!
-//! One poller thread (see [`crate::poller`]) owns every socket: it
-//! accepts, sweeps read readiness, parses frames out of per-connection
-//! buffers, and flushes response bytes. Decoded requests are handed to a
-//! small worker pool through per-connection mailboxes; a connection is
-//! claimed by at most one worker at a time, so its statements execute in
-//! order against its one [`Session::shared`] and responses come back in
-//! request order even when the client pipelines. A single pending
-//! statement with the whole server otherwise idle is executed inline on
-//! the poller thread — no handoff, which keeps the one-client latency of
-//! the old thread-per-connection design.
+//! The server runs one event loop per core the process may use
+//! (`available_parallelism()`; see [`crate::poller`] for the sweeps).
+//! The first loop also owns the listener: it hands each accepted socket
+//! to the loop that owns the fewest connections and wakes that loop at
+//! once. From then on only the owning loop touches the socket: it
+//! sweeps read readiness, parses frames out of the connection's buffer,
+//! reaps it when idle and flushes its response bytes. Decoded requests
+//! are handed to a small worker pool through per-connection mailboxes;
+//! a connection is claimed by at most one worker at a time, so its
+//! statements execute in order against its one [`Session::shared`] and
+//! responses come back in request order even when the client
+//! pipelines. A single pending statement is executed inline on the
+//! owning loop when no connection of that loop is claimed by a worker —
+//! no handoff, which keeps the one-client latency of the old
+//! thread-per-connection design, and lets two closed-loop clients on two
+//! loops use two cores.
 
 use crate::frame::{
     decode_request, frame_response, split_frame, Request, Response, ENCODING_BINARY, ENCODING_TEXT,
@@ -26,6 +32,7 @@ use mad_obs::{Histogram, Registry, SlowEntry, SlowLog};
 use mad_txn::{DbHandle, ReplAck};
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -71,13 +78,17 @@ enum WorkItem {
 }
 
 /// The worker-visible half of one connection: its mailbox and its
-/// outgoing byte stream. The poller owns the socket itself.
+/// outgoing byte stream. The owning event loop keeps the socket itself.
 struct ConnShared {
     id: u64,
+    /// The event loop that owns the socket: workers wake it when they
+    /// append response bytes, and its `claimed` count tracks this
+    /// connection's claim.
+    home: Arc<LoopShared>,
     work: Mutex<ConnWork>,
-    /// Encoded response frames waiting for the poller to write. Workers
-    /// append; the poller drains into its per-connection write buffer,
-    /// preserving order.
+    /// Encoded response frames waiting for the owning loop to write.
+    /// Workers append; the loop drains into its per-connection write
+    /// buffer, preserving order.
     outbox: Mutex<Vec<u8>>,
 }
 
@@ -102,19 +113,58 @@ struct ConnWork {
     stmt_ns: Arc<Histogram>,
 }
 
+/// The part of one event loop that other threads reach: the listening
+/// loop assigns sockets to it, workers wake it. The sockets and buffers
+/// themselves live on the loop's own stack (see [`Conn`]).
+struct LoopShared {
+    /// Accepted sockets assigned to this loop, not yet adopted.
+    incoming: Mutex<Vec<TcpStream>>,
+    /// Connections assigned to this loop and not yet retired; the
+    /// listening loop assigns each new socket to the loop with the
+    /// fewest.
+    owned: AtomicUsize,
+    /// Connections of this loop claimed by the worker pool (in the ready
+    /// queue or being drained). The inline fast path is open only at 0.
+    claimed: AtomicUsize,
+    /// Flagged (and `wake` signalled) when the loop has work it would not
+    /// discover by sweeping: response bytes a worker appended, a socket
+    /// assigned to it, a shutdown.
+    signal: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl LoopShared {
+    fn new() -> Self {
+        LoopShared {
+            incoming: Mutex::new(Vec::new()),
+            owned: AtomicUsize::new(0),
+            claimed: AtomicUsize::new(0),
+            signal: Mutex::new(false),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Wake the loop if it is parked; a spinning loop consumes the flag
+    /// on its next idle wait.
+    fn notify(&self) {
+        *lock(&self.signal) = true;
+        self.wake.notify_one();
+    }
+}
+
 /// Shared state of a running server.
 struct Shared {
     handle: DbHandle,
     config: ServerConfig,
     /// Connections reaped by the idle timeout (monitoring/tests).
     reaped: AtomicUsize,
-    /// Set by [`Server::shutdown`]; the poller stops accepting and
-    /// reading, drains queued statements, then tears down.
+    /// Set by [`Server::shutdown`]; the listening loop stops accepting,
+    /// and every loop drains its queued statements, then tears down.
     stopping: AtomicBool,
     /// Skip the drain: close everything now (see [`Server::kill`]).
     hard_stop: AtomicBool,
-    /// Set by the poller once the drain finished; workers exit when the
-    /// ready queue is empty and this is set.
+    /// Set once every event loop has exited; workers exit when the ready
+    /// queue is empty and this is set.
     drained: AtomicBool,
     active: AtomicUsize,
     served: AtomicUsize,
@@ -128,15 +178,21 @@ struct Shared {
     queued: AtomicUsize,
     /// Connections currently claimed by a worker.
     in_flight: AtomicUsize,
-    /// Poller transitions from idle back to useful work.
+    /// Event-loop transitions from idle back to useful work, summed
+    /// over the loops.
     wakeups: AtomicUsize,
+    /// Requests executed inline on their connection's event loop.
+    inline: AtomicUsize,
+    /// Requests handed to the worker pool (`inline + handoff` is
+    /// `received` once everything parsed has been dispatched).
+    handoff: AtomicUsize,
+    /// Statements whose execution panicked; each closed its connection.
+    statement_panics: AtomicUsize,
     /// Connections with claimed, unprocessed mailboxes.
     ready: Mutex<VecDeque<Arc<ConnShared>>>,
     ready_cv: Condvar,
-    /// Workers flag this (and signal) when they append response bytes,
-    /// so a parked poller flushes promptly.
-    flush_signal: Mutex<bool>,
-    flush_cv: Condvar,
+    /// The event loops; the first also owns the listener.
+    loops: Vec<Arc<LoopShared>>,
     /// The deployment registry (the served handle's) this server reports
     /// its `net.*` metrics into.
     obs: Registry,
@@ -150,16 +206,17 @@ struct Shared {
 ///
 /// [`Server::serve`] binds the listener and returns immediately;
 /// accepting, I/O and statement execution happen on background threads
-/// (one poller plus a small worker pool — sessions move between workers
-/// but never run concurrently, the [`DbHandle`] underneath is the
-/// shared, thread-safe piece). Drop without [`Server::shutdown`] leaves
-/// the threads running until the process exits; call `shutdown` for a
-/// graceful stop (stop accepting, drain queued statements, flush their
-/// responses, close every connection, join all threads).
+/// (one event loop per core plus a small worker pool — a session runs on
+/// its connection's loop or on a worker, never on two threads at once;
+/// the [`DbHandle`] underneath is the shared, thread-safe piece). Drop
+/// without [`Server::shutdown`] leaves the threads running until the
+/// process exits; call `shutdown` for a graceful stop (stop accepting,
+/// drain queued statements, flush their responses, close every
+/// connection, join all threads).
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    poll_thread: Option<JoinHandle<()>>,
+    loop_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
@@ -167,6 +224,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.addr)
+            .field("loops", &self.shared.loops.len())
             .field("workers", &self.worker_threads.len())
             .finish_non_exhaustive()
     }
@@ -189,6 +247,17 @@ impl Server {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> Result<Server> {
+        Self::serve_loops(handle, addr, config, loop_count())
+    }
+
+    /// [`Server::serve_with`] with an explicit number of event loops
+    /// (at least one), so tests can run several loops on any host.
+    pub(crate) fn serve_loops(
+        handle: DbHandle,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+        loops: usize,
+    ) -> Result<Server> {
         let listener =
             TcpListener::bind(addr).map_err(|e| MadError::io(format!("bind listener: {e}")))?;
         let local = listener
@@ -210,20 +279,32 @@ impl Server {
             queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             wakeups: AtomicUsize::new(0),
+            inline: AtomicUsize::new(0),
+            handoff: AtomicUsize::new(0),
+            statement_panics: AtomicUsize::new(0),
             ready: Mutex::new(VecDeque::new()),
             ready_cv: Condvar::new(),
-            flush_signal: Mutex::new(false),
-            flush_cv: Condvar::new(),
+            loops: (0..loops.max(1))
+                .map(|_| Arc::new(LoopShared::new()))
+                .collect(),
             obs,
             stmt_ns,
             slow: SlowLog::new(SLOW_LOG_CAP, config.slow_query),
         });
         register_server_gauges(&shared);
-        let poll_shared = Arc::clone(&shared);
-        let poll_thread = std::thread::Builder::new()
-            .name("mad-net-poll".into())
-            .spawn(move || event_loop(&listener, &poll_shared))
-            .map_err(|e| MadError::io(format!("spawn poller thread: {e}")))?;
+        let mut listener = Some(listener);
+        let mut loop_threads = Vec::with_capacity(shared.loops.len());
+        for (i, home) in shared.loops.iter().enumerate() {
+            // the first loop takes the listener
+            let listener = listener.take();
+            let loop_shared = Arc::clone(&shared);
+            let home = Arc::clone(home);
+            let t = std::thread::Builder::new()
+                .name(format!("mad-net-loop-{i}"))
+                .spawn(move || event_loop(&loop_shared, &home, listener.as_ref()))
+                .map_err(|e| MadError::io(format!("spawn event-loop thread: {e}")))?;
+            loop_threads.push(t);
+        }
         let mut worker_threads = Vec::new();
         for i in 0..worker_count(&config) {
             let worker_shared = Arc::clone(&shared);
@@ -236,7 +317,7 @@ impl Server {
         Ok(Server {
             shared,
             addr: local,
-            poll_thread: Some(poll_thread),
+            loop_threads,
             worker_threads,
         })
     }
@@ -319,15 +400,21 @@ impl Server {
 
     fn stop_and_join(&mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // the poller notices `stopping` on its next sweep (its park
-        // timeout is capped); nudge it in case it is parked right now
-        *lock(&self.shared.flush_signal) = true;
-        self.shared.flush_cv.notify_all();
-        if let Some(t) = self.poll_thread.take() {
+        // each loop notices `stopping` on its next sweep (its park
+        // timeout is capped); nudge them in case they are parked now
+        for home in &self.shared.loops {
+            home.notify();
+        }
+        for t in self.loop_threads.drain(..) {
             let _ = t.join();
         }
-        // the poller sets `drained` before exiting; set it defensively
-        // in case that thread died early, then release the workers
+        // a socket the listening loop assigned after its loop's last
+        // sweep was never adopted: it carries no received request
+        for home in &self.shared.loops {
+            lock(&home.incoming).clear();
+        }
+        // every loop has drained its connections and exited: nothing can
+        // be enqueued any more, so release the workers
         self.shared.drained.store(true, Ordering::SeqCst);
         {
             let _guard = lock(&self.shared.ready);
@@ -337,6 +424,15 @@ impl Server {
             let _ = t.join();
         }
     }
+}
+
+/// Event loops per server: one per core the process may use. A loop
+/// runs lone statements inline, so this is also how many statements can
+/// run at once without a worker handoff.
+fn loop_count() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Resolve [`ServerConfig::workers`]: explicit if nonzero, else sized to
@@ -368,7 +464,7 @@ fn register_server_gauges(shared: &Arc<Shared>) {
     };
     let obs = &shared.obs;
     type GaugeRow = (&'static str, fn(&Shared) -> u64);
-    let gauges: [GaugeRow; 10] = [
+    let gauges: [GaugeRow; 13] = [
         ("net.active", |s| u64_of_usize(s.active.load(Ordering::Relaxed))),
         ("net.served", |s| u64_of_usize(s.served.load(Ordering::Relaxed))),
         ("net.reaped", |s| u64_of_usize(s.reaped.load(Ordering::Relaxed))),
@@ -386,6 +482,15 @@ fn register_server_gauges(shared: &Arc<Shared>) {
         }),
         ("net.poll.wakeups", |s| {
             u64_of_usize(s.wakeups.load(Ordering::Relaxed))
+        }),
+        ("net.inline", |s| {
+            u64_of_usize(s.inline.load(Ordering::Relaxed))
+        }),
+        ("net.handoff", |s| {
+            u64_of_usize(s.handoff.load(Ordering::Relaxed))
+        }),
+        ("net.statement_panics", |s| {
+            u64_of_usize(s.statement_panics.load(Ordering::Relaxed))
         }),
         ("net.slow.len", |s| u64_of_usize(s.slow.len())),
         ("net.slow.recorded", |s| s.slow.total_recorded()),
@@ -407,11 +512,11 @@ fn register_server_gauges(shared: &Arc<Shared>) {
 }
 
 // ---------------------------------------------------------------------
-// the event loop (poller thread)
+// the event loops
 // ---------------------------------------------------------------------
 
-/// Poller-side state of one connection. Only the poller touches the
-/// socket and these buffers; everything workers need lives in
+/// Loop-side state of one connection. Only the owning event loop touches
+/// the socket and these buffers; everything workers need lives in
 /// [`ConnShared`].
 struct Conn {
     stream: TcpStream,
@@ -430,8 +535,12 @@ struct Conn {
     last_activity: Instant,
 }
 
-fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let _ = listener.set_nonblocking(true);
+/// One event loop over the connections assigned to `home`. The loop
+/// given the listener also accepts and assigns new sockets.
+fn event_loop(shared: &Arc<Shared>, home: &Arc<LoopShared>, listener: Option<&TcpListener>) {
+    if let Some(listener) = listener {
+        let _ = listener.set_nonblocking(true);
+    }
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut wait = IdleWait::default();
@@ -441,17 +550,9 @@ fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let stopping = shared.stopping.load(Ordering::SeqCst);
         let mut progress = false;
         if !stopping {
-            // accept sweep
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        accept_conn(shared, &mut conns, stream);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    // transient accept failure (peer vanished between SYN
-                    // and accept, fd exhaustion): retried next sweep
-                    Err(_) => break,
+            if let Some(listener) = listener {
+                if accept_sweep(shared, home, listener) {
+                    progress = true;
                 }
             }
             // idle reap
@@ -460,6 +561,15 @@ fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     progress = true;
                 }
             }
+        }
+        // adopt the sockets assigned here, also while stopping: a socket
+        // accepted before the stop is served like any other connection
+        let incoming = std::mem::take(&mut *lock(&home.incoming));
+        if !incoming.is_empty() {
+            for stream in incoming {
+                accept_conn(shared, home, &mut conns, stream);
+            }
+            progress = true;
         }
         // read sweep: pull bytes, parse frames, dispatch requests. This
         // keeps running while stopping — the drain guarantee covers every
@@ -492,8 +602,9 @@ fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         if stopping {
             let started = *drain_started.get_or_insert_with(Instant::now);
-            let drained = shared.queued.load(Ordering::SeqCst) == 0
-                && shared.in_flight.load(Ordering::SeqCst) == 0
+            // no connection of this loop is claimed by a worker, and all
+            // of their output is flushed
+            let drained = home.claimed.load(Ordering::SeqCst) == 0
                 && conns.iter().all(|c| {
                     c.hard_dead
                         || (c.pending.is_empty() && lock(&c.shared.outbox).is_empty())
@@ -503,9 +614,6 @@ fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 || started.elapsed() > DRAIN_DEADLINE
             {
                 teardown(shared, &mut conns);
-                shared.drained.store(true, Ordering::SeqCst);
-                let _guard = lock(&shared.ready);
-                shared.ready_cv.notify_all();
                 return;
             }
         }
@@ -517,13 +625,56 @@ fn event_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             wait.progress();
         } else {
             was_idle = true;
-            wait.wait(&shared.flush_signal, &shared.flush_cv);
+            if listener.is_none() && conns.is_empty() {
+                // nothing to sweep: only a handed-over socket (or the
+                // stop) brings work, and both signal
+                wait.park(&home.signal, &home.wake);
+            } else {
+                wait.wait(&home.signal, &home.wake);
+            }
         }
     }
 }
 
-fn accept_conn(shared: &Arc<Shared>, conns: &mut Vec<Conn>, stream: TcpStream) {
+/// The listening loop's accept sweep: assign each accepted socket to the
+/// loop that owns the fewest connections (the first such loop on a tie)
+/// and wake that loop at once, so a parked loop adds no setup latency.
+fn accept_sweep(shared: &Shared, home: &Arc<LoopShared>, listener: &TcpListener) -> bool {
+    let mut progress = false;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                progress = true;
+                let Some(target) = shared
+                    .loops
+                    .iter()
+                    .min_by_key(|l| l.owned.load(Ordering::SeqCst))
+                else {
+                    continue;
+                };
+                target.owned.fetch_add(1, Ordering::SeqCst);
+                lock(&target.incoming).push(stream);
+                if !Arc::ptr_eq(target, home) {
+                    target.notify();
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            // transient accept failure (peer vanished between SYN and
+            // accept, fd exhaustion): retried next sweep
+            Err(_) => break,
+        }
+    }
+    progress
+}
+
+fn accept_conn(
+    shared: &Arc<Shared>,
+    home: &Arc<LoopShared>,
+    conns: &mut Vec<Conn>,
+    stream: TcpStream,
+) {
     if prepare_stream(&stream).is_err() {
+        home.owned.fetch_sub(1, Ordering::SeqCst);
         return;
     }
     let id = shared.served.fetch_add(1, Ordering::SeqCst) as u64;
@@ -531,6 +682,7 @@ fn accept_conn(shared: &Arc<Shared>, conns: &mut Vec<Conn>, stream: TcpStream) {
     let stmt_ns = shared.obs.histogram(&format!("net.conn.{id}.stmt_ns"));
     let conn_shared = Arc::new(ConnShared {
         id,
+        home: Arc::clone(home),
         work: Mutex::new(ConnWork {
             queue: VecDeque::new(),
             scheduled: false,
@@ -640,7 +792,7 @@ fn parse_input(shared: &Arc<Shared>, conn: &mut Conn) {
         }
         conn.handshaken = true;
         // the hello precedes every response; write it straight into the
-        // poller's buffer (the outbox is still empty)
+        // loop's buffer (the outbox is still empty)
         let hello = Response::Hello {
             protocol: PROTOCOL_VERSION,
             commit_seq: shared.handle.commit_seq(),
@@ -688,8 +840,8 @@ fn parse_input(shared: &Arc<Shared>, conn: &mut Conn) {
     if items.is_empty() {
         return;
     }
-    // inline fast path: exactly one statement arrived and the whole
-    // server is otherwise idle — execute here, no worker handoff
+    // inline fast path: exactly one statement arrived and no connection
+    // of this loop is claimed — execute here, no worker handoff
     if items.len() == 1 && !fatal && can_inline(shared, conn) {
         if let Some(item) = items.pop() {
             run_inline(shared, conn, item);
@@ -699,31 +851,29 @@ fn parse_input(shared: &Arc<Shared>, conn: &mut Conn) {
     enqueue_all(shared, conn, items);
 }
 
-/// May the poller execute this connection's single new item inline? Only
-/// when no worker is busy, nothing is queued anywhere, and the
-/// connection itself is unclaimed — then the handoff would only add
-/// latency. Under synchronous replication the fast path is off entirely:
-/// a COMMIT then parks until a standby quorum acknowledges it, and a
-/// parked poller reads and flushes nobody — including the very writer
-/// whose next commit the quorum may be waiting on.
+/// May the owning loop execute this connection's single new item inline?
+/// Only when no connection of this loop is claimed by a worker (queued
+/// items always sit in a claimed mailbox) — then the handoff would only
+/// add latency, and nothing of this loop waits behind the statement.
+/// `pump_conn` read this connection only because its own mailbox was
+/// empty and unclaimed, and only its loop claims it. Under synchronous
+/// replication the fast path is off entirely: a COMMIT then parks until
+/// a standby quorum acknowledges it, and a parked loop reads and flushes
+/// nobody — including the very writer whose next commit the quorum may
+/// be waiting on.
 fn can_inline(shared: &Shared, conn: &Conn) -> bool {
     matches!(shared.handle.repl_ack(), ReplAck::Async)
-        && shared.in_flight.load(Ordering::SeqCst) == 0
-        && shared.queued.load(Ordering::SeqCst) == 0
-        && lock(&shared.ready).is_empty()
-        && {
-            let w = lock(&conn.shared.work);
-            !w.scheduled && w.queue.is_empty()
-        }
+        && conn.shared.home.claimed.load(Ordering::SeqCst) == 0
 }
 
-/// Execute one item on the poller thread (the single-statement fast
+/// Execute one item on the owning loop (the single-statement fast
 /// path). Response bytes go through the outbox like everyone else's, so
 /// ordering with any not-yet-flushed worker output is preserved, and are
 /// flushed at once: a reply that waited for the flush sweep would also
 /// wait for whatever the read sweep inlines for the next connection, so
 /// closed-loop clients would drift in and out of lock-step.
 fn run_inline(shared: &Shared, conn: &mut Conn, item: WorkItem) {
+    shared.inline.fetch_add(1, Ordering::Relaxed);
     let (mut session, mut encoding, stmt_ns) = {
         let mut w = lock(&conn.shared.work);
         (w.session.take(), w.encoding, Arc::clone(&w.stmt_ns))
@@ -748,7 +898,7 @@ fn run_inline(shared: &Shared, conn: &mut Conn, item: WorkItem) {
 }
 
 /// Append a response frame to an output buffer (the outbox, or the
-/// poller's pending bytes): by move when the buffer is empty, which is the
+/// loop's pending bytes): by move when the buffer is empty, which is the
 /// common case, so a reply reaches the socket without another copy.
 fn push_frame(buf: &mut Vec<u8>, frame: Vec<u8>) {
     if buf.is_empty() {
@@ -762,6 +912,11 @@ fn push_frame(buf: &mut Vec<u8>, frame: Vec<u8>) {
 /// worker pool if it is unclaimed.
 fn enqueue_all(shared: &Shared, conn: &Conn, items: Vec<WorkItem>) {
     let n = items.len();
+    let requests = items
+        .iter()
+        .filter(|item| matches!(item, WorkItem::Req(_)))
+        .count();
+    shared.handoff.fetch_add(requests, Ordering::Relaxed);
     let claim = {
         let mut w = lock(&conn.shared.work);
         w.queue.extend(items);
@@ -770,6 +925,7 @@ fn enqueue_all(shared: &Shared, conn: &Conn, items: Vec<WorkItem>) {
             false
         } else {
             w.scheduled = true;
+            conn.shared.home.claimed.fetch_add(1, Ordering::SeqCst);
             true
         }
     };
@@ -853,6 +1009,7 @@ fn finish_conn(shared: &Shared, conn: &Conn) {
     // `net.stmt_ns` histogram keeps the totals
     shared.obs.remove_prefix(&format!("net.conn.{}.", conn.shared.id));
     shared.active.fetch_sub(1, Ordering::SeqCst);
+    conn.shared.home.owned.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Force-close every remaining connection at the end of the drain.
@@ -914,6 +1071,7 @@ fn drain_conn(shared: &Shared, conn: &ConnShared) {
                 }
                 None => {
                     w.scheduled = false;
+                    conn.home.claimed.fetch_sub(1, Ordering::SeqCst);
                     NextItem::Done(if w.closed { w.session.take() } else { None })
                 }
             }
@@ -944,15 +1102,21 @@ fn drain_conn(shared: &Shared, conn: &ConnShared) {
         drop(session);
         push_frame(&mut lock(&conn.outbox), frame);
         shared.requests.fetch_add(1, Ordering::SeqCst);
-        // wake the poller so the response flushes promptly
-        *lock(&shared.flush_signal) = true;
-        shared.flush_cv.notify_one();
+        // wake the owning loop so the response flushes promptly
+        conn.home.notify();
     }
 }
 
 /// Execute one work item and encode its response frame. Returns the
 /// frame bytes and whether the item was fatal (the connection closes
 /// after the response flushes).
+///
+/// A statement that panics is contained here: its slot is answered with
+/// an I/O error and the item counts as fatal, so the caller closes the
+/// connection and drops the session — outside the unwind, through the
+/// same exactly-once path as a disconnect, aborting an open transaction.
+/// The thread (an event loop or a worker) and every other connection
+/// keep running.
 fn run_item(
     shared: &Shared,
     conn_id: u64,
@@ -978,10 +1142,21 @@ fn run_item(
             }
         }
         WorkItem::Req(Request::Statement(text)) => match session.as_mut() {
-            Some(session) => (
-                execute_statement(shared, conn_id, stmt_ns, session, &text, *encoding),
-                false,
-            ),
+            Some(session) => match catch_unwind(AssertUnwindSafe(|| {
+                execute_statement(shared, conn_id, stmt_ns, session, &text, *encoding)
+            })) {
+                Ok(resp) => (resp, false),
+                Err(payload) => {
+                    shared.statement_panics.fetch_add(1, Ordering::Relaxed);
+                    (
+                        Response::Error(MadError::io(format!(
+                            "the statement panicked on the server ({}); the connection is closed",
+                            panic_message(payload.as_ref())
+                        ))),
+                        true,
+                    )
+                }
+            },
             // unreachable in practice: statements are only enqueued after
             // the handshake created the session, and a closed connection
             // stops enqueuing — but never panic on a protocol path
@@ -999,6 +1174,15 @@ fn run_item(
     (frame, fatal)
 }
 
+/// The message of a caught panic, if it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
+}
+
 /// Execute one MQL statement in the connection's session, in the
 /// negotiated result encoding, recording latency (and the slow-query
 /// trace when armed).
@@ -1010,6 +1194,10 @@ fn execute_statement(
     text: &str,
     encoding: u8,
 ) -> Response {
+    #[cfg(test)]
+    if text == tests::PANICKING_STATEMENT {
+        panic!("injected statement panic");
+    }
     // Stage tracing is armed only when the slow-query log wants the
     // breakdown; the latency histograms need just the total, so the
     // default path stays two clock reads. EXPLAIN ANALYZE arms its own
@@ -1326,7 +1514,7 @@ mod tests {
         let snap = server.obs().snapshot(Some("net.conn"));
         assert!(!snap.is_empty(), "live connection registers its histogram");
         drop(client);
-        // wait for the poller to retire the connection and unregister
+        // wait for the event loop to retire the connection and unregister
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while server.active_connections() > 0 || !server.obs().snapshot(Some("net.conn")).is_empty()
         {
@@ -1341,10 +1529,10 @@ mod tests {
 
     /// A commit parked in a replication-quorum wait must not stall the
     /// rest of the server. Regression test for a distributed deadlock:
-    /// the poller inlined a sync-quorum COMMIT and froze every sweep —
+    /// an event loop inlined a sync-quorum COMMIT and froze every sweep —
     /// no other connection could even be read — while the quorum it was
     /// waiting on needed further traffic to converge. The commit must
-    /// park on a *worker*, with the poller and the remaining workers
+    /// park on a *worker*, with the loops and the remaining workers
     /// still serving everyone else.
     #[test]
     fn a_parked_quorum_commit_does_not_stall_other_connections() {
@@ -1404,91 +1592,327 @@ mod tests {
         );
     }
 
+    /// The statement text the test build's hook panics on.
+    pub(super) const PANICKING_STATEMENT: &str = "PANIC ON THE SERVER";
+
+    /// A `net.*`/`txn.*` gauge's current reading.
+    fn gauge(obs: &Registry, name: &str) -> u64 {
+        obs.snapshot(Some(name))
+            .into_iter()
+            .find_map(|(n, v)| match v {
+                mad_obs::MetricValue::Gauge(g) if n == name => Some(g),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no gauge {name}"))
+    }
+
+    /// Connections per event loop, in loop order.
+    fn owned_per_loop(server: &Server) -> Vec<usize> {
+        server
+            .shared
+            .loops
+            .iter()
+            .map(|l| l.owned.load(Ordering::SeqCst))
+            .collect()
+    }
+
+    /// `conns` connections to a fresh server with `loops` event loops;
+    /// checks they are spread evenly over the loops.
+    fn serve_spread(loops: usize, conns: usize, config: ServerConfig) -> (Server, Vec<Client>) {
+        let server = Server::serve_loops(geo_handle(), "127.0.0.1:0", config, loops).unwrap();
+        let clients: Vec<Client> = (0..conns)
+            .map(|_| Client::connect(server.local_addr()).unwrap())
+            .collect();
+        assert_eq!(owned_per_loop(&server), vec![conns / loops; loops]);
+        (server, clients)
+    }
+
+    /// (event loops, connections) for the multi-connection tests: one
+    /// loop with one connection, and four connections over two loops.
+    const SPREADS: [(usize, usize); 2] = [(1, 1), (2, 4)];
+
     #[test]
     fn pipelined_statements_answer_in_order() {
-        let server = Server::serve(geo_handle(), "127.0.0.1:0").unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (loops, conns) in SPREADS {
+            let (server, mut clients) = serve_spread(loops, conns, ServerConfig::default());
+            std::thread::scope(|scope| {
+                for (c, client) in clients.iter_mut().enumerate() {
+                    scope.spawn(move || pipeline_in_order(client, c));
+                }
+            });
+            // per connection: 8 inserts and one inserted in a transaction
+            assert_eq!(server.handle().committed().total_atoms(), 1 + 9 * conns);
+            server.shutdown();
+        }
+    }
+
+    /// One connection's pipelined bursts; `c` keeps its atoms apart from
+    /// the other connections'.
+    fn pipeline_in_order(client: &mut Client, c: usize) {
         // a write burst first, then the responses — the server executes
         // in order on one session, so later SELECTs see earlier INSERTs
+        let base = 1000 * (c + 1);
         let stmts: Vec<String> = (0..8)
-            .map(|i| format!("INSERT ATOM state (sname = 'S{i}', pop = {i})"))
+            .map(|i| format!("INSERT ATOM state (sname = 'C{c}S{i}', pop = {base})"))
             .collect();
+        let select = format!("SELECT ALL FROM state WHERE state.pop = {base}");
         let mut all: Vec<&str> = stmts.iter().map(String::as_str).collect();
-        all.push("SELECT ALL FROM state");
+        all.push(&select);
         let results = client.execute_pipelined(&all).unwrap();
         assert_eq!(results.len(), 9);
         for r in &results[..8] {
             assert!(r.as_ref().unwrap().starts_with("inserted atom"));
         }
-        let select = results[8].as_ref().unwrap();
-        assert!(select.contains("9 molecule(s)"), "got: {select}");
+        let selected = results[8].as_ref().unwrap();
+        assert!(selected.contains("8 molecule(s)"), "got: {selected}");
         // a transaction spanning pipelined round-trips commits atomically
         let results = client
             .execute_pipelined(&[
                 "BEGIN",
-                "INSERT ATOM state (sname = 'TX', pop = 1)",
+                &format!("INSERT ATOM state (sname = 'C{c}TX', pop = 1)"),
                 "COMMIT",
             ])
             .unwrap();
         assert!(results.iter().all(Result::is_ok), "got: {results:?}");
-        assert_eq!(server.handle().committed().total_atoms(), 10);
-        server.shutdown();
+        // BEGIN/UPDATE/COMMIT groups, answered slot by slot in order
+        let groups: Vec<[String; 3]> = (1..=6)
+            .map(|g| {
+                [
+                    "BEGIN".to_owned(),
+                    format!("UPDATE state[sname='C{c}S0'] SET pop = {}", base + g),
+                    "COMMIT".to_owned(),
+                ]
+            })
+            .collect();
+        let last = format!("SELECT ALL FROM state WHERE state.pop = {}", base + 6);
+        let mut all: Vec<&str> = groups.iter().flatten().map(String::as_str).collect();
+        all.push(&last);
+        let results = client.execute_pipelined(&all).unwrap();
+        for (slot, r) in results.iter().enumerate() {
+            let text = r.as_ref().unwrap();
+            let expected = match slot % 3 {
+                _ if slot == groups.len() * 3 => "1 molecule(s)",
+                0 => "transaction started",
+                1 => "updated 1 atom(s)",
+                _ => "committed 1 operation(s)",
+            };
+            assert!(text.contains(expected), "slot {slot}: got {text}");
+        }
     }
 
     #[test]
     fn shutdown_drains_queued_statements_before_joining_workers() {
-        // single worker: a burst is guaranteed to sit queued while the
-        // first statements execute, so shutdown races a non-empty mailbox
-        let server = Server::serve_with(
-            geo_handle(),
-            "127.0.0.1:0",
-            ServerConfig {
+        for (loops, conns) in SPREADS {
+            // single worker: a burst is guaranteed to sit queued while the
+            // first statements execute, so shutdown races a non-empty
+            // mailbox on every loop
+            let config = ServerConfig {
                 workers: 1,
                 ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        const N: usize = 64;
-        for i in 0..N {
-            client
-                .send_statement(&format!("INSERT ATOM state (sname = 'D{i}', pop = {i})"))
-                .unwrap();
-        }
-        // wait until the server has parsed the whole burst — from then on
-        // the drain guarantee owes a response for every statement — then
-        // shut down while it is (at best partially) executed
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while server.requests_received() < N {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "burst never fully parsed: {} of {N}",
-                server.requests_received()
-            );
-            std::thread::yield_now();
-        }
-        let stopper = std::thread::spawn(move || server.shutdown());
-        // every queued statement must still be answered, in order, and
-        // only then may the connection close
-        for _ in 0..N {
-            let text = client.recv_result().unwrap();
-            assert!(text.starts_with("inserted atom"), "got: {text}");
-        }
-        // a ping sent now may still sneak into the teardown window and be
-        // answered (reads keep draining while stopping); the connection
-        // must close shortly regardless
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let err = loop {
-            match client.ping() {
-                Err(e) => break e,
-                Ok(()) => assert!(
-                    std::time::Instant::now() < deadline,
-                    "connection never closed after the drain"
-                ),
+            };
+            let (server, mut clients) = serve_spread(loops, conns, config);
+            const N: usize = 64;
+            for (c, client) in clients.iter_mut().enumerate() {
+                for i in 0..N {
+                    let stmt = format!("INSERT ATOM state (sname = 'D{c}_{i}', pop = {i})");
+                    client.send_statement(&stmt).unwrap();
+                }
             }
-        };
-        assert!(matches!(err, MadError::Io { .. }), "got {err:?}");
-        stopper.join().unwrap();
+            // wait until the server has parsed every burst — from then on
+            // the drain guarantee owes a response for every statement —
+            // then shut down while they are (at best partially) executed
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while server.requests_received() < N * conns {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "bursts never fully parsed: {} of {}",
+                    server.requests_received(),
+                    N * conns
+                );
+                std::thread::yield_now();
+            }
+            let stopper = std::thread::spawn(move || server.shutdown());
+            for client in &mut clients {
+                // every queued statement must still be answered, in order,
+                // and only then may the connection close
+                for _ in 0..N {
+                    let text = client.recv_result().unwrap();
+                    assert!(text.starts_with("inserted atom"), "got: {text}");
+                }
+                // a ping sent now may still sneak into the teardown window
+                // and be answered (reads keep draining while stopping); the
+                // connection must close shortly regardless
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                let err = loop {
+                    match client.ping() {
+                        Err(e) => break e,
+                        Ok(()) => assert!(
+                            std::time::Instant::now() < deadline,
+                            "connection never closed after the drain"
+                        ),
+                    }
+                };
+                assert!(matches!(err, MadError::Io { .. }), "got {err:?}");
+            }
+            stopper.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn kill_aborts_open_transactions_on_every_loop() {
+        for (loops, conns) in SPREADS {
+            let (server, mut clients) = serve_spread(loops, conns, ServerConfig::default());
+            let handle = server.handle().clone();
+            for (c, client) in clients.iter_mut().enumerate() {
+                client.execute("BEGIN").unwrap();
+                client
+                    .execute(&format!("INSERT ATOM state (sname = 'K{c}', pop = 1)"))
+                    .unwrap();
+            }
+            assert_eq!(gauge(server.obs(), "txn.active"), u64_of_usize(conns));
+            server.kill();
+            // every open transaction aborted exactly once: no registration
+            // is left, none was released twice, nothing committed…
+            assert_eq!(gauge(handle.obs(), "txn.active"), 0);
+            assert_eq!(handle.commit_log_len(), 0);
+            assert_eq!(handle.committed().total_atoms(), 1);
+            // …and the clients see their connections gone
+            for client in &mut clients {
+                assert!(client.execute("COMMIT").is_err());
+            }
+            // the handle is not wedged: a fresh server commits on it
+            let server =
+                Server::serve_loops(handle, "127.0.0.1:0", ServerConfig::default(), loops).unwrap();
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let insert = "INSERT ATOM state (sname = 'KX', pop = 1)";
+            let results = client
+                .execute_pipelined(&["BEGIN", insert, "COMMIT"])
+                .unwrap();
+            assert!(results.iter().all(Result::is_ok), "got {results:?}");
+            assert_eq!(server.handle().committed().total_atoms(), 2);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn lone_clients_run_inline_and_pipelined_bursts_hand_off() {
+        let server = Server::serve(geo_handle(), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        // a closed-loop client: each request arrives alone on an idle loop
+        for i in 0..20 {
+            client
+                .execute(&format!("SELECT ALL FROM state WHERE state.pop = {i}"))
+                .unwrap();
+            client.ping().unwrap();
+        }
+        assert_eq!(gauge(server.obs(), "net.inline"), 40);
+        assert_eq!(gauge(server.obs(), "net.handoff"), 0);
+        // a pipelined burst: whatever arrives together goes to a worker
+        let burst: Vec<String> = (0..32)
+            .map(|i| format!("INSERT ATOM state (sname = 'H{i}', pop = {i})"))
+            .collect();
+        let burst: Vec<&str> = burst.iter().map(String::as_str).collect();
+        let results = client.execute_pipelined(&burst).unwrap();
+        assert!(results.iter().all(Result::is_ok));
+        let inline = gauge(server.obs(), "net.inline");
+        let handoff = gauge(server.obs(), "net.handoff");
+        assert!(handoff > 0, "a pipelined burst never reached a worker");
+        // every received request ran exactly once, on one path or the other
+        assert_eq!(inline + handoff, u64_of_usize(server.requests_received()));
+        assert_eq!(inline + handoff, 40 + 32);
+        server.shutdown();
+    }
+
+    /// Open a raw connection and write the preamble and `stmts` with one
+    /// write, so the loop parses them as one coalesced burst; returns the
+    /// responses read until the server closes the connection.
+    fn coalesced_burst(addr: SocketAddr, stmts: &[&str]) -> Vec<Response> {
+        use crate::frame::{decode_response, encode_request, read_frame, write_frame, FrameIn};
+        use std::io::{BufReader, Write};
+        let mut bytes = MAGIC.to_vec();
+        for stmt in stmts {
+            let req = encode_request(&Request::Statement((*stmt).to_owned()));
+            write_frame(&mut bytes, &req).unwrap();
+        }
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&bytes).unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut responses = Vec::new();
+        while let FrameIn::Payload(payload) = read_frame(&mut reader).unwrap() {
+            responses.push(decode_response(&payload).unwrap());
+        }
+        responses
+    }
+
+    #[test]
+    fn a_panicking_statement_closes_only_its_connection() {
+        for (loops, conns) in SPREADS {
+            let (server, mut clients) = serve_spread(loops, conns, ServerConfig::default());
+            let handle = server.handle().clone();
+            let is_panic_reply =
+                |e: &MadError| matches!(e, MadError::Io { detail } if detail.contains("panicked"));
+            // inline: a lone request inside an open transaction on an idle
+            // loop panics on the loop itself
+            let mut victim = clients.remove(0);
+            victim.execute("BEGIN").unwrap();
+            victim
+                .execute("INSERT ATOM state (sname = 'P0', pop = 1)")
+                .unwrap();
+            let inline = gauge(server.obs(), "net.inline");
+            let err = victim.execute(PANICKING_STATEMENT).unwrap_err();
+            assert!(is_panic_reply(&err), "got {err:?}");
+            assert_eq!(gauge(server.obs(), "net.inline"), inline + 1);
+            // the connection is closed after the answered slot
+            assert!(victim.ping().is_err());
+            // handed off: a coalesced burst panics on a worker, after the
+            // slots before it are answered; the rest of the burst is dropped
+            let handoff = gauge(server.obs(), "net.handoff");
+            let replies = coalesced_burst(
+                server.local_addr(),
+                &[
+                    "BEGIN",
+                    "INSERT ATOM state (sname = 'P1', pop = 1)",
+                    PANICKING_STATEMENT,
+                    "COMMIT",
+                ],
+            );
+            assert_eq!(gauge(server.obs(), "net.handoff"), handoff + 4);
+            assert!(
+                matches!(replies[0], Response::Hello { .. }),
+                "got {replies:?}"
+            );
+            assert!(matches!(&replies[1], Response::Result(t) if t.contains("started")));
+            assert!(matches!(&replies[2], Response::Result(t) if t.starts_with("inserted")));
+            assert!(
+                matches!(&replies[3], Response::Error(e) if is_panic_reply(e)),
+                "got {replies:?}"
+            );
+            assert_eq!(replies.len(), 4, "got {replies:?}");
+            assert_eq!(gauge(server.obs(), "net.statement_panics"), 2);
+            // both open transactions aborted exactly once with their sessions
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while server.active_connections() > clients.len() {
+                assert!(
+                    Instant::now() < deadline,
+                    "a panicked connection never retired"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(gauge(server.obs(), "txn.active"), 0);
+            assert_eq!(handle.commit_log_len(), 0);
+            assert_eq!(handle.committed().total_atoms(), 1);
+            // every other connection, and new ones, keep being served
+            clients.push(Client::connect(server.local_addr()).unwrap());
+            for (c, client) in clients.iter_mut().enumerate() {
+                let text = client
+                    .execute(&format!("INSERT ATOM state (sname = 'Q{c}', pop = 2)"))
+                    .unwrap();
+                assert!(text.starts_with("inserted atom"), "got: {text}");
+            }
+            assert_eq!(handle.committed().total_atoms(), 1 + clients.len());
+            server.shutdown();
+        }
     }
 
     #[test]

@@ -49,9 +49,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# --workspace matters: the root manifest is both the workspace and the
-# `mad` facade package, so a bare `cargo build` here builds only the
-# facade — not the `madd`/`madc` binaries the scenario steps run.
+# --workspace names the scope: the root manifest is both the workspace
+# and the `mad` facade package. Its `default-members` list every member
+# too, so the bare tier-1 `cargo build`/`cargo test` cover the same
+# crates, including the `madd`/`madc` binaries the scenario steps run.
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -171,6 +171,31 @@ fn the_layer_table_lists_exactly_the_workspace_members() {
 }
 
 #[test]
+fn default_members_are_the_facade_and_every_member() {
+    let root = read("Cargo.toml");
+    let listed = |key: &str| -> Vec<String> {
+        let rest = root
+            .split(&format!("\n{key} = ["))
+            .nth(1)
+            .and_then(|rest| rest.split(']').next())
+            .unwrap_or_else(|| panic!("the root manifest has no `{key}` list"));
+        rest.split(',')
+            .filter_map(quoted)
+            .map(str::to_string)
+            .collect()
+    };
+    let expected: Vec<String> = std::iter::once(".".to_string())
+        .chain(listed("members"))
+        .collect();
+    assert_eq!(
+        listed("default-members"),
+        expected,
+        "`default-members` must list the facade and every member, so the \
+         plain `cargo test` runs every crate's tests"
+    );
+}
+
+#[test]
 fn every_member_inherits_the_workspace_lints() {
     let root = read("Cargo.toml");
     assert!(
