@@ -150,7 +150,7 @@ fn main() {
                     (path, handle)
                 },
                 |(path, handle)| {
-                    let before = handle.wal_fsync_count().unwrap();
+                    let before = handle.wal().unwrap().fsync_count();
                     std::thread::scope(|scope| {
                         for w in 0..writers {
                             let handle = handle.clone();
@@ -161,7 +161,7 @@ fn main() {
                             });
                         }
                     });
-                    fsyncs.push(handle.wal_fsync_count().unwrap() - before);
+                    fsyncs.push(handle.wal().unwrap().fsync_count() - before);
                     drop(handle);
                     std::fs::remove_file(&path).ok();
                     Ok::<_, MadError>(())

@@ -22,6 +22,7 @@ use std::sync::{
     Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard,
     RwLockWriteGuard,
 };
+use std::time::Duration;
 
 /// One row of the lock hierarchy. The constants below are the only
 /// ranks; `tests/lock_ranks.rs` holds ARCHITECTURE.md's table to them.
@@ -149,6 +150,14 @@ impl<'a, T> RankedGuard<MutexGuard<'a, T>> {
     pub fn wait(self, cv: &Condvar) -> LockResult<Self> {
         let RankedGuard { guard, held } = self;
         wrap(cv.wait(guard), held)
+    }
+
+    /// [`Condvar::wait_timeout`] on this guard's mutex. Whether it timed
+    /// out is dropped: callers re-check their condition.
+    pub fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> LockResult<Self> {
+        let RankedGuard { guard, held } = self;
+        let waited = cv.wait_timeout(guard, timeout);
+        wrap(waited.map(|(g, _)| g).map_err(|p| PoisonError::new(p.into_inner().0)), held)
     }
 }
 

@@ -47,8 +47,8 @@ pub enum StageKind {
     /// Waiting for the replication ack quorum.
     ReplWait,
     /// Waiting for the commit ticket, then the publication under it:
-    /// conflict-log append, image swap, feed push (`wait_ns` and
-    /// `rebased` in the info).
+    /// conflict-log append and image swap (`wait_ns` and `rebased` in
+    /// the info).
     Publish,
     /// Encoding the result for the client: text rendering or the binary
     /// encoding (`bytes` in the info for text).

@@ -10,11 +10,11 @@
 //!   connections: what a standby receives **is** what it appends to its
 //!   own log, so the byte format and the integrity discipline are the
 //!   WAL's, not a second spec.
-//! * [`ReplPrimary`] ([`primary`]) — the primary's listener. Each standby
-//!   gets a catch-up phase (logged commits after its cursor, or one full
-//!   bootstrap snapshot when a checkpoint folded those away) spliced
-//!   gap-free onto the live commit feed, which `mad_txn` pushes under the
-//!   publication lock — stream order *is* commit order. Standby
+//! * [`ReplPrimary`] ([`primary`]) — the primary's listener. Each
+//!   standby's sender tails the primary's own WAL with a
+//!   [`mad_wal::WalCursor`] from the standby's cursor on, after a
+//!   bootstrap snapshot when the standby is fresh or a checkpoint folded
+//!   its records away: one loop, one source, in commit order. Standby
 //!   acknowledgments flow back into the handle's quorum accounting,
 //!   giving [`mad_txn::ReplAck::SyncQuorum`] commits their semantics: the
 //!   client's `COMMIT` returns only once `n` standbys hold the record
@@ -40,10 +40,10 @@
 //! ## Replication invariants
 //!
 //! 1. **Gap-free prefix** — a standby's state is always the primary's
-//!    commit history up to its cursor: exact, in order, no holes.
-//!    Catch-up and live feed are spliced under subscription-before-read;
-//!    duplicates are skipped by sequence; a sequence gap on the wire
-//!    forces a resync instead of an apply.
+//!    commit history up to its cursor: exact, in order, no holes. The
+//!    primary ships its log in log order from the standby's cursor; the
+//!    standby skips duplicate deliveries by sequence, and a sequence gap
+//!    on the wire forces a resync instead of an apply.
 //! 2. **Ack = standby durability** — a standby acknowledges a sequence
 //!    only after its *own* log holds the record per its fsync policy, so
 //!    a quorum-acked commit survives the primary's disk dying.

@@ -1,16 +1,16 @@
-//! The primary's replication front-end: accept standbys, bring each one
-//! to the current commit, then stream live commits.
+//! The primary's replication front-end: accept standbys and stream each
+//! one the primary's write-ahead log from its cursor on.
 
 use crate::proto::{recv_msg, send_msg, ReplMsg, REPL_MAGIC, REPL_PROTOCOL_VERSION};
 use mad_model::{MadError, Result};
 use mad_storage::DatabaseSnapshot;
-use mad_txn::{DbHandle, TailRead};
-use mad_wal::WalRecord;
+use mad_txn::DbHandle;
+use mad_wal::{TailRead, Wal, WalCursor, WalRecord};
 use std::collections::HashMap;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -18,25 +18,18 @@ use std::time::Duration;
 /// handle's registry. Only a [`Weak`] of the shared state is captured, so
 /// a shut-down primary's rows disappear at the next snapshot.
 fn register_primary_gauges(shared: &Arc<Shared>) {
-    let obs = shared.handle.obs().clone();
-    {
+    let gauge = |name: &str, read: fn(&Shared) -> u64| {
         let w: Weak<Shared> = Arc::downgrade(shared);
-        obs.gauge("repl.primary.attached", move || {
-            w.upgrade()
-                .map(|s| mad_model::bin::u64_of_usize(s.attached.load(Ordering::SeqCst)))
-        });
-    }
-    {
-        let w: Weak<Shared> = Arc::downgrade(shared);
-        obs.gauge("repl.primary.streamed", move || {
-            w.upgrade().map(|s| s.streamed.load(Ordering::SeqCst))
-        });
-    }
+        shared.handle.obs().gauge(name, move || w.upgrade().map(|s| read(&s)));
+    };
+    gauge("repl.primary.attached", |s| mad_model::bin::u64_of_usize(s.shipped().len()));
+    gauge("repl.primary.streamed", |s| s.streamed.load(Ordering::SeqCst));
+    gauge("repl.primary.lag_bytes", Shared::lag_bytes);
 }
 
-/// How long the live-stream sender waits on the commit feed before
-/// re-checking the stop flag.
-const FEED_POLL: Duration = Duration::from_millis(50);
+/// How long a caught-up sender waits for the log to grow before
+/// re-checking the stop flag and its standby's ack reader.
+const STOP_CHECK: Duration = Duration::from_millis(50);
 
 #[derive(Debug)]
 struct Shared {
@@ -45,24 +38,45 @@ struct Shared {
     /// Open standby connections by id, so shutdown can unblock them.
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
-    /// Standbys currently past the handshake (monitoring/tests).
-    attached: AtomicUsize,
+    /// The log position each attached standby (past the handshake) has
+    /// been sent up to, by connection id.
+    shipped: Mutex<HashMap<u64, Arc<AtomicU64>>>,
     /// Records streamed over all connections since start.
     streamed: AtomicU64,
 }
 
+impl Shared {
+    /// The attached standbys' shipped positions. Each update is one insert
+    /// or remove, so a poisoned map is still whole.
+    fn shipped(&self) -> MutexGuard<'_, HashMap<u64, Arc<AtomicU64>>> {
+        self.shipped.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appended log bytes the slowest attached standby has not been sent
+    /// yet (0 with none attached). The positions are read first and the
+    /// log's `files` lock taken after, never nested.
+    fn lag_bytes(&self) -> u64 {
+        let slowest = self.shipped().values().map(|p| p.load(Ordering::SeqCst)).min();
+        match (slowest, self.handle.wal()) {
+            (Some(pos), Some(wal)) => wal.appended_pos().saturating_sub(pos),
+            _ => 0,
+        }
+    }
+}
+
 /// The replication listener of a durable primary.
 ///
-/// Each accepted standby is served by its own sender thread: it
-/// subscribes to the handle's commit feed **before** reading the
-/// catch-up state, so the union of (catch-up records, live feed) covers
-/// every commit with no gap — duplicates across the seam are filtered by
-/// sequence number. Catch-up is either the logged commits after the
-/// standby's cursor ([`DbHandle::wal_tail_commits`]) or, when the cursor
-/// predates the log's checkpoint horizon (or the standby is fresh), one
-/// full bootstrap snapshot. A paired reader thread consumes the
-/// standby's [`ReplMsg::Ack`]s into [`DbHandle::standby_ack`], the
-/// currency of [`mad_txn::ReplAck::SyncQuorum`] commit waits.
+/// Each accepted standby is served by its own sender thread with one
+/// source, the primary's write-ahead log: a [`WalCursor`] starts after the
+/// standby's cursor and the sender loops tail batch → ship → wait for
+/// more. A fresh standby, or one whose cursor a checkpoint folded into
+/// the bootstrap image, first gets one full bootstrap snapshot and is
+/// tailed from its sequence on. The log holds every commit once, in
+/// order, so the stream is gap-free by construction, and a stalled
+/// standby costs the primary one tail batch, not a queue. A paired reader
+/// thread consumes the standby's [`ReplMsg::Ack`]s into
+/// [`DbHandle::standby_ack`], the currency of
+/// [`mad_txn::ReplAck::SyncQuorum`] commit waits.
 ///
 /// [`ReplPrimary::shutdown`] stops the listener, closes every stream and
 /// seals the handle's replication state so quorum waiters error instead
@@ -96,7 +110,7 @@ impl ReplPrimary {
             stopping: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
-            attached: AtomicUsize::new(0),
+            shipped: Mutex::new(HashMap::new()),
             streamed: AtomicU64::new(0),
         });
         register_primary_gauges(&shared);
@@ -121,7 +135,7 @@ impl ReplPrimary {
 
     /// Standbys currently attached (past the handshake).
     pub fn standby_count(&self) -> usize {
-        self.shared.attached.load(Ordering::SeqCst)
+        self.shared.shipped().len()
     }
 
     /// Records streamed to standbys since start (catch-up + live).
@@ -180,7 +194,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, threads: Arc<Mutex<Ve
         }
         let shared2 = Arc::clone(&shared);
         let t = std::thread::spawn(move || {
-            let _ = serve_standby(&shared2, stream);
+            let _ = serve_standby(&shared2, stream, id);
             shared2.conns.lock().unwrap().remove(&id);
         });
         threads.lock().unwrap().push(t);
@@ -188,7 +202,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, threads: Arc<Mutex<Ve
 }
 
 /// Serve one standby connection to completion (disconnect or shutdown).
-fn serve_standby(shared: &Shared, stream: TcpStream) -> Result<()> {
+fn serve_standby(shared: &Shared, stream: TcpStream, id: u64) -> Result<()> {
     let mut writer = stream
         .try_clone()
         .map_err(|e| MadError::io(format!("clone replication stream: {e}")))?;
@@ -218,27 +232,8 @@ fn serve_standby(shared: &Shared, stream: TcpStream) -> Result<()> {
         None => return Ok(()),
     };
 
-    // subscribe BEFORE reading the catch-up state: every commit is then
-    // either in the log/snapshot we read next or in the feed — no gap
-    let feed = shared.handle.subscribe_commits();
-    let token = shared.handle.register_standby();
-    shared.attached.fetch_add(1, Ordering::SeqCst);
-    let result = stream_to_standby(shared, &mut writer, reader, have, &feed, token);
-    shared.handle.standby_gone(token);
-    shared.attached.fetch_sub(1, Ordering::SeqCst);
-    result
-}
-
-fn stream_to_standby(
-    shared: &Shared,
-    writer: &mut TcpStream,
-    reader: BufReader<TcpStream>,
-    have: Option<u64>,
-    feed: &std::sync::mpsc::Receiver<mad_txn::FeedCommit>,
-    token: u64,
-) -> Result<()> {
     send_msg(
-        writer,
+        &mut writer,
         &ReplMsg::PrimaryHello {
             protocol: REPL_PROTOCOL_VERSION,
             last_seq: shared.handle.commit_seq(),
@@ -247,6 +242,7 @@ fn stream_to_standby(
 
     // ack reader: standby acks flow into quorum accounting until the
     // connection dies (its exit also signals the sender loop to stop)
+    let token = shared.handle.register_standby();
     let reader_done = Arc::new(AtomicBool::new(false));
     let ack_thread = {
         let handle = shared.handle.clone();
@@ -262,93 +258,60 @@ fn stream_to_standby(
         })
     };
 
-    let sent = catch_up(shared, writer, have);
-    let mut last_sent = match &sent {
-        Ok(seq) => *seq,
-        Err(_) => 0,
+    let shipped = Arc::new(AtomicU64::new(0));
+    shared.shipped().insert(id, Arc::clone(&shipped));
+    let sent = match shared.handle.wal() {
+        Some(wal) => ship_log(shared, wal, &mut writer, have, &shipped, &reader_done),
+        None => Err(MadError::wal("replication requires a durable primary")),
     };
-    // live stream: forward feed commits the catch-up did not already cover
-    let live = sent.and_then(|_| loop {
-        if shared.stopping.load(Ordering::SeqCst) || reader_done.load(Ordering::SeqCst) {
-            break Ok(());
-        }
-        match feed.recv_timeout(FEED_POLL) {
-            Ok(commit) => {
-                if commit.seq <= last_sent {
-                    continue; // already covered by catch-up
-                }
-                // the publisher pushes the feed under its commit ticket, in
-                // publication order — so past the catch-up seam every commit
-                // is the exact successor. A gap here means the handle
-                // published out of order; streaming it would hand the
-                // standby a hole it can never fill, so fail the connection
-                // loudly instead.
-                if commit.seq != last_sent + 1 {
-                    debug_assert_eq!(
-                        commit.seq,
-                        last_sent + 1,
-                        "commit feed must be gap-free in publication order"
-                    );
-                    return Err(MadError::wal(format!(
-                        "commit feed gap on the live stream: expected sequence {}, got {}",
-                        last_sent + 1,
-                        commit.seq
-                    )));
-                }
-                send_msg(
-                    writer,
-                    &ReplMsg::Record(WalRecord::Commit {
-                        seq: commit.seq,
-                        ops: commit.ops,
-                    }),
-                )?;
-                shared.streamed.fetch_add(1, Ordering::SeqCst);
-                last_sent = commit.seq;
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break Ok(()),
-        }
-    });
+    shared.shipped().remove(&id);
     // unblock and collect the ack reader
     let _ = writer.shutdown(std::net::Shutdown::Both);
     let _ = ack_thread.join();
-    live
+    shared.handle.standby_gone(token);
+    sent
 }
 
-/// Bring the standby to the primary's current commit; returns the last
-/// sequence covered (everything later comes from the live feed).
-fn catch_up(shared: &Shared, writer: &mut TcpStream, have: Option<u64>) -> Result<u64> {
-    let tail = match have {
-        Some(cursor) => shared.handle.wal_tail_commits(cursor)?.expect(
-            "ReplPrimary::start checked the handle is durable",
-        ),
-        None => TailRead::SnapshotNeeded { base_seq: 0 },
+/// The sender loop: tail a batch of the log from the standby's cursor,
+/// ship it, and wait for the log to grow once caught up. A standby with
+/// no cursor, or one the log's bootstrap image is past, gets a bootstrap
+/// snapshot first.
+fn ship_log(
+    shared: &Shared,
+    wal: &Wal,
+    writer: &mut TcpStream,
+    have: Option<u64>,
+    shipped: &AtomicU64,
+    reader_done: &AtomicBool,
+) -> Result<()> {
+    let mut cursor = match have {
+        Some(seq) => WalCursor::after(seq),
+        None => bootstrap(shared, writer)?,
     };
-    match tail {
-        TailRead::Commits(records) => {
-            let mut last = have.unwrap_or(0);
-            for (seq, ops) in records {
-                send_msg(writer, &ReplMsg::Record(WalRecord::Commit { seq, ops }))?;
-                shared.streamed.fetch_add(1, Ordering::SeqCst);
-                last = seq;
+    while !shared.stopping.load(Ordering::SeqCst) && !reader_done.load(Ordering::SeqCst) {
+        match wal.tail(&mut cursor)? {
+            TailRead::SnapshotNeeded { .. } => cursor = bootstrap(shared, writer)?,
+            TailRead::Commits(batch) if batch.is_empty() => {
+                wal.wait_appended(&cursor, STOP_CHECK);
             }
-            Ok(last)
+            TailRead::Commits(batch) => {
+                for (seq, ops) in batch {
+                    send_msg(writer, &ReplMsg::Record(WalRecord::Commit { seq, ops }))?;
+                    shared.streamed.fetch_add(1, Ordering::SeqCst);
+                }
+            }
         }
-        TailRead::SnapshotNeeded { .. } => {
-            // the log cannot replay the standby's cursor forward (fresh
-            // standby, or a checkpoint folded those records away): ship a
-            // full image of the current committed state
-            let (db, seq) = shared.handle.fork();
-            let snapshot = Box::new(DatabaseSnapshot::capture(&db));
-            send_msg(
-                writer,
-                &ReplMsg::Record(WalRecord::Bootstrap {
-                    base_seq: seq,
-                    snapshot,
-                }),
-            )?;
-            shared.streamed.fetch_add(1, Ordering::SeqCst);
-            Ok(seq)
-        }
+        shipped.store(cursor.pos(), Ordering::SeqCst);
     }
+    Ok(())
+}
+
+/// Ship a full image of the committed state; the log is tailed from its
+/// sequence on.
+fn bootstrap(shared: &Shared, writer: &mut TcpStream) -> Result<WalCursor> {
+    let (db, base_seq) = shared.handle.fork();
+    let snapshot = Box::new(DatabaseSnapshot::capture(&db));
+    send_msg(writer, &ReplMsg::Record(WalRecord::Bootstrap { base_seq, snapshot }))?;
+    shared.streamed.fetch_add(1, Ordering::SeqCst);
+    Ok(WalCursor::after(base_seq))
 }

@@ -1,10 +1,15 @@
 //! End-to-end replication tests: stream, catch-up, quorum, promotion,
-//! resync across a checkpoint horizon.
+//! resync across a checkpoint horizon, streaming across rotations and
+//! checkpoints, and a standby that stops reading.
 
-use mad_model::{AttrType, SchemaBuilder, Value};
-use mad_repl::{ReplAck, ReplPrimary, Standby, StandbyConfig};
+use mad_model::{AtomId, AttrType, SchemaBuilder, Value};
+use mad_repl::proto::send_msg;
+use mad_repl::{ReplAck, ReplMsg, ReplPrimary, Standby, StandbyConfig};
+use mad_repl::{REPL_MAGIC, REPL_PROTOCOL_VERSION};
 use mad_storage::{Database, DatabaseSnapshot};
 use mad_txn::{DbHandle, FsyncPolicy, Transaction};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -33,6 +38,26 @@ fn commit_item(handle: &DbHandle, label: &str, rank: i64) {
 
 fn image(handle: &DbHandle) -> String {
     DatabaseSnapshot::capture(&handle.committed()).to_json_string()
+}
+
+/// One `u64` metric of `registry`'s snapshot.
+fn metric(registry: &mad_obs::Registry, name: &str) -> u64 {
+    let snap = registry.snapshot(Some(name));
+    snap.iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("{name} missing from {snap:?}"))
+        .1
+        .as_u64()
+        .unwrap()
+}
+
+/// Poll `registry` until `name` reads `want`.
+fn await_metric(registry: &mad_obs::Registry, name: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metric(registry, name) != want {
+        assert!(Instant::now() < deadline, "{name} never reached {want}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Spin until the standby's published sequence reaches `seq`.
@@ -123,6 +148,8 @@ fn replication_metrics_report_cursor_lag_and_halt_state() {
         assert!(Instant::now() < deadline, "lag never drained: {snap:?}");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // and in log bytes: the sender has shipped everything appended
+    await_metric(primary.obs(), "repl.primary.lag_bytes", 0);
 
     // standby side: its serving handle's registry reports the replication
     // cursor, apply counters, and a live halt_reason text row
@@ -151,6 +178,9 @@ fn replication_metrics_report_cursor_lag_and_halt_state() {
         assert!(Instant::now() < deadline, "standby rows never cleared: {snap:?}");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // with nobody attached there is no lag to report
+    commit_item(&primary, "c", 3);
+    assert_eq!(metric(primary.obs(), "repl.primary.lag_bytes"), 0);
     repl.shutdown();
 }
 
@@ -375,5 +405,143 @@ fn two_standbys_replicate_independently() {
     assert_eq!(image(&s1.handle()), image(&primary));
     assert_eq!(image(&s2.handle()), image(&primary));
     assert_eq!(repl.standby_count(), 2);
+    repl.shutdown();
+}
+
+#[test]
+fn a_standby_streams_across_segment_rotations() {
+    let dir = tmpdir("rotate");
+    let primary =
+        DbHandle::create_durable(small_db(), dir.join("primary.wal"), FsyncPolicy::Group).unwrap();
+    let wal = primary.wal().unwrap();
+    // a few commits per segment
+    wal.set_max_segment_bytes(256);
+    let mut repl = ReplPrimary::start(primary.clone(), "127.0.0.1:0").unwrap();
+    let standby = Standby::start(StandbyConfig::new(
+        repl.local_addr().to_string(),
+        dir.join("standby.wal"),
+        FsyncPolicy::Group,
+    ))
+    .unwrap();
+    for i in 1..=40 {
+        commit_item(&primary, &format!("r{i}"), i);
+    }
+    assert!(wal.segment_count() >= 4, "only {} segments", wal.segment_count());
+    await_seq(&standby, 40);
+    assert_eq!(image(&standby.handle()), image(&primary));
+    assert_eq!((standby.records_applied(), standby.reconnects()), (40, 0));
+    repl.shutdown();
+}
+
+#[test]
+fn a_caught_up_standby_streams_through_checkpoints_without_a_bootstrap() {
+    let dir = tmpdir("through-ckpt");
+    let primary =
+        DbHandle::create_durable(small_db(), dir.join("primary.wal"), FsyncPolicy::Group).unwrap();
+    commit_item(&primary, "a", 1);
+    let mut repl = ReplPrimary::start(primary.clone(), "127.0.0.1:0").unwrap();
+    let standby = Standby::start(StandbyConfig::new(
+        repl.local_addr().to_string(),
+        dir.join("standby.wal"),
+        FsyncPolicy::Group,
+    ))
+    .unwrap();
+    for i in 2..=5 {
+        commit_item(&primary, &format!("b{i}"), i);
+    }
+    await_seq(&standby, 5);
+    primary.checkpoint().unwrap();
+    for i in 6..=10 {
+        commit_item(&primary, &format!("c{i}"), i);
+    }
+    await_seq(&standby, 10);
+    // commits the sender may not have read yet when the checkpoint folds
+    // them: it finishes the segment it holds open instead of
+    // re-bootstrapping
+    for i in 11..=20 {
+        commit_item(&primary, &format!("d{i}"), i);
+    }
+    primary.checkpoint().unwrap();
+    for i in 21..=25 {
+        commit_item(&primary, &format!("e{i}"), i);
+    }
+    await_seq(&standby, 25);
+    assert_eq!(image(&standby.handle()), image(&primary));
+    // a second Bootstrap would have replaced applied commits with an
+    // image: every commit after the first image was applied one by one
+    let obs = standby.handle().obs().clone();
+    assert_eq!(metric(&obs, "repl.standby.records_applied"), 24);
+    assert_eq!(metric(&obs, "repl.standby.reconnects"), 0);
+    repl.shutdown();
+}
+
+#[test]
+fn a_stalled_standby_holds_up_neither_commits_nor_primary_memory() {
+    const COMMITS: u64 = 10_000;
+    let dir = tmpdir("stalled");
+    let primary =
+        DbHandle::create_durable(small_db(), dir.join("primary.wal"), FsyncPolicy::Never).unwrap();
+    let mut repl = ReplPrimary::start(primary.clone(), "127.0.0.1:0").unwrap();
+    let wal = primary.wal().unwrap();
+    let config = StandbyConfig::new(
+        repl.local_addr().to_string(),
+        dir.join("standby.wal"),
+        FsyncPolicy::Never,
+    );
+    drop(Standby::start(config.clone()).unwrap()); // a local log at sequence 0
+    let streamed_before = repl.records_streamed();
+
+    // a peer that completes the handshake from cursor 0, then never reads
+    let mut peer = TcpStream::connect(repl.local_addr()).unwrap();
+    peer.write_all(REPL_MAGIC).unwrap();
+    let hello = ReplMsg::StandbyHello { protocol: REPL_PROTOCOL_VERSION, have: Some(0) };
+    send_msg(&mut peer, &hello).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while repl.standby_count() == 0 {
+        assert!(Instant::now() < deadline, "the peer never attached");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // 10 MB of Async commits, well past what loopback socket buffers hold
+    // for a peer that does not read: every one completes. Each rewrites
+    // one item's 1 KB label, so the image stays small.
+    commit_item(&primary, "item", 0);
+    let item = AtomId::new(primary.committed().schema().atom_type_id("item").unwrap(), 0);
+    let pad = "x".repeat(1000);
+    let before = wal.appended_pos();
+    for i in 1..COMMITS {
+        let mut t = Transaction::begin(&primary);
+        t.update_attr(item, 0, Value::from(format!("{pad}{i:05}"))).unwrap();
+        t.commit().unwrap();
+    }
+    assert_eq!(primary.commit_seq(), COMMITS);
+    let frame = (wal.appended_pos() - before) / (COMMITS - 1);
+
+    // the sender stalls on the socket instead of queueing the backlog
+    let mut streamed = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = repl.records_streamed() - streamed_before;
+        if now == streamed {
+            break;
+        }
+        streamed = now;
+    }
+    assert!(streamed < COMMITS, "all {streamed} records fit into socket buffers");
+    // what it has not streamed is lag in the log, and what it has read
+    // but not finished shipping is at most one tail batch
+    let lag = metric(primary.obs(), "repl.primary.lag_bytes");
+    let unsent = (COMMITS - streamed) * frame;
+    assert!(lag >= unsent, "lag {lag} B < {unsent} B never streamed");
+    assert!(
+        lag <= unsent + mad_wal::TAIL_BATCH_BYTES,
+        "lag {lag} B: the sender read more than one batch past {unsent} B"
+    );
+
+    // a real standby converges, stalled peer or not
+    let standby = Standby::start(config).unwrap();
+    await_seq(&standby, COMMITS);
+    assert_eq!(image(&standby.handle()), image(&primary));
+    drop(peer);
     repl.shutdown();
 }

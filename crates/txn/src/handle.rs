@@ -9,10 +9,11 @@
 //!
 //! * the **ticket** orders everything that must agree on commit order:
 //!   sequence assignment, first-committer-wins validation, the buffered
-//!   WAL append, the publication and the replication feed push. A commit
-//!   whose begin image is no longer the committed one rebases (replays
-//!   its op log) *while holding the ticket* — nobody can publish
-//!   underneath it, so a commit replays at most once.
+//!   WAL append and the publication. A commit whose begin image is no
+//!   longer the committed one rebases (replays its op log) *while holding
+//!   the ticket* — nobody can publish underneath it, so a commit replays
+//!   at most once. Replication reads the WAL on its own
+//!   ([`mad_wal::Wal::tail`]); nothing is pushed under the ticket.
 //! * the **published** image is an `RwLock` whose write guard lives for
 //!   one assignment. Readers ([`DbHandle::committed`] / [`DbHandle::fork`])
 //!   and `begin` take only it; they never wait on the ticket.
@@ -35,12 +36,12 @@ use mad_obs::rank::{self, RankedMutex, RankedRwLock};
 use mad_obs::trace::{self, StageKind, StageTimer};
 use mad_obs::{Counter, Registry};
 use mad_storage::Database;
-use mad_wal::{CheckpointStats, FaultPlan, FsyncPolicy, Lsn, RecoveryInfo, TailRead, Wal, WalOp};
+use mad_wal::{CheckpointStats, FsyncPolicy, Lsn, RecoveryInfo, Wal, WalOp};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
 /// A poisoned handle lock means a panic escaped another thread while the
@@ -98,16 +99,6 @@ pub enum ReplAck {
     SyncQuorum(usize),
 }
 
-/// One commit as seen by a replication subscriber: the sequence number
-/// and the resolved op log exactly as written to the primary's WAL.
-#[derive(Clone, Debug)]
-pub struct FeedCommit {
-    /// The commit sequence number.
-    pub seq: u64,
-    /// The resolved op log (provisional ids already remapped).
-    pub ops: Vec<WalOp>,
-}
-
 /// Size/record-count triggers for automatic [`DbHandle::checkpoint`]s, so
 /// the log — and with it recovery time and replication-bootstrap images —
 /// stays bounded without anyone typing `CHECKPOINT`. Both triggers unset
@@ -140,21 +131,6 @@ struct ReplState {
     sealed: bool,
 }
 
-/// The commit **ticket**: whoever holds it is the one committer. Holding
-/// it validates, rebases if the begin image went stale, assigns the next
-/// commit sequence, orders the WAL append, swaps the published image and
-/// pushes the feed. It is never held across an fsync, a replication wait
-/// or pruning.
-#[derive(Debug)]
-struct TicketState {
-    /// Monotone commit sequence number (0 = the initial load).
-    seq: u64,
-    /// Live replication subscribers. Commits are pushed here under the
-    /// ticket, so feed order **is** commit order; a subscriber whose
-    /// receiver is gone is dropped on the next push.
-    feeds: Vec<mpsc::Sender<FeedCommit>>,
-}
-
 /// The committed image plus the sequence it was published at. Cloned out
 /// under the `published` read lock on every read, so the `(db, seq)` pair
 /// is always consistent.
@@ -181,8 +157,12 @@ struct ConflictLog {
 
 #[derive(Debug)]
 struct Inner {
-    /// The commit ticket (see [`TicketState`]).
-    ticket: RankedMutex<TicketState>,
+    /// The commit **ticket**, guarding the last commit sequence (0 = the
+    /// initial load). Whoever holds it is the one committer: it validates,
+    /// rebases if the begin image went stale, assigns the next sequence,
+    /// orders the WAL append and swaps the published image. It is never
+    /// held across an fsync, a replication wait or pruning.
+    ticket: RankedMutex<u64>,
     /// Active transactions: begin sequence → how many began there.
     active: RankedMutex<BTreeMap<u64, usize>>,
     /// See [`ConflictLog`]. Pruned off the commit path — see
@@ -193,7 +173,6 @@ struct Inner {
     published: RankedRwLock<PublishedImage>,
     /// The write-ahead log, when the handle is durable.
     wal: Option<Wal>,
-    durability: Durability,
     /// What recovery found, when this handle was opened from a log.
     recovery: Option<RecoveryInfo>,
     /// A standby's serving handle: writes are refused at publication (the
@@ -275,7 +254,7 @@ impl DbHandle {
     /// Wrap a loaded database as commit 0 of a shared, **non-durable**
     /// handle.
     pub fn new(db: Database) -> Self {
-        Self::build(db, 0, None, Durability::None, None, false)
+        Self::build(db, 0, None, None, false)
     }
 
     /// Wrap `db` — replicated state at commit sequence `seq` — as a
@@ -286,7 +265,7 @@ impl DbHandle {
     /// durability of the replicated stream is the replayer's own local
     /// WAL, not this handle's.
     pub fn new_read_only(db: Database, seq: u64) -> Self {
-        Self::build(db, seq, None, Durability::None, None, true)
+        Self::build(db, seq, None, None, true)
     }
 
     /// Wrap `db` as the bootstrap image of a **new** write-ahead log at
@@ -297,25 +276,16 @@ impl DbHandle {
         path: impl AsRef<Path>,
         fsync: FsyncPolicy,
     ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let wal = Wal::create(&path, &db, fsync)?;
-        Ok(Self::build(db, 0, Some(wal), Durability::Wal { path, fsync }, None, false))
+        let wal = Wal::create(path, &db, fsync)?;
+        Ok(Self::build(db, 0, Some(wal), None, false))
     }
 
     /// Recover the committed state from the write-ahead log at `path`
     /// (error if it does not exist): torn tail truncated, bootstrap image
     /// restored, every complete commit record replayed.
     pub fn open_durable(path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let (wal, db, info) = Wal::recover(&path, fsync)?;
-        Ok(Self::build(
-            db,
-            info.last_seq,
-            Some(wal),
-            Durability::Wal { path, fsync },
-            Some(info),
-            false,
-        ))
+        let (wal, db, info) = Wal::recover(path, fsync)?;
+        Ok(Self::build(db, info.last_seq, Some(wal), Some(info), false))
     }
 
     /// The `Durability` knob as one constructor: [`Durability::None`]
@@ -340,7 +310,6 @@ impl DbHandle {
         db: Database,
         seq: u64,
         wal: Option<Wal>,
-        durability: Durability,
         recovery: Option<RecoveryInfo>,
         read_only: bool,
     ) -> Self {
@@ -352,7 +321,7 @@ impl DbHandle {
         };
         let handle = DbHandle {
             inner: Arc::new(Inner {
-                ticket: RankedMutex::new(rank::TICKET, TicketState { seq, feeds: Vec::new() }),
+                ticket: RankedMutex::new(rank::TICKET, seq),
                 active: RankedMutex::new(rank::ACTIVE, BTreeMap::new()),
                 conflict_log: RankedMutex::new(rank::CONFLICT_LOG, ConflictLog::default()),
                 published: RankedRwLock::new(
@@ -360,7 +329,6 @@ impl DbHandle {
                     PublishedImage { db: Arc::new(db), seq },
                 ),
                 wal,
-                durability,
                 recovery,
                 read_only,
                 repl: RankedMutex::new(rank::REPL, ReplState::default()),
@@ -526,11 +494,6 @@ impl DbHandle {
         &self.inner.obs
     }
 
-    /// How this handle persists commits.
-    pub fn durability(&self) -> &Durability {
-        &self.inner.durability
-    }
-
     /// Does this handle refuse writes (a standby's serving handle)?
     pub fn is_read_only(&self) -> bool {
         self.inner.read_only
@@ -562,32 +525,12 @@ impl DbHandle {
         self.inner.repl.lock().unwrap().mode
     }
 
-    /// Subscribe to the commit feed: every commit published from now on
-    /// is delivered as a [`FeedCommit`], in exact commit order (the push
-    /// happens under the commit ticket, which is what orders
-    /// publication). Only durable handles feed subscribers — the stream
-    /// *is* the WAL record stream — so a subscription on a non-durable
-    /// handle never receives anything. Dropping the receiver
-    /// unsubscribes on the next push.
-    pub fn subscribe_commits(&self) -> mpsc::Receiver<FeedCommit> {
-        let (tx, rx) = mpsc::channel();
-        #[expect(
-            clippy::unwrap_used,
-            reason = "infallible signature; poison means a panic already escaped mid-update and propagating it is the honest outcome"
-        )]
-        self.inner.ticket.lock().unwrap().feeds.push(tx);
-        rx
-    }
-
-    /// Read committed records newer than `from_seq` back out of the WAL
-    /// — the replication catch-up source (`None` on non-durable handles).
-    /// [`TailRead::SnapshotNeeded`] means a checkpoint folded the
-    /// requested records away and the subscriber needs a full snapshot.
-    pub fn wal_tail_commits(&self, from_seq: u64) -> Result<Option<TailRead>> {
-        match &self.inner.wal {
-            Some(wal) => wal.tail_commits(from_seq).map(Some),
-            None => Ok(None),
-        }
+    /// The write-ahead log (`None` on non-durable handles): replication
+    /// tails it with a [`mad_wal::WalCursor`], and its stats and fault
+    /// plan live there. Commits append to it under the ticket; nothing
+    /// else may.
+    pub fn wal(&self) -> Option<&Wal> {
+        self.inner.wal.as_ref()
     }
 
     /// Register a standby for quorum accounting; returns its token.
@@ -681,13 +624,13 @@ impl DbHandle {
             ));
         }
         let mut t = self.inner.ticket.lock().map_err(poisoned)?;
-        if seq != t.seq + 1 {
+        if seq != *t + 1 {
             return Err(MadError::txn_state(format!(
                 "replication gap: handle is at sequence {}, install asked for {seq}",
-                t.seq
+                *t
             )));
         }
-        t.seq = seq;
+        *t = seq;
         self.inner.set_image(PublishedImage { db: Arc::new(db), seq });
         Ok(())
     }
@@ -707,14 +650,14 @@ impl DbHandle {
             ));
         }
         let mut t = self.inner.ticket.lock().map_err(poisoned)?;
-        if seq < t.seq {
+        if seq < *t {
             return Err(MadError::txn_state(format!(
                 "replication regression: handle is at sequence {}, snapshot install \
                  asked for {seq}",
-                t.seq
+                *t
             )));
         }
-        t.seq = seq;
+        *t = seq;
         self.inner.set_image(PublishedImage { db: Arc::new(db), seq });
         Ok(())
     }
@@ -780,19 +723,6 @@ impl DbHandle {
         self.inner.ckpt_claimed.store(false, Ordering::SeqCst);
     }
 
-    /// Arm (or, with `None`, clear) deterministic WAL fault injection —
-    /// the crash/failover scenarios' hook (see [`FaultPlan`]). Returns
-    /// whether a log was armed (`false` on non-durable handles).
-    pub fn set_wal_fault_plan(&self, plan: Option<FaultPlan>) -> bool {
-        match &self.inner.wal {
-            Some(wal) => {
-                wal.set_fault_plan(plan);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Is every commit written ahead to a log?
     pub fn is_durable(&self) -> bool {
         self.inner.wal.is_some()
@@ -808,12 +738,6 @@ impl DbHandle {
     /// (`None` when not durable).
     pub fn wal_len_bytes(&self) -> Option<u64> {
         self.inner.wal.as_ref().map(Wal::len_bytes)
-    }
-
-    /// Fsyncs the log has performed since open (`None` when not durable).
-    /// Group commit shows up as `fsyncs ≪ commits`.
-    pub fn wal_fsync_count(&self) -> Option<u64> {
-        self.inner.wal.as_ref().map(Wal::fsync_count)
     }
 
     /// Fold the log into a fresh bootstrap image of the current committed
@@ -950,8 +874,8 @@ impl DbHandle {
     /// durability wait (module docs). Under the ticket: probe the conflict
     /// log, ask `build` for the candidate image, append the WAL record
     /// (buffered — no fsync), record the write-set, swap the published
-    /// image, push the feed. Returns the commit sequence and the WAL
-    /// position the caller must await before acknowledging.
+    /// image. Returns the commit sequence and the WAL position the caller
+    /// must await before acknowledging.
     ///
     /// `build` is called once, with `None` while `observed` is still the
     /// committed image (hand over the fork as-is, O(1)) and with
@@ -966,7 +890,8 @@ impl DbHandle {
     ///
     /// Any `Err` — `TxnConflict` from validation, whatever `build`
     /// returned, a WAL append failure — means nothing was published:
-    /// sequence, image, conflict log and feed are untouched.
+    /// sequence, image, conflict log and the log's appended length are
+    /// untouched.
     pub(crate) fn publish(
         &self,
         begin_seq: u64,
@@ -1017,7 +942,7 @@ impl DbHandle {
             self.inner.metrics.replays.inc();
         }
         let (candidate, wal_ops) = build(stale.then_some(&*current))?;
-        let seq = t.seq + 1;
+        let seq = *t + 1;
         // write-ahead: the record must be in the log (buffered) before the
         // state becomes visible; an append failure publishes nothing —
         // the conflict log is untouched at this point
@@ -1037,14 +962,8 @@ impl DbHandle {
             }
             log.log.push(CommitRecord { seq, keys: keys.into_iter().collect() });
         }
-        t.seq = seq;
+        *t = seq;
         self.inner.set_image(PublishedImage { db: Arc::new(candidate), seq });
-        // feed replication subscribers under the same ticket that ordered
-        // the publication, so the stream is the commit order, gap-free;
-        // only durable commits carry the resolved ops the stream needs
-        if let Some(ops) = wal_ops {
-            t.feeds.retain(|tx| tx.send(FeedCommit { seq, ops: ops.clone() }).is_ok());
-        }
         if let Some(started) = started {
             trace::record(
                 StageKind::Publish,

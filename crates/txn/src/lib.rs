@@ -120,10 +120,8 @@
 mod handle;
 mod txn;
 
-pub use handle::{
-    CheckpointPolicy, CommitRecord, DbHandle, Durability, FeedCommit, ReplAck,
-};
+pub use handle::{CheckpointPolicy, CommitRecord, DbHandle, Durability, ReplAck};
 pub use txn::{CommitInfo, Transaction, WriteKey};
 
 // the durability knob's vocabulary, so sessions need no direct wal dep
-pub use mad_wal::{CheckpointStats, FaultPlan, FsyncPolicy, RecoveryInfo, TailRead, WalOp};
+pub use mad_wal::{CheckpointStats, FaultPlan, FsyncPolicy, RecoveryInfo, WalOp};

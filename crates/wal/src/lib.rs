@@ -36,8 +36,9 @@
 //!   written into the **next** segment (atomic manifest swap, old
 //!   segments deleted), bounding both log size and recovery time without
 //!   rewriting already-closed segments.
-//! * [`Wal::tail_commits`] — read committed records newer than a cursor
-//!   back out of the log, the source of the replication stream (PR 6);
+//! * [`Wal::tail`] — advance a resumable [`WalCursor`] over the commit
+//!   records appended after it, in bounded batches; with
+//!   [`Wal::wait_appended`], the replication source.
 //!   [`FaultPlan`] ([`fault`]) — deterministic append/fsync fault
 //!   injection for the crash and failover scenarios.
 //!
@@ -74,6 +75,6 @@ pub mod record;
 pub use fault::FaultPlan;
 pub use log::{
     active_segment_path, CheckpointStats, FsyncPolicy, Lsn, RecoveryInfo, TailRead, Wal,
-    DEFAULT_SEGMENT_BYTES, MANIFEST_MAGIC,
+    WalCursor, DEFAULT_SEGMENT_BYTES, MANIFEST_MAGIC, TAIL_BATCH_BYTES,
 };
 pub use record::{apply_op, crc32, frame_boundaries, WalOp, WalRecord};

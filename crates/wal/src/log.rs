@@ -17,8 +17,8 @@
 //! segment and shrinks the manifest to just that segment, so it no longer
 //! rewrites one ever-growing file.
 //!
-//! Segment numbers are monotone and never reused, so replication cursors
-//! and tailing survive any interleaving of rotation and checkpoint.
+//! Segment numbers are monotone and never reused, so a [`WalCursor`]
+//! tailing the log survives any interleaving of rotation and checkpoint.
 //!
 //! **Torn-tail rule**: only the *last* segment may end in a torn frame
 //! (recovery truncates it, exactly as in the single-file format). A torn
@@ -33,7 +33,7 @@
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::record::{
-    apply_op, frame, read_frame, FrameRead, WalRecord, MAGIC,
+    apply_op, frame, frame_len, read_frame, FrameRead, WalRecord, MAGIC,
 };
 use crate::WalOp;
 use mad_model::{MadError, Result};
@@ -44,7 +44,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Condvar;
+use std::sync::{Condvar, PoisonError};
+use std::time::Duration;
 
 /// When does a committing transaction wait for its record to hit stable
 /// storage?
@@ -74,29 +75,84 @@ pub const MANIFEST_MAGIC: &[u8] = b"MADWALM1\n";
 /// next append and a fresh one opens.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
+/// How many log bytes one [`Wal::tail`] reads at most (one frame larger
+/// than this is read whole).
+pub const TAIL_BATCH_BYTES: u64 = 256 * 1024;
+
 fn io_err(context: &str, e: std::io::Error) -> MadError {
     MadError::wal(format!("{context}: {e}"))
+}
+
+/// A log lock poisoned by a panic on another thread, as an error.
+fn poisoned<T>(_: PoisonError<T>) -> MadError {
+    MadError::wal("write-ahead log state poisoned by a panic on another thread")
 }
 
 /// A monotone position in the log: the number of records appended before
 /// this one, so record `n` is durable once `durable_lsn > n`.
 pub type Lsn = u64;
 
+/// One segment file of the log.
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    /// The segment number (its file-name suffix).
+    n: u64,
+    /// Where the segment starts in the log's byte stream since open: where
+    /// the segment before it ended, so stream positions only grow.
+    start: u64,
+    /// Bytes appended so far; final once the segment is closed.
+    len: u64,
+}
+
+impl Segment {
+    /// The stream position just past the segment's appended bytes.
+    fn end(&self) -> u64 {
+        self.start + self.len
+    }
+}
+
+#[derive(Debug)]
 struct Files {
-    /// Open handle to the **active** (last listed) segment.
+    /// Open handle to the active segment.
     file: File,
     /// LSN the next append gets.
     next_lsn: Lsn,
-    /// Total byte length of the log across all live segments.
-    bytes: u64,
-    /// Byte length of the active segment (the rotation trigger).
-    seg_bytes: u64,
-    /// Live segment numbers, ascending; the last one is active.
-    segs: Vec<u64>,
+    /// Listed segments before the active one, ascending, all fsynced.
+    closed: Vec<Segment>,
+    /// The segment appends go to (the last one listed).
+    active: Segment,
+    /// The segment that was active when the last checkpoint unlisted it.
+    /// A cursor that still holds it open may read it up to its `len`.
+    retired: Option<Segment>,
+    /// The bootstrap image that opens the first listed segment.
+    image: Image,
+    /// Tailers blocked in [`Wal::wait_appended`] (appends notify if any).
+    waiting: usize,
     /// Rotation threshold for the active segment.
     max_seg_bytes: u64,
 }
 
+/// Where a log's bootstrap image ends in the first listed segment, and
+/// the commit sequence it was taken at.
+#[derive(Clone, Copy, Debug)]
+struct Image {
+    base_seq: u64,
+    end: u64,
+}
+
+impl Files {
+    /// The listed segments, oldest first.
+    fn listed(&self) -> impl Iterator<Item = &Segment> {
+        self.closed.iter().chain(std::iter::once(&self.active))
+    }
+
+    /// The first listed segment, the one the bootstrap image opens.
+    fn head(&self) -> &Segment {
+        self.closed.first().unwrap_or(&self.active)
+    }
+}
+
+#[derive(Debug)]
 struct SyncState {
     /// Every record with `lsn < durable_lsn` is on stable storage.
     durable_lsn: Lsn,
@@ -119,18 +175,102 @@ pub struct RecoveryInfo {
     pub segments: u64,
 }
 
-/// What [`Wal::tail_commits`] found.
+/// What [`Wal::tail`] found.
 #[derive(Clone, Debug)]
 pub enum TailRead {
-    /// Every complete commit record newer than the requested cursor, in
-    /// sequence order: `(seq, resolved op log)` pairs.
+    /// The next appended commit records after the cursor, in sequence
+    /// order: `(seq, resolved op log)` pairs. Empty when the cursor has
+    /// caught up (or read only records at or before its sequence).
     Commits(Vec<(u64, Vec<WalOp>)>),
-    /// A checkpoint folded the requested records into the bootstrap
-    /// image; the subscriber needs a full snapshot to resynchronize.
+    /// A checkpoint folded records the cursor still needs into the
+    /// bootstrap image; the reader needs a full snapshot to resynchronize.
     SnapshotNeeded {
         /// Commit sequence of the log's current bootstrap image.
         base_seq: u64,
     },
+}
+
+/// A resumable read position in the log, advanced by [`Wal::tail`]: the
+/// sequence of the last commit read, and once positioned the segment it
+/// reads and the byte offset of its next frame there.
+///
+/// The cursor holds its segment open. A checkpoint that unlinks that
+/// segment does not stop it: the cursor finishes the segment up to the
+/// length appended before the checkpoint, then steps past the new
+/// bootstrap image. Only a cursor that still needs folded records gets
+/// [`TailRead::SnapshotNeeded`].
+#[derive(Debug)]
+pub struct WalCursor {
+    seq: u64,
+    at: Option<Reading>,
+}
+
+/// The segment a [`WalCursor`] is reading.
+#[derive(Debug)]
+struct Reading {
+    seg: Segment,
+    /// Offset in the segment of the next unread frame.
+    offset: u64,
+    file: File,
+}
+
+impl WalCursor {
+    /// A cursor that starts after commit `seq`: the first [`Wal::tail`]
+    /// positions it at the head of the log and skips records up to `seq`.
+    pub fn after(seq: u64) -> WalCursor {
+        WalCursor { seq, at: None }
+    }
+
+    /// The cursor's position in the log's byte stream since the log was
+    /// opened, comparable with [`Wal::appended_pos`]; 0 before the first
+    /// [`Wal::tail`].
+    pub fn pos(&self) -> u64 {
+        self.at.as_ref().map_or(0, |r| r.seg.start + r.offset)
+    }
+
+    /// Read the frames of the open segment from the cursor's offset up to
+    /// `end` (at most [`TAIL_BATCH_BYTES`], or one larger frame), keeping
+    /// the commits after the cursor's sequence.
+    fn read_batch(&mut self, end: u64) -> Result<Vec<(u64, Vec<WalOp>)>> {
+        let mut commits = Vec::new();
+        let Some(r) = self.at.as_mut() else {
+            return Ok(commits);
+        };
+        let mut want = (end - r.offset).min(TAIL_BATCH_BYTES);
+        while want > 0 {
+            let mut buf = vec![0; mad_model::bin::usize_of_u64(want)?];
+            r.file
+                .seek(SeekFrom::Start(r.offset))
+                .and_then(|_| r.file.read_exact(&mut buf))
+                .map_err(|e| io_err("read log segment for tailing", e))?;
+            let mut at = 0;
+            while let FrameRead::Ok(rec, next) = read_frame(&buf, at) {
+                match rec {
+                    WalRecord::Commit { seq, ops } if seq > self.seq => {
+                        commits.push((seq, ops));
+                        self.seq = seq;
+                    }
+                    WalRecord::Commit { .. } => {}
+                    WalRecord::Bootstrap { .. } => {
+                        return Err(MadError::wal("unexpected bootstrap record mid-log"))
+                    }
+                }
+                at = next;
+            }
+            if at > 0 {
+                r.offset += at as u64;
+                break;
+            }
+            // the first frame does not fit the batch: read it whole. Every
+            // byte below `end` was appended, so a frame that does not fit
+            // there either is corruption, not an append in flight.
+            let whole = frame_len(&buf).filter(|&n| n > want && r.offset + n <= end);
+            want = whole.ok_or_else(|| {
+                MadError::wal("corrupt record inside the appended log while tailing")
+            })?;
+        }
+        Ok(commits)
+    }
 }
 
 /// Result of a [`Wal::checkpoint`].
@@ -160,6 +300,9 @@ pub struct Wal {
     files: RankedMutex<Files>,
     sync: RankedMutex<SyncState>,
     synced: Condvar,
+    /// Paired with `files`: signalled on append and checkpoint while a
+    /// tailer waits (see [`Wal::wait_appended`]).
+    appended: Condvar,
     fsyncs: AtomicU64,
     /// Group-commit fsync batches performed (`wal.group_batches`).
     batches: AtomicU64,
@@ -175,26 +318,6 @@ pub struct Wal {
     /// Armed fault-injection plan (tests and failure scenarios only; see
     /// [`crate::fault`]).
     fault: RankedMutex<FaultState>,
-}
-
-impl std::fmt::Debug for Files {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Files")
-            .field("next_lsn", &self.next_lsn)
-            .field("bytes", &self.bytes)
-            .field("seg_bytes", &self.seg_bytes)
-            .field("segs", &self.segs)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for SyncState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SyncState")
-            .field("durable_lsn", &self.durable_lsn)
-            .field("syncing", &self.syncing)
-            .finish()
-    }
 }
 
 /// The file name of segment `n` of the log at `path` (lives beside the
@@ -322,16 +445,8 @@ impl Wal {
                 path.display()
             )));
         }
-        let spath = segment_path(&path, 1);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&spath)
-            .map_err(|e| io_err(&format!("create log segment `{}`", spath.display()), e))?;
-        let bytes = write_bootstrap(&mut file, db, base_seq)?;
-        write_manifest(&path, &[segment_name(&path, 1)])?;
-        Ok(Self::assemble(path, policy, file, bytes, vec![1]))
+        let (file, image) = image_segment(&path, 1, db, base_seq)?;
+        Ok(Self::assemble(path, policy, file, 1, image))
     }
 
     /// Replace whatever log lives at `path` (segmented, pre-segmentation,
@@ -349,52 +464,59 @@ impl Wal {
         policy: FsyncPolicy,
     ) -> Result<Wal> {
         let path = path.as_ref().to_path_buf();
-        let mut old_names: Vec<String> = Vec::new();
-        let mut next = 1u64;
-        if let Ok(head) = std::fs::read(&path) {
-            if head.starts_with(MANIFEST_MAGIC) {
-                if let Ok(names) = parse_manifest(&head) {
-                    if let Some(last) = names.last() {
-                        next = segment_number(last).unwrap_or(0) + 1;
-                    }
-                    old_names = names;
-                }
-            }
-        }
-        let spath = segment_path(&path, next);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&spath)
-            .map_err(|e| io_err("create resync segment", e))?;
-        let bytes = write_bootstrap(&mut file, db, base_seq)?;
-        write_manifest(&path, &[segment_name(&path, next)])?;
+        let old_names = std::fs::read(&path)
+            .ok()
+            .filter(|head| head.starts_with(MANIFEST_MAGIC))
+            .and_then(|head| parse_manifest(&head).ok())
+            .unwrap_or_default();
+        let next = old_names.last().and_then(|n| segment_number(n).ok()).unwrap_or(0) + 1;
+        let (file, image) = image_segment(&path, next, db, base_seq)?;
         for name in &old_names {
             let _ = std::fs::remove_file(path.with_file_name(name));
         }
-        Ok(Self::assemble(path, policy, file, bytes, vec![next]))
+        Ok(Self::assemble(path, policy, file, next, image))
     }
 
-    /// A freshly bootstrapped `Wal` over one just-written segment.
-    fn assemble(path: PathBuf, policy: FsyncPolicy, file: File, bytes: u64, segs: Vec<u64>) -> Wal {
+    /// A freshly bootstrapped `Wal` over segment `n`, which holds just
+    /// `image`.
+    fn assemble(path: PathBuf, policy: FsyncPolicy, file: File, n: u64, image: Image) -> Wal {
+        let active = Segment { n, start: 0, len: image.end };
+        let wal = Self::open(path, policy, file, Vec::new(), active, image, 1);
+        wal.fsyncs.store(1, Ordering::Relaxed);
+        wal
+    }
+
+    /// A `Wal` appending to `active`, every record before `next_lsn`
+    /// durable.
+    fn open(
+        path: PathBuf,
+        policy: FsyncPolicy,
+        file: File,
+        closed: Vec<Segment>,
+        active: Segment,
+        image: Image,
+        next_lsn: Lsn,
+    ) -> Wal {
         Wal {
             path,
             policy,
             files: RankedMutex::new(rank::FILES, Files {
                 file,
-                next_lsn: 1,
-                bytes,
-                seg_bytes: bytes,
-                segs,
+                next_lsn,
+                closed,
+                active,
+                retired: None,
+                image,
+                waiting: 0,
                 max_seg_bytes: DEFAULT_SEGMENT_BYTES,
             }),
             sync: RankedMutex::new(rank::SYNC, SyncState {
-                durable_lsn: 1,
+                durable_lsn: next_lsn,
                 syncing: false,
             }),
             synced: Condvar::new(),
-            fsyncs: AtomicU64::new(1),
+            appended: Condvar::new(),
+            fsyncs: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
@@ -443,26 +565,21 @@ impl Wal {
             )));
         };
 
-        let mut segs: Vec<u64> = Vec::with_capacity(names.len());
-        for name in &names {
-            let n = segment_number(name)?;
-            if segs.last().is_some_and(|&p| p >= n) {
-                return Err(MadError::wal(
-                    "log manifest segment numbers are not strictly ascending",
-                ));
-            }
-            segs.push(n);
-        }
-
         // scan every segment; stop at the first incomplete/corrupt frame
         // of the LAST segment (the torn tail); a torn interior is fatal
         let last_i = names.len() - 1;
         let mut records = Vec::new();
+        let mut image_end = 0;
         let mut truncated = 0u64;
-        let mut total_bytes = 0u64;
-        let mut seg_bytes = 0u64;
+        let mut segs: Vec<Segment> = Vec::with_capacity(names.len());
         let mut active: Option<File> = None;
         for (i, name) in names.iter().enumerate() {
+            let n = segment_number(name)?;
+            if segs.last().is_some_and(|p| p.n >= n) {
+                return Err(MadError::wal(
+                    "log manifest segment numbers are not strictly ascending",
+                ));
+            }
             let spath = path.with_file_name(name);
             let mut file = OpenOptions::new()
                 .read(true)
@@ -479,6 +596,9 @@ impl Wal {
             }
             let mut offset = MAGIC.len();
             while let FrameRead::Ok(rec, end) = read_frame(&buf, offset) {
+                if records.is_empty() {
+                    image_end = end as u64;
+                }
                 records.push(rec);
                 offset = end;
             }
@@ -503,14 +623,13 @@ impl Wal {
                 // hole past the torn tail
                 file.seek(SeekFrom::Start(offset as u64))
                     .map_err(|e| io_err("seek to log end", e))?;
-                seg_bytes = offset as u64;
                 active = Some(file);
             }
-            total_bytes += offset as u64;
+            let start = segs.last().map_or(0, Segment::end);
+            segs.push(Segment { n, start, len: offset as u64 });
         }
-        let file = match active {
-            Some(f) => f,
-            None => return Err(MadError::wal("log manifest lists no segments")),
+        let (Some(file), Some(last)) = (active, segs.pop()) else {
+            return Err(MadError::wal("log manifest lists no segments"));
         };
 
         // replay: bootstrap image first, then commits in sequence —
@@ -550,30 +669,9 @@ impl Wal {
             }
         }
 
-        let lsn = 1 + commits;
-        let segments = mad_model::bin::u64_of_usize(segs.len());
-        let wal = Wal {
-            path,
-            policy,
-            files: RankedMutex::new(rank::FILES, Files {
-                file,
-                next_lsn: lsn,
-                bytes: total_bytes,
-                seg_bytes,
-                segs,
-                max_seg_bytes: DEFAULT_SEGMENT_BYTES,
-            }),
-            sync: RankedMutex::new(rank::SYNC, SyncState {
-                durable_lsn: lsn,
-                syncing: false,
-            }),
-            synced: Condvar::new(),
-            fsyncs: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            fault: RankedMutex::new(rank::FAULT, FaultState::default()),
-        };
+        let segments = mad_model::bin::u64_of_usize(segs.len() + 1);
+        let image = Image { base_seq, end: image_end };
+        let wal = Self::open(path, policy, file, segs, last, image, 1 + commits);
         let info = RecoveryInfo {
             commits_replayed: commits,
             last_seq,
@@ -596,14 +694,21 @@ impl Wal {
 
     /// Current log length in bytes, summed across all live segments.
     pub fn len_bytes(&self) -> u64 {
-        self.files.lock().unwrap().bytes
+        let files = self.files.lock().unwrap();
+        files.active.end() - files.head().start
+    }
+
+    /// The stream position just past the last appended byte: what a
+    /// [`WalCursor::pos`] reaches once it has read everything.
+    pub fn appended_pos(&self) -> u64 {
+        self.files.lock().unwrap_or_else(PoisonError::into_inner).active.end()
     }
 
     /// Number of live segments (1 after create or checkpoint; grows with
     /// rotation).
     #[expect(clippy::unwrap_used, reason = "mutex poison propagates the original panic")]
     pub fn segment_count(&self) -> usize {
-        self.files.lock().unwrap().segs.len()
+        self.files.lock().unwrap().closed.len() + 1
     }
 
     /// Set the rotation threshold: an append finding the active segment
@@ -648,7 +753,7 @@ impl Wal {
             ops: ops.to_vec(),
         })?;
         let mut files = self.files.lock().unwrap();
-        if files.seg_bytes >= files.max_seg_bytes {
+        if files.active.len >= files.max_seg_bytes {
             // rotate BEFORE the record goes anywhere: a rotation failure
             // aborts this append cleanly, with the old segment still
             // active and the log unpoisoned (unless the closing fsync
@@ -668,7 +773,7 @@ impl Wal {
             // a partial frame may be on disk; cut the active segment back
             // to the last good byte so an acknowledged later commit is
             // never stranded behind a torn interior record
-            let good = files.seg_bytes;
+            let good = files.active.len;
             let restore = files
                 .file
                 .set_len(good)
@@ -678,8 +783,12 @@ impl Wal {
             }
             return Err(io_err("append commit record", e));
         }
-        files.bytes += framed.len() as u64;
-        files.seg_bytes += framed.len() as u64;
+        // only now may a tailer read the record: an in-flight or rolled
+        // back append is never past the appended length
+        files.active.len += framed.len() as u64;
+        if files.waiting > 0 {
+            self.appended.notify_all();
+        }
         let lsn = files.next_lsn;
         files.next_lsn += 1;
         at.finish_info(&[("bytes", mad_model::bin::u64_of_usize(framed.len()))]);
@@ -701,7 +810,7 @@ impl Wal {
             return Err(io_err("fsync closing log segment", e));
         }
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let next = files.segs.last().copied().unwrap_or(0) + 1;
+        let next = files.active.n + 1;
         let spath = segment_path(&self.path, next);
         let mut file = OpenOptions::new()
             .write(true)
@@ -714,16 +823,15 @@ impl Wal {
         file.sync_data()
             .map_err(|e| io_err("fsync new log segment", e))?;
         let mut names: Vec<String> = files
-            .segs
-            .iter()
-            .map(|&n| segment_name(&self.path, n))
+            .listed()
+            .map(|s| segment_name(&self.path, s.n))
             .collect();
         names.push(segment_name(&self.path, next));
         write_manifest(&self.path, &names)?;
-        files.segs.push(next);
+        let fresh = Segment { n: next, start: files.active.end(), len: MAGIC.len() as u64 };
+        let closing = std::mem::replace(&mut files.active, fresh);
+        files.closed.push(closing);
         files.file = file;
-        files.bytes += MAGIC.len() as u64;
-        files.seg_bytes = MAGIC.len() as u64;
         Ok(())
     }
 
@@ -870,95 +978,70 @@ impl Wal {
         };
     }
 
-    /// Read every complete commit record with `seq > from_seq` back out of
-    /// the log — the replication-stream source. Returns
-    /// [`TailRead::SnapshotNeeded`] when a checkpoint has folded the
-    /// requested records into the bootstrap image (the subscriber is
-    /// behind the checkpoint horizon and needs a full snapshot instead).
+    /// Read the next batch of commit records after `cursor` and advance
+    /// it: the replication source. A batch is at most
+    /// [`TAIL_BATCH_BYTES`] of log (or one larger frame) and ends at the
+    /// appended length recorded under the `files` lock, so a record whose
+    /// append is in flight or was rolled back is never read. Returns
+    /// [`TailRead::SnapshotNeeded`] when a checkpoint folded records the
+    /// cursor still needs into the bootstrap image.
     ///
-    /// The scan goes through the manifest and segment *paths*, not the
-    /// shared append handle, so tailing never contends with committers:
-    /// appends are strictly ordered, rotation and checkpoint swap the
-    /// manifest atomically (either image is a valid log), and a final
-    /// frame torn by an in-flight append ends the scan exactly like
-    /// recovery's torn-tail rule — the caller picks such records up from
-    /// the live commit feed. A checkpoint may delete a segment between
-    /// the manifest read and the segment read; the scan retries once
-    /// against the fresh manifest.
-    pub fn tail_commits(&self, from_seq: u64) -> Result<TailRead> {
-        for _ in 0..2 {
-            match self.tail_once(from_seq)? {
-                Some(tail) => return Ok(tail),
-                None => continue, // segment vanished under us — reread
-            }
-        }
-        Err(MadError::wal(
-            "log segments kept vanishing while tailing (concurrent checkpoints)",
-        ))
-    }
-
-    /// One tailing attempt; `Ok(None)` means a listed segment disappeared
-    /// (checkpoint race) and the caller should reread the manifest.
-    fn tail_once(&self, from_seq: u64) -> Result<Option<TailRead>> {
-        let head =
-            std::fs::read(&self.path).map_err(|e| io_err("read log for tailing", e))?;
-        let bufs: Vec<Vec<u8>> = if head.starts_with(MAGIC) {
-            vec![head] // pre-segmentation log: one implicit segment
-        } else if head.starts_with(MANIFEST_MAGIC) {
-            let names = parse_manifest(&head)?;
-            let mut bufs = Vec::with_capacity(names.len());
-            for name in &names {
-                match std::fs::read(self.path.with_file_name(name)) {
-                    Ok(b) => bufs.push(b),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-                    Err(e) => return Err(io_err("read log segment for tailing", e)),
-                }
-            }
-            bufs
-        } else {
-            return Err(MadError::wal("tail of a non-WAL file (bad magic)"));
-        };
-
-        let last_i = bufs.len() - 1;
-        let mut first = true;
-        let mut commits = Vec::new();
-        for (i, buf) in bufs.iter().enumerate() {
-            if !buf.starts_with(MAGIC) {
-                return Err(MadError::wal(
-                    "log segment does not start with the WAL magic",
-                ));
-            }
-            let mut offset = MAGIC.len();
-            while let FrameRead::Ok(rec, end) = read_frame(buf, offset) {
-                match (first, rec) {
-                    (true, WalRecord::Bootstrap { base_seq, .. }) => {
-                        if base_seq > from_seq {
-                            return Ok(Some(TailRead::SnapshotNeeded { base_seq }));
+    /// A cursor that finished a closed segment moves on to the next one
+    /// listed. An unpositioned cursor, or one whose segment a checkpoint
+    /// folded away before it finished, starts over at the head of the
+    /// log, past the bootstrap image. Segments are opened under the lock,
+    /// so a checkpoint cannot unlink one in between: it unlinks only what
+    /// it has already unlisted. The bytes are read after the lock is
+    /// released.
+    pub fn tail(&self, cursor: &mut WalCursor) -> Result<TailRead> {
+        let end = {
+            let files = self.files.lock().map_err(poisoned)?;
+            loop {
+                let seg = match cursor.at.as_ref().map(|r| (r.seg.n, r.offset)) {
+                    None => *files.head(),
+                    Some((n, offset)) => {
+                        match files.listed().chain(files.retired.as_ref()).find(|s| s.n == n) {
+                            None => {
+                                cursor.at = None;
+                                continue;
+                            }
+                            Some(seg) if offset < seg.len || n == files.active.n => break seg.len,
+                            // finished a closed segment: the next one listed
+                            // continues it (the active one is numbered highest)
+                            Some(_) => *files.listed().find(|s| s.n > n).unwrap_or(&files.active),
                         }
                     }
-                    (true, WalRecord::Commit { .. }) => {
-                        return Err(MadError::wal(
-                            "log does not start with a bootstrap record",
-                        ))
+                };
+                let offset = if seg.n == files.head().n {
+                    if files.image.base_seq > cursor.seq {
+                        let base_seq = files.image.base_seq;
+                        return Ok(TailRead::SnapshotNeeded { base_seq });
                     }
-                    (false, WalRecord::Commit { seq, ops }) if seq > from_seq => {
-                        commits.push((seq, ops));
-                    }
-                    (false, WalRecord::Commit { .. }) => {}
-                    (false, WalRecord::Bootstrap { .. }) => {
-                        return Err(MadError::wal("unexpected bootstrap record mid-log"))
-                    }
-                }
-                first = false;
-                offset = end;
+                    files.image.end
+                } else {
+                    MAGIC.len() as u64
+                };
+                let file = File::open(segment_path(&self.path, seg.n))
+                    .map_err(|e| io_err("open log segment for tailing", e))?;
+                cursor.at = Some(Reading { seg, offset, file });
             }
-            if offset < buf.len() && i != last_i {
-                return Err(MadError::wal(
-                    "torn record inside interior log segment while tailing",
-                ));
-            }
+        };
+        cursor.read_batch(end).map(TailRead::Commits)
+    }
+
+    /// Block until the log holds bytes past `cursor` or `timeout` passes;
+    /// returns whether it does. Appends signal only while a tailer waits,
+    /// so a log nobody tails pays no wake-up.
+    pub fn wait_appended(&self, cursor: &WalCursor, timeout: Duration) -> bool {
+        let mut files = self.files.lock().unwrap_or_else(PoisonError::into_inner);
+        if files.active.end() <= cursor.pos() {
+            files.waiting += 1;
+            files = files
+                .wait_timeout(&self.appended, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+            files.waiting -= 1;
         }
-        Ok(Some(TailRead::Commits(commits)))
+        files.active.end() > cursor.pos()
     }
 
     /// Replace the log with a fresh bootstrap image of `db` (taken at
@@ -999,31 +1082,28 @@ impl Wal {
     }
 
     fn checkpoint_inner(&self, db: &Database, base_seq: u64) -> Result<CheckpointStats> {
-        let next = {
-            let files = self.files.lock().unwrap();
-            files.segs.last().copied().unwrap_or(0) + 1
-        };
-        let spath = segment_path(&self.path, next);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&spath)
-            .map_err(|e| io_err("create checkpoint segment", e))?;
-        let bytes_after = write_bootstrap(&mut file, db, base_seq)?;
-        write_manifest(&self.path, &[segment_name(&self.path, next)])?;
+        let next = self.files.lock().map_err(poisoned)?.active.n + 1;
+        let (file, image) = image_segment(&self.path, next, db, base_seq)?;
+        let bytes_after = image.end;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         let (bytes_before, old) = {
-            let mut files = self.files.lock().unwrap();
-            let bytes_before = files.bytes;
+            let mut files = self.files.lock().map_err(poisoned)?;
+            let bytes_before = files.active.end() - files.head().start;
+            let old: Vec<u64> = files.listed().map(|s| s.n).collect();
+            let fresh = Segment { n: next, start: files.active.end(), len: bytes_after };
+            files.retired = Some(std::mem::replace(&mut files.active, fresh));
+            files.image = image;
+            files.closed.clear();
             files.file = file;
-            files.bytes = bytes_after;
-            files.seg_bytes = bytes_after;
             files.next_lsn += 1; // the bootstrap record occupies one LSN
-            (bytes_before, std::mem::replace(&mut files.segs, vec![next]))
+            if files.waiting > 0 {
+                self.appended.notify_all();
+            }
+            (bytes_before, old)
         };
         // the manifest no longer references them; deletion is cleanup,
-        // not correctness, so failures are ignored
+        // not correctness, so failures are ignored. A tailer may still
+        // hold the retired segment open and finish it.
         for n in old {
             let _ = std::fs::remove_file(segment_path(&self.path, n));
         }
@@ -1065,6 +1145,22 @@ fn migrate_legacy(path: &Path) -> Result<Vec<String>> {
         .map_err(|e| io_err("swap migration manifest into place", e))?;
     sync_parent_dir(path)?;
     Ok(vec![name])
+}
+
+/// Write `db` at `base_seq` as the bootstrap image of a fresh, fsynced
+/// segment `n` of the log at `path`, then make that segment the only one
+/// the manifest lists.
+fn image_segment(path: &Path, n: u64, db: &Database, base_seq: u64) -> Result<(File, Image)> {
+    let spath = segment_path(path, n);
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&spath)
+        .map_err(|e| io_err(&format!("create log segment `{}`", spath.display()), e))?;
+    let end = write_bootstrap(&mut file, db, base_seq)?;
+    write_manifest(path, &[segment_name(path, n)])?;
+    Ok((file, Image { base_seq, end }))
 }
 
 /// Write magic + bootstrap frame and fsync; returns the file length.
@@ -1348,13 +1444,181 @@ mod tests {
         assert_eq!(wal2.len_bytes(), total);
         assert_eq!(recovered.atom_count(state), 7);
         // tailing crosses segment boundaries in order
-        match wal2.tail_commits(0).unwrap() {
-            TailRead::Commits(c) => assert_eq!(
-                c.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-                (1..=6).collect::<Vec<_>>()
-            ),
-            TailRead::SnapshotNeeded { .. } => panic!("no checkpoint ran"),
+        assert_eq!(drain(&wal2, &mut WalCursor::after(0)), (1..=6).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Tail `cursor` until a batch comes back empty; the sequences read.
+    fn drain(wal: &Wal, cursor: &mut WalCursor) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        loop {
+            match wal.tail(cursor).unwrap() {
+                TailRead::Commits(c) if c.is_empty() => return seqs,
+                TailRead::Commits(c) => seqs.extend(c.iter().map(|(s, _)| *s)),
+                TailRead::SnapshotNeeded { base_seq } => panic!("snapshot needed at {base_seq}"),
+            }
         }
+    }
+
+    fn insert_op(state: mad_model::AtomTypeId, seq: u64) -> Vec<WalOp> {
+        vec![WalOp::Insert {
+            ty: state,
+            tuple: vec![Value::from(format!("t{seq}"))],
+            id: mad_model::AtomId::new(state, u32::try_from(seq).unwrap()),
+        }]
+    }
+
+    #[test]
+    fn a_cursor_resumes_where_it_stopped_and_ends_at_the_appended_length() {
+        let dir = tmpdir("cursor");
+        let path = dir.join("mad.wal");
+        let db = small_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let wal = Wal::create(&path, &db, FsyncPolicy::Never).unwrap();
+        for seq in 1..=3 {
+            wal.append_commit(seq, &insert_op(state, seq)).unwrap();
+        }
+        let mut cursor = WalCursor::after(0);
+        assert_eq!(drain(&wal, &mut cursor), [1, 2, 3]);
+        assert_eq!(cursor.pos(), wal.appended_pos(), "a caught-up cursor has no lag");
+        wal.append_commit(4, &insert_op(state, 4)).unwrap();
+        assert_eq!(drain(&wal, &mut cursor), [4]);
+        // a cursor that starts after 2 skips what it already has
+        assert_eq!(drain(&wal, &mut WalCursor::after(2)), [3, 4]);
+
+        // a whole frame written past the recorded length (an append still
+        // in flight, or one whose rollback failed) is never read
+        let framed = frame(&WalRecord::Commit { seq: 5, ops: insert_op(state, 5) }).unwrap();
+        let active = active_segment_path(&path).unwrap();
+        OpenOptions::new().append(true).open(active).unwrap().write_all(&framed).unwrap();
+        assert_eq!(drain(&wal, &mut cursor), Vec::<u64>::new());
+        assert_eq!(drain(&wal, &mut WalCursor::after(0)), [1, 2, 3, 4]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cursor_reads_the_first_frame_of_every_rotated_segment() {
+        let dir = tmpdir("cursor-rotate");
+        let path = dir.join("mad.wal");
+        let (wal, db) = rotated_log(&path, 1);
+        let state = db.schema().atom_type_id("state").unwrap();
+        let mut cursor = WalCursor::after(0);
+        assert_eq!(drain(&wal, &mut cursor), [1]);
+        // every append rotates: each commit opens a segment of its own,
+        // and the cursor is caught up at the end of the one before
+        for seq in 2..=4 {
+            wal.append_commit(seq, &insert_op(state, seq)).unwrap();
+            assert_eq!(drain(&wal, &mut cursor), [seq]);
+        }
+        assert_eq!(wal.segment_count(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cursor_behind_a_checkpoint_finishes_its_segment_or_needs_a_snapshot() {
+        let dir = tmpdir("cursor-ckpt");
+        let path = dir.join("mad.wal");
+        let db = small_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let wal = Wal::create(&path, &db, FsyncPolicy::Never).unwrap();
+        wal.append_commit(1, &insert_op(state, 1)).unwrap();
+        let mut caught_up = WalCursor::after(0);
+        let mut behind = WalCursor::after(0);
+        assert_eq!(drain(&wal, &mut behind), [1]);
+        for seq in 2..=3 {
+            wal.append_commit(seq, &insert_op(state, seq)).unwrap();
+        }
+        assert_eq!(drain(&wal, &mut caught_up), [1, 2, 3]);
+        wal.checkpoint(&db, 3).unwrap();
+        assert!(!dir.join("mad.wal.0001").exists(), "the folded segment is unlinked");
+        wal.append_commit(4, &insert_op(state, 4)).unwrap();
+        // read through the checkpoint's base: straight past the new image
+        assert_eq!(drain(&wal, &mut caught_up), [4]);
+        // still owed 2 and 3: it finishes the unlinked segment it holds
+        assert_eq!(drain(&wal, &mut behind), [2, 3, 4]);
+        // a cursor with no segment open cannot reach 2 any more
+        assert!(matches!(
+            wal.tail(&mut WalCursor::after(1)).unwrap(),
+            TailRead::SnapshotNeeded { base_seq: 3 }
+        ));
+        assert_eq!(drain(&wal, &mut WalCursor::after(3)), [4]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cursor_in_a_folded_interior_segment_needs_a_snapshot() {
+        let dir = tmpdir("cursor-interior");
+        let path = dir.join("mad.wal");
+        let (wal, db) = rotated_log(&path, 1);
+        let state = db.schema().atom_type_id("state").unwrap();
+        let mut cursor = WalCursor::after(0);
+        assert_eq!(drain(&wal, &mut cursor), [1]);
+        for seq in 2..=3 {
+            wal.append_commit(seq, &insert_op(state, seq)).unwrap();
+        }
+        // commit 2's segment is gone, not just the cursor's
+        wal.checkpoint(&db, 3).unwrap();
+        assert!(matches!(
+            wal.tail(&mut cursor).unwrap(),
+            TailRead::SnapshotNeeded { base_seq: 3 }
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_is_bounded_and_a_larger_frame_is_read_whole() {
+        let dir = tmpdir("cursor-batch");
+        let path = dir.join("mad.wal");
+        let db = small_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let wal = Wal::create(&path, &db, FsyncPolicy::Never).unwrap();
+        let op = |seq: u64, bytes: usize| {
+            vec![WalOp::Insert {
+                ty: state,
+                tuple: vec![Value::from("x".repeat(bytes))],
+                id: mad_model::AtomId::new(state, u32::try_from(seq).unwrap()),
+            }]
+        };
+        let big = usize::try_from(TAIL_BATCH_BYTES).unwrap() + 1000;
+        wal.append_commit(1, &op(1, big)).unwrap();
+        for seq in 2..=100 {
+            wal.append_commit(seq, &op(seq, 10_000)).unwrap();
+        }
+        let mut cursor = WalCursor::after(0);
+        let mut batches = Vec::new();
+        loop {
+            let TailRead::Commits(c) = wal.tail(&mut cursor).unwrap() else { panic!() };
+            if c.is_empty() {
+                break;
+            }
+            batches.push(c.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+        }
+        assert_eq!(batches[0], [1], "the oversized frame comes alone");
+        assert!(batches[1..].iter().all(|b| b.len() <= 26), "{batches:?}");
+        assert_eq!(batches.concat(), (1..=100).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wait_appended_wakes_on_an_append_and_times_out_without_one() {
+        let dir = tmpdir("cursor-wait");
+        let path = dir.join("mad.wal");
+        let db = small_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let wal = Wal::create(&path, &db, FsyncPolicy::Never).unwrap();
+        let mut cursor = WalCursor::after(0);
+        assert_eq!(drain(&wal, &mut cursor), Vec::<u64>::new());
+        assert!(!wal.wait_appended(&cursor, Duration::from_millis(10)));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| wal.wait_appended(&cursor, Duration::from_secs(30)));
+            while wal.files.lock().unwrap().waiting == 0 {
+                std::thread::yield_now();
+            }
+            wal.append_commit(1, &insert_op(state, 1)).unwrap();
+            assert!(waiter.join().unwrap());
+        });
+        assert!(wal.wait_appended(&cursor, Duration::ZERO), "bytes past the cursor");
+        assert_eq!(drain(&wal, &mut cursor), [1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,7 +20,7 @@
 //! happened at commit publication, so replay is deterministic — inserts
 //! re-land on exactly the recorded slots, which recovery verifies.
 
-use mad_model::bin::{put_u32, put_u64, usize_of_u32, BinDecode, BinEncode, Reader};
+use mad_model::bin::{put_u32, put_u64, u64_of_usize, usize_of_u32, BinDecode, BinEncode, Reader};
 use mad_model::{AtomId, AtomTypeId, LinkTypeId, MadError, Result, Value};
 use mad_storage::{Database, DatabaseSnapshot};
 
@@ -277,6 +277,13 @@ pub fn frame(record: &WalRecord) -> Result<Vec<u8>> {
     put_u32(&mut out, crc32(&payload));
     out.extend_from_slice(&payload);
     Ok(out)
+}
+
+/// The length (header included) of the frame that opens `buf`, from its
+/// header alone; `None` when `buf` is shorter than a header.
+pub fn frame_len(buf: &[u8]) -> Option<u64> {
+    let len: [u8; 4] = buf.get(..4)?.try_into().ok()?;
+    Some(u64::from(u32::from_le_bytes(len)) + u64_of_usize(FRAME_HEADER))
 }
 
 /// Outcome of reading one frame from a buffer position.

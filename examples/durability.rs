@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "committed 2 transactions; log = {} bytes, {} fsyncs",
             handle.wal_len_bytes().unwrap(),
-            handle.wal_fsync_count().unwrap()
+            handle.wal().unwrap().fsync_count()
         );
         let StatementResult::Checkpointed(stats) = session.execute("CHECKPOINT")? else {
             unreachable!()

@@ -7,9 +7,9 @@
 //!    first-committer-wins model computed from the event list alone —
 //!    and, with four threads racing commits begun on one snapshot, the
 //!    same model holds for whatever commit order the run produced;
-//! 2. **gap-free feed**: a subscriber registered before concurrent
-//!    writers start (exactly how a standby attaches) observes the
-//!    commit sequence as a strictly consecutive, gap-free run;
+//! 2. **gap-free log tail**: a WAL cursor read after concurrent writers
+//!    join (exactly what a standby's sender reads) observes the commit
+//!    sequence as a strictly consecutive, gap-free run;
 //! 3. **never-panic under faults**: fsync failures injected mid-pipeline
 //!    surface as clean errors on the committing threads, and recovery
 //!    still lands on a consistent prefix covering every acked commit.
@@ -17,6 +17,7 @@
 use mad::model::{AtomId, AttrType, SchemaBuilder, Value};
 use mad::storage::Database;
 use mad::txn::{DbHandle, FaultPlan, FsyncPolicy, Transaction};
+use mad::wal::{TailRead, WalCursor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -239,54 +240,58 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A commit-feed subscriber registered before the writers start —
-    /// exactly how a replication standby attaches — sees a strictly
-    /// consecutive sequence run: no gap, no reorder, no duplicate, under
-    /// concurrent writers.
+    /// A WAL cursor read after concurrent writers join — the one source
+    /// a replication standby is streamed from — sees a strictly
+    /// consecutive sequence run: no gap, no reorder, no duplicate.
     #[test]
-    fn feed_sequences_are_gap_free_under_concurrent_writers(
+    fn log_tail_sequences_are_gap_free_under_concurrent_writers(
         writers in 1usize..5,
         per_writer in 1usize..7,
     ) {
-        let dir = tmpdir("feed");
-        let rx = {
-            let handle = Arc::new(
-                DbHandle::create_durable(base_db(), dir.join("mad.wal"), FsyncPolicy::Group)
-                    .unwrap(),
-            );
-            let rx = handle.subscribe_commits();
-            let threads: Vec<_> = (0..writers)
-                .map(|w| {
-                    let handle = Arc::clone(&handle);
-                    std::thread::spawn(move || {
-                        for n in 0..per_writer {
-                            // disjoint write-sets: writer w only touches key w
-                            let mut t = Transaction::begin(&handle);
-                            t.update_attr(
-                                key_atom(&handle.committed(), w),
-                                0,
-                                Value::Int(i64::try_from(n).unwrap()),
-                            )
-                            .unwrap();
-                            t.commit().unwrap();
-                        }
-                    })
+        let dir = tmpdir("tail");
+        let handle = Arc::new(
+            DbHandle::create_durable(base_db(), dir.join("mad.wal"), FsyncPolicy::Group).unwrap(),
+        );
+        let threads: Vec<_> = (0..writers)
+            .map(|w| {
+                let handle = Arc::clone(&handle);
+                std::thread::spawn(move || {
+                    for n in 0..per_writer {
+                        // disjoint write-sets: writer w only touches key w
+                        let mut t = Transaction::begin(&handle);
+                        t.update_attr(
+                            key_atom(&handle.committed(), w),
+                            0,
+                            Value::Int(i64::try_from(n).unwrap()),
+                        )
+                        .unwrap();
+                        t.commit().unwrap();
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let wal = handle.wal().unwrap();
+        let mut cursor = WalCursor::after(0);
+        let mut seqs: Vec<u64> = Vec::new();
+        loop {
+            match wal.tail(&mut cursor).unwrap() {
+                TailRead::Commits(batch) if batch.is_empty() => break,
+                TailRead::Commits(batch) => seqs.extend(batch.iter().map(|(s, _)| *s)),
+                TailRead::SnapshotNeeded { base_seq } => panic!("no checkpoint ran: {base_seq}"),
             }
-            rx
-        }; // handle dropped: the feed sender disconnects and rx drains
-        let seqs: Vec<u64> = rx.iter().map(|c| c.seq).collect();
-        prop_assert_eq!(seqs.len(), writers * per_writer, "a commit never reached the feed");
+        }
+        prop_assert_eq!(seqs.len(), writers * per_writer, "a commit never reached the log tail");
         for (i, &s) in seqs.iter().enumerate() {
             prop_assert_eq!(
                 s,
                 u64::try_from(i).unwrap() + 1,
-                "feed gap or reorder at position {}: {:?}", i, seqs
+                "tail gap or reorder at position {}: {:?}", i, seqs
             );
         }
+        drop(handle);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -307,10 +312,10 @@ proptest! {
         {
             let handle =
                 Arc::new(DbHandle::create_durable(base_db(), &path, policy).unwrap());
-            prop_assert!(handle.set_wal_fault_plan(Some(FaultPlan {
+            handle.wal().unwrap().set_fault_plan(Some(FaultPlan {
                 fail_append_at: None,
                 fail_fsync_at: Some(fail_at),
-            })));
+            }));
             let threads: Vec<_> = (0..writers)
                 .map(|w| {
                     let handle = Arc::clone(&handle);

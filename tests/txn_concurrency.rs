@@ -284,13 +284,12 @@ fn a_commit_replays_at_most_once() {
 }
 
 #[test]
-fn wal_append_fault_during_rebase_publishes_nothing() {
+fn wal_append_fault_during_rebase_publishes_and_ships_nothing() {
     let dir = std::env::temp_dir().join(format!("mad-rebase-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let handle = handle_with_states(2, Some(&dir.join("mad.wal")));
     let state = handle.committed().schema().atom_type_id("state").unwrap();
-    let feed = handle.subscribe_commits();
 
     let pin = Transaction::begin(&handle); // keeps the conflict log observable
     let mut first = Transaction::begin(&handle);
@@ -302,10 +301,8 @@ fn wal_append_fault_during_rebase_publishes_nothing() {
 
     // `second` is disjoint but stale: it rebases under the ticket, and the
     // append of the rebased record is the one that fails
-    assert!(handle.set_wal_fault_plan(Some(mad::txn::FaultPlan {
-        fail_append_at: Some(1),
-        fail_fsync_at: None,
-    })));
+    let wal = handle.wal().unwrap();
+    wal.set_fault_plan(Some(mad::txn::FaultPlan { fail_append_at: Some(1), fail_fsync_at: None }));
     let err = second.commit().unwrap_err();
     assert!(!err.is_conflict(), "expected the WAL failure, got {err}");
     assert_eq!(txn_counter(&handle, "txn.replays"), 1, "the commit took the rebase path");
@@ -313,8 +310,15 @@ fn wal_append_fault_during_rebase_publishes_nothing() {
     assert_eq!(handle.commit_seq(), 1, "no sequence was consumed");
     assert!(std::sync::Arc::ptr_eq(&before, &handle.committed()), "no image was published");
     assert_eq!((handle.commit_log_len(), handle.conflict_index_len()), (1, 1));
-    let fed: Vec<u64> = feed.try_iter().map(|c| c.seq).collect();
-    assert_eq!(fed, [1], "the feed saw only the first commit");
+    // the log tail (the replication source) ends at the appended length,
+    // so the rolled-back append is never shipped
+    let mut cursor = mad::wal::WalCursor::after(0);
+    let shipped: Vec<u64> = match wal.tail(&mut cursor).unwrap() {
+        mad::wal::TailRead::Commits(batch) => batch.iter().map(|(s, _)| *s).collect(),
+        mad::wal::TailRead::SnapshotNeeded { base_seq } => panic!("no checkpoint ran: {base_seq}"),
+    };
+    assert_eq!(shipped, [1], "the log tail holds only the first commit");
+    assert_eq!(cursor.pos(), wal.appended_pos(), "and nothing after it");
     drop(pin);
     std::fs::remove_dir_all(&dir).ok();
 }
