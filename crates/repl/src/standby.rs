@@ -458,7 +458,7 @@ fn receive_stream(
                     // so resync rather than diverge
                     return StreamEnd::Reconnect;
                 }
-                match apply_commit(ingest, handle, seq, &ops) {
+                match apply_commit(ingest, handle, seq, ops) {
                     Ok(()) => {}
                     Err(e) => {
                         // local log or replay failure: serving unverified
@@ -511,12 +511,13 @@ fn receive_stream(
 
 /// The per-commit replay pipeline: local WAL append → durable wait →
 /// integrity-checked apply → publish for readers. Exactly the recovery
-/// path, run continuously.
-fn apply_commit(ingest: &mut Ingest, handle: &DbHandle, seq: u64, ops: &[WalOp]) -> Result<()> {
-    let lsn = ingest.wal.append_commit(seq, ops)?;
+/// path, run continuously: an insert that lands off its logged slot is a
+/// replay divergence.
+fn apply_commit(ingest: &mut Ingest, handle: &DbHandle, seq: u64, ops: Vec<WalOp>) -> Result<()> {
+    let lsn = ingest.wal.append_commit(seq, &ops)?;
     ingest.wal.wait_durable(lsn)?;
-    for op in ops {
-        apply_op(&mut ingest.db, op)?;
+    for mut op in ops {
+        apply_op(&mut ingest.db, &mut op, None)?;
     }
     handle.install_replicated(ingest.db.clone(), seq)?;
     ingest.have = seq;

@@ -39,7 +39,7 @@ use mad_storage::Database;
 use mad_wal::{CheckpointStats, FsyncPolicy, Lsn, RecoveryInfo, Wal, WalOp};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
@@ -63,23 +63,6 @@ pub struct CommitRecord {
     pub seq: u64,
     /// The pre-existing state the commit overwrote.
     pub keys: Vec<WriteKey>,
-}
-
-/// Does (and how does) the handle persist committed transactions?
-#[derive(Clone, Debug, Default)]
-pub enum Durability {
-    /// In-memory only (the default): committed state dies with the
-    /// process.
-    #[default]
-    None,
-    /// Write-ahead logging: every commit appends its resolved op log to
-    /// the log at `path` before acknowledging, per `fsync`.
-    Wal {
-        /// The log file.
-        path: PathBuf,
-        /// When commits wait for stable storage.
-        fsync: FsyncPolicy,
-    },
 }
 
 /// When does a commit acknowledge with respect to **replication** — the
@@ -241,9 +224,8 @@ impl Inner {
 /// ticket itself.
 ///
 /// A durable handle ([`DbHandle::create_durable`] /
-/// [`DbHandle::open_durable`] / [`DbHandle::with_durability`]) additionally
-/// appends every commit's resolved op log to a [`Wal`] before
-/// acknowledging it, and can [`DbHandle::checkpoint`] the log back down to
+/// [`DbHandle::open_durable`]) additionally appends every commit's
+/// resolved op log to a [`Wal`] before acknowledging it, and can [`DbHandle::checkpoint`] the log back down to
 /// a bootstrap image.
 #[derive(Clone, Debug)]
 pub struct DbHandle {
@@ -286,24 +268,6 @@ impl DbHandle {
     pub fn open_durable(path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<Self> {
         let (wal, db, info) = Wal::recover(path, fsync)?;
         Ok(Self::build(db, info.last_seq, Some(wal), Some(info), false))
-    }
-
-    /// The `Durability` knob as one constructor: [`Durability::None`]
-    /// behaves like [`DbHandle::new`]; [`Durability::Wal`] opens the log
-    /// if it exists (recovering from it — `db` is then **ignored** in
-    /// favor of the logged state) and otherwise creates it with `db` as
-    /// the bootstrap image.
-    pub fn with_durability(db: Database, durability: Durability) -> Result<Self> {
-        match durability {
-            Durability::None => Ok(Self::new(db)),
-            Durability::Wal { path, fsync } => {
-                if path.exists() {
-                    Self::open_durable(path, fsync)
-                } else {
-                    Self::create_durable(db, path, fsync)
-                }
-            }
-        }
     }
 
     fn build(
@@ -881,8 +845,9 @@ impl DbHandle {
     /// committed image (hand over the fork as-is, O(1)) and with
     /// `Some(current)` once it went stale (rebase onto `current`). Nobody
     /// can publish while it runs, so what it returns is never stale. It
-    /// yields the candidate and — on a durable handle — the op log with
-    /// ids resolved for that candidate.
+    /// yields the candidate and the op log with ids resolved for that
+    /// candidate, moved: a durable handle frames the log from a borrow,
+    /// and a published log is freed only after the ticket is released.
     ///
     /// The transaction's registration is **not** touched here: on every
     /// outcome the caller still owns it and releases it through
@@ -897,7 +862,7 @@ impl DbHandle {
         begin_seq: u64,
         observed: &Arc<Database>,
         keys: FxHashSet<WriteKey>,
-        build: impl FnOnce(Option<&Database>) -> Result<(Database, Option<Vec<WalOp>>)>,
+        build: impl FnOnce(Option<&Database>) -> Result<(Database, Vec<WalOp>)>,
     ) -> Result<(u64, Option<Lsn>)> {
         if self.inner.read_only {
             // the hard guarantee under the Session-level nicety: nothing
@@ -941,18 +906,14 @@ impl DbHandle {
         if stale {
             self.inner.metrics.replays.inc();
         }
-        let (candidate, wal_ops) = build(stale.then_some(&*current))?;
+        let (candidate, ops) = build(stale.then_some(&*current))?;
         let seq = *t + 1;
         // write-ahead: the record must be in the log (buffered) before the
         // state becomes visible; an append failure publishes nothing —
         // the conflict log is untouched at this point
-        let lsn = match (&self.inner.wal, &wal_ops) {
-            (Some(wal), Some(ops)) => Some(wal.append_commit(seq, ops)?),
-            // publishing would silently lose the commit on restart
-            (Some(_), None) => {
-                return Err(MadError::wal("durable publication without a serialized op log"))
-            }
-            (None, _) => None,
+        let lsn = match &self.inner.wal {
+            Some(wal) => Some(wal.append_commit(seq, &ops)?),
+            None => None,
         };
         let started = queued.map(|_| Instant::now());
         {

@@ -39,12 +39,15 @@
 //!   between pre-existing and transaction-born atoms).
 //! * *DML* applies to the fork immediately (full validation, referential
 //!   integrity, cardinality bounds, index maintenance — errors surface at
-//!   statement time, not at commit), is appended to an **op log**, and
-//!   records a [`WriteKey`] for every write that touches *pre-existing*
-//!   state: `Atom(id)` for updates/deletes, `Link(lt, a, b)` for
-//!   connect/disconnect between pre-existing atoms. Writes to
-//!   transaction-born atoms cannot conflict and record nothing.
-//! * *Commit* takes the commit ticket and validates the write-set
+//!   statement time, not at commit) and is appended to the **op log**, a
+//!   `Vec<`[`WalOp`]`>` with provisional ids — the transaction's only
+//!   record of its writes.
+//! * *Commit* derives the write-set from the op log before taking the
+//!   commit ticket: a [`WriteKey`] for every write that touches
+//!   *pre-existing* state — `Atom(id)` for updates/deletes,
+//!   `Link(lt, a, b)` for connect/disconnect between pre-existing atoms.
+//!   Writes to transaction-born atoms cannot conflict and yield no key.
+//!   Under the ticket it validates the write-set
 //!   against the conflict log: any key published after this transaction's
 //!   begin sequence is a first-committer-wins conflict
 //!   ([`mad_model::MadError::TxnConflict`]) and aborts us. If the
@@ -55,8 +58,9 @@
 //!   ticket — nobody can publish underneath, so a commit replays at most
 //!   once, and readers (who never take the ticket) do not wait behind it;
 //!   transaction-born atoms may land on different slots there, so
-//!   provisional [`mad_model::AtomId`]s are remapped op by op (the final
-//!   mapping is returned in [`CommitInfo::remap`]). Re-execution re-runs
+//!   `mad_wal::apply_op` rewrites provisional [`mad_model::AtomId`]s in
+//!   the log op by op (the moved ones are returned in
+//!   [`CommitInfo::remap`]). Re-execution re-runs
 //!   every integrity check against the latest state, so races the
 //!   key-level validation cannot see (e.g. two transactions jointly
 //!   exceeding a max-cardinality bound, or connecting to an atom a
@@ -74,14 +78,13 @@
 //! index creation are deliberately **not** transactional — they remain
 //! load-time, single-owner operations (see ROADMAP follow-ons).
 //!
-//! ## Durability
+//! ## Durable handles
 //!
 //! A handle opened with [`DbHandle::create_durable`] /
-//! [`DbHandle::open_durable`] (or the [`Durability`] knob on
-//! [`DbHandle::with_durability`]) write-ahead-logs every commit: at
+//! [`DbHandle::open_durable`] write-ahead-logs every commit: at
 //! publication time the validated op log — with provisional ids resolved
-//! to their committed slots — is appended to a `mad_wal::Wal` *before*
-//! the new state becomes visible, and `commit()` returns only once the
+//! to their committed slots — is framed from a borrow and appended to a
+//! `mad_wal::Wal` *before* the new state becomes visible, and `commit()` returns only once the
 //! record is durable per the [`mad_wal::FsyncPolicy`]
 //! (`PerCommit` | `Group` | `Never`; `Group` batches one fsync over every
 //! commit that arrives while the previous fsync is in flight). Reopening
@@ -120,8 +123,8 @@
 mod handle;
 mod txn;
 
-pub use handle::{CheckpointPolicy, CommitRecord, DbHandle, Durability, ReplAck};
+pub use handle::{CheckpointPolicy, CommitRecord, DbHandle, ReplAck};
 pub use txn::{CommitInfo, Transaction, WriteKey};
 
-// the durability knob's vocabulary, so sessions need no direct wal dep
+// the durability vocabulary, so sessions need no direct wal dep
 pub use mad_wal::{CheckpointStats, FaultPlan, FsyncPolicy, RecoveryInfo, WalOp};

@@ -1,10 +1,13 @@
-//! The transaction: write overlay, op log, write-set, commit/abort.
+//! The transaction: write overlay, op log, commit/abort. The op log is a
+//! `Vec<WalOp>` — the one record of a transaction's writes, from which
+//! the write-set is derived at commit, which a rebase re-applies (and
+//! resolves) in place, and which the WAL frames from a borrow.
 
 use crate::handle::DbHandle;
 use mad_model::{AtomId, AtomTypeId, FxHashMap, FxHashSet, LinkTypeId, MadError, Result, Value};
 use mad_obs::trace::{StageKind, StageTimer};
 use mad_storage::Database;
-use mad_wal::WalOp;
+use mad_wal::{apply_op, WalOp};
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,46 +33,13 @@ impl fmt::Display for WriteKey {
     }
 }
 
-/// One logged DML operation, replayable against a fresh fork at commit.
-#[derive(Clone, Debug)]
-enum TxnOp {
-    Insert {
-        ty: AtomTypeId,
-        tuple: Vec<Value>,
-        provisional: AtomId,
-    },
-    InsertBatch {
-        ty: AtomTypeId,
-        tuples: Vec<Vec<Value>>,
-        provisional: Vec<AtomId>,
-    },
-    Delete {
-        id: AtomId,
-    },
-    UpdateAttr {
-        id: AtomId,
-        attr: usize,
-        value: Value,
-    },
-    Connect {
-        lt: LinkTypeId,
-        side0: AtomId,
-        side1: AtomId,
-    },
-    Disconnect {
-        lt: LinkTypeId,
-        side0: AtomId,
-        side1: AtomId,
-    },
-}
-
 /// What a successful [`Transaction::commit`] published.
 #[derive(Clone, Debug, Default)]
 pub struct CommitInfo {
     /// The commit sequence number the write-set was published at (0 for a
     /// read-only transaction, which publishes nothing).
     pub seq: u64,
-    /// Number of logged DML operations replayed/published.
+    /// Number of logged DML operations published.
     pub ops: usize,
     /// Transaction-born atoms whose committed id differs from the
     /// provisional id handed out inside the transaction (only possible when
@@ -102,8 +72,8 @@ pub struct Transaction {
     /// transaction-born (provisional ids, no conflict keys).
     base_slots: Vec<u32>,
     local: Database,
-    ops: Vec<TxnOp>,
-    writes: FxHashSet<WriteKey>,
+    /// The op log: every write, ids provisional until commit.
+    ops: Vec<WalOp>,
     finished: bool,
 }
 
@@ -122,7 +92,6 @@ impl Transaction {
             base_slots,
             local,
             ops: Vec::new(),
-            writes: FxHashSet::default(),
             finished: false,
         }
     }
@@ -148,15 +117,7 @@ impl Transaction {
     /// Was `id` created inside this transaction (provisional id, subject to
     /// remapping at commit)?
     pub fn is_provisional(&self, id: AtomId) -> bool {
-        match self.base_slots.get(id.ty.0 as usize) {
-            Some(&horizon) => id.slot >= horizon,
-            // a type the begin snapshot did not know cannot pre-exist
-            None => true,
-        }
-    }
-
-    fn record_write(&mut self, key: WriteKey) {
-        self.writes.insert(key);
+        is_provisional(&self.base_slots, id)
     }
 
     // ------------------------------------------------------------------
@@ -168,11 +129,7 @@ impl Transaction {
     /// usable; at commit it may be remapped (see [`CommitInfo::remap`]).
     pub fn insert_atom(&mut self, ty: AtomTypeId, tuple: Vec<Value>) -> Result<AtomId> {
         let id = self.local.insert_atom(ty, tuple.clone())?;
-        self.ops.push(TxnOp::Insert {
-            ty,
-            tuple,
-            provisional: id,
-        });
+        self.ops.push(WalOp::Insert { ty, tuple, id });
         Ok(id)
     }
 
@@ -180,11 +137,7 @@ impl Transaction {
     /// one logged op).
     pub fn insert_atoms(&mut self, ty: AtomTypeId, tuples: Vec<Vec<Value>>) -> Result<Vec<AtomId>> {
         let ids = self.local.insert_atoms(ty, tuples.iter().cloned())?;
-        self.ops.push(TxnOp::InsertBatch {
-            ty,
-            tuples,
-            provisional: ids.clone(),
-        });
+        self.ops.push(WalOp::InsertBatch { ty, tuples, ids: ids.clone() });
         Ok(ids)
     }
 
@@ -192,20 +145,16 @@ impl Transaction {
     /// links removed *in this transaction's view*.
     pub fn delete_atom(&mut self, id: AtomId) -> Result<usize> {
         let removed = self.local.delete_atom(id)?;
-        self.ops.push(TxnOp::Delete { id });
-        if !self.is_provisional(id) {
-            self.record_write(WriteKey::Atom(id));
-        }
+        self.ops.push(WalOp::Delete { id });
         Ok(removed)
     }
 
     /// Update one attribute of an atom.
     pub fn update_attr(&mut self, id: AtomId, attr: usize, value: Value) -> Result<()> {
+        let logged = u32::try_from(attr)
+            .map_err(|_| MadError::unknown("attribute index", attr.to_string()))?;
         self.local.update_attr(id, attr, value.clone())?;
-        self.ops.push(TxnOp::UpdateAttr { id, attr, value });
-        if !self.is_provisional(id) {
-            self.record_write(WriteKey::Atom(id));
-        }
+        self.ops.push(WalOp::UpdateAttr { id, attr: logged, value });
         Ok(())
     }
 
@@ -214,10 +163,7 @@ impl Transaction {
     pub fn connect(&mut self, lt: LinkTypeId, side0: AtomId, side1: AtomId) -> Result<bool> {
         let added = self.local.connect(lt, side0, side1)?;
         if added {
-            self.ops.push(TxnOp::Connect { lt, side0, side1 });
-            if !self.is_provisional(side0) && !self.is_provisional(side1) {
-                self.record_write(WriteKey::Link(lt, side0, side1));
-            }
+            self.ops.push(WalOp::Connect { lt, side0, side1 });
         }
         Ok(added)
     }
@@ -249,10 +195,7 @@ impl Transaction {
     pub fn disconnect(&mut self, lt: LinkTypeId, side0: AtomId, side1: AtomId) -> Result<bool> {
         let removed = self.local.disconnect(lt, side0, side1)?;
         if removed {
-            self.ops.push(TxnOp::Disconnect { lt, side0, side1 });
-            if !self.is_provisional(side0) && !self.is_provisional(side1) {
-                self.record_write(WriteKey::Link(lt, side0, side1));
-            }
+            self.ops.push(WalOp::Disconnect { lt, side0, side1 });
         }
         Ok(removed)
     }
@@ -268,14 +211,16 @@ impl Transaction {
     ///
     /// Publication is **optimistic once**: on the uncontended path the
     /// transaction's fork publishes as-is (O(1)). When other commits
-    /// landed since begin, the op log is replayed against the newest
-    /// state *while holding the commit ticket* — nobody can publish
-    /// underneath it, so a commit replays at most once. Readers never
-    /// take the ticket and are not blocked behind a heavy commit.
+    /// landed since begin, the op log is re-applied to the newest state
+    /// *while holding the commit ticket* — nobody can publish underneath
+    /// it, so a commit replays at most once. Readers never take the
+    /// ticket and are not blocked behind a heavy commit. Either way the
+    /// op log moves to the WAL as it stands: resolved in place by the
+    /// replay, already resolved on the fast path.
     ///
-    /// **Durability caveat**: on a durable handle, a [`MadError::Wal`]
-    /// error from the post-publication fsync wait means the commit **was
-    /// published** (all sessions see it) but its durability is unknown —
+    /// **Caveat on durable handles**: a [`MadError::Wal`] error from the
+    /// post-publication fsync wait means the commit **was published**
+    /// (all sessions see it) but its durability is unknown —
     /// it is not a failed transaction and must not be retried. The same
     /// indeterminacy applies to a [`MadError::TxnState`] error from the
     /// replication wait under [`crate::ReplAck::SyncQuorum`] (replication
@@ -293,12 +238,12 @@ impl Transaction {
             return Ok(CommitInfo::default());
         }
         let handle = self.handle.clone();
-        let keys = std::mem::take(&mut self.writes);
-        let ops = std::mem::take(&mut self.ops);
-        let base_slots = std::mem::take(&mut self.base_slots);
+        // the write-set comes from the log, before the ticket is taken
+        let keys = write_keys(&self.ops, &self.base_slots);
+        let mut ops = std::mem::take(&mut self.ops);
+        let op_count = ops.len();
         let mut fork = std::mem::take(&mut self.local);
         let mut remap: FxHashMap<AtomId, AtomId> = FxHashMap::default();
-        let durable = handle.is_durable();
         // any Err — validation conflict, replay failure, WAL append
         // failure, even a panic — releases the registration via `finish`
         // (the `?` drops `self`, whose Drop runs it), so a failed commit
@@ -306,22 +251,21 @@ impl Transaction {
         let (seq, lsn) = handle.publish(self.begin_seq, &self.begin, keys, |stale| {
             let candidate = match stale {
                 // the committed state is still the begin snapshot: the
-                // fork itself publishes — no replay, no remapping (a
-                // stale fork is left in place, to be freed only after the
-                // ticket is released)
+                // fork itself publishes and the log's provisional ids are
+                // the committed ones (a stale fork is left in place, to
+                // be freed only after the ticket is released)
                 None => std::mem::take(&mut fork),
                 Some(current) => {
                     let rt = StageTimer::start(StageKind::Replay);
                     let mut fresh = current.clone();
-                    replay(&mut fresh, &ops, &base_slots, &mut remap)?;
-                    rt.finish_info(&[("ops", mad_model::bin::u64_of_usize(ops.len()))]);
+                    for op in &mut ops {
+                        apply_op(&mut fresh, op, Some(&mut remap))?;
+                    }
+                    rt.finish_info(&[("ops", mad_model::bin::u64_of_usize(op_count))]);
                     fresh
                 }
             };
-            // the WAL record carries the op log with every provisional id
-            // resolved to where this candidate actually placed it, so
-            // recovery replay is deterministic
-            Ok((candidate, durable.then(|| resolve_ops(&ops, &remap))))
+            Ok((candidate, ops))
         })?;
         // published: release the registration *before* the durability
         // wait, so an fsync stall never pins the commit log behind this
@@ -339,12 +283,9 @@ impl Transaction {
         // the log may now be over its auto-checkpoint threshold; fold it
         // before acknowledging
         handle.maybe_auto_checkpoint();
-        // identity mappings (the replayed insert landed on its provisional
-        // slot anyway) are not remappings the caller needs to see
-        remap.retain(|pid, aid| pid != aid);
         Ok(CommitInfo {
             seq,
-            ops: ops.len(),
+            ops: op_count,
             remap,
         })
     }
@@ -373,111 +314,33 @@ impl Drop for Transaction {
     }
 }
 
-/// Serialize the op log for the write-ahead log, resolving every
-/// provisional id through `remap` (empty on the fast path, where
-/// provisional ids *are* the committed ids). Later ops referencing a
-/// transaction-born atom always find it in `remap` after a replay, because
-/// the replay mapped its insert first.
-fn resolve_ops(ops: &[TxnOp], remap: &FxHashMap<AtomId, AtomId>) -> Vec<WalOp> {
-    let res = |id: AtomId| remap.get(&id).copied().unwrap_or(id);
-    ops.iter()
-        .map(|op| match op {
-            TxnOp::Insert {
-                ty,
-                tuple,
-                provisional,
-            } => WalOp::Insert {
-                ty: *ty,
-                tuple: tuple.clone(),
-                id: res(*provisional),
-            },
-            TxnOp::InsertBatch {
-                ty,
-                tuples,
-                provisional,
-            } => WalOp::InsertBatch {
-                ty: *ty,
-                tuples: tuples.clone(),
-                ids: provisional.iter().map(|&p| res(p)).collect(),
-            },
-            TxnOp::Delete { id } => WalOp::Delete { id: res(*id) },
-            TxnOp::UpdateAttr { id, attr, value } => WalOp::UpdateAttr {
-                id: res(*id),
-                attr: *attr as u32,
-                value: value.clone(),
-            },
-            TxnOp::Connect { lt, side0, side1 } => WalOp::Connect {
-                lt: *lt,
-                side0: res(*side0),
-                side1: res(*side1),
-            },
-            TxnOp::Disconnect { lt, side0, side1 } => WalOp::Disconnect {
-                lt: *lt,
-                side0: res(*side0),
-                side1: res(*side1),
-            },
-        })
-        .collect()
+/// Was `id` born after the per-type slot horizons `base_slots` of a
+/// transaction's begin snapshot?
+fn is_provisional(base_slots: &[u32], id: AtomId) -> bool {
+    match base_slots.get(id.ty.0 as usize) {
+        Some(&horizon) => id.slot >= horizon,
+        // a type the begin snapshot did not know cannot pre-exist
+        None => true,
+    }
 }
 
-/// Replay the op log against a fork of the *current* committed state,
-/// remapping transaction-born atom ids that land on different slots.
-fn replay(
-    db: &mut Database,
-    ops: &[TxnOp],
-    base_slots: &[u32],
-    remap: &mut FxHashMap<AtomId, AtomId>,
-) -> Result<()> {
-    let provisional = |id: AtomId| match base_slots.get(id.ty.0 as usize) {
-        Some(&horizon) => id.slot >= horizon,
-        None => true,
-    };
-    let resolve = |remap: &FxHashMap<AtomId, AtomId>, id: AtomId| -> Result<AtomId> {
-        if provisional(id) {
-            remap.get(&id).copied().ok_or_else(|| {
-                MadError::integrity(format!(
-                    "transaction replay references unmapped provisional atom {id}"
-                ))
-            })
-        } else {
-            Ok(id)
-        }
-    };
-    for op in ops {
-        match op {
-            TxnOp::Insert {
-                ty,
-                tuple,
-                provisional: pid,
-            } => {
-                let actual = db.insert_atom(*ty, tuple.clone())?;
-                remap.insert(*pid, actual);
+/// The write-set of an op log: the pre-existing state it overwrote —
+/// `Atom` for an update or delete, `Link` for a connect or disconnect
+/// between two pre-existing atoms. Writes to transaction-born atoms
+/// cannot conflict and yield no key.
+fn write_keys(ops: &[WalOp], base_slots: &[u32]) -> FxHashSet<WriteKey> {
+    let pre = |id| !is_provisional(base_slots, id);
+    ops.iter()
+        .filter_map(|op| match *op {
+            WalOp::Delete { id } | WalOp::UpdateAttr { id, .. } => {
+                pre(id).then_some(WriteKey::Atom(id))
             }
-            TxnOp::InsertBatch {
-                ty,
-                tuples,
-                provisional: pids,
-            } => {
-                let actual = db.insert_atoms(*ty, tuples.iter().cloned())?;
-                for (pid, aid) in pids.iter().zip(actual) {
-                    remap.insert(*pid, aid);
-                }
+            WalOp::Connect { lt, side0, side1 } | WalOp::Disconnect { lt, side0, side1 } => {
+                (pre(side0) && pre(side1)).then_some(WriteKey::Link(lt, side0, side1))
             }
-            TxnOp::Delete { id } => {
-                db.delete_atom(resolve(remap, *id)?)?;
-            }
-            TxnOp::UpdateAttr { id, attr, value } => {
-                db.update_attr(resolve(remap, *id)?, *attr, value.clone())?;
-            }
-            TxnOp::Connect { lt, side0, side1 } => {
-                db.connect(*lt, resolve(remap, *side0)?, resolve(remap, *side1)?)?;
-            }
-            TxnOp::Disconnect { lt, side0, side1 } => {
-                db.disconnect(*lt, resolve(remap, *side0)?, resolve(remap, *side1)?)?;
-            }
-        }
-    }
-    Ok(())
+            WalOp::Insert { .. } | WalOp::InsertBatch { .. } => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -918,31 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn with_durability_knob_creates_then_recovers() {
-        let path = wal_path("knob");
-        let d = crate::Durability::Wal {
-            path: path.clone(),
-            fsync: mad_wal::FsyncPolicy::PerCommit,
-        };
-        let h = DbHandle::with_durability(geo_db(), d.clone()).unwrap();
-        assert!(h.is_durable());
-        assert!(h.recovery_info().is_none(), "fresh log, nothing recovered");
-        let state = ty(&h, "state");
-        let mut t = Transaction::begin(&h);
-        t.insert_atom(state, vec![Value::from("SP"), Value::from(1)]).unwrap();
-        t.commit().unwrap();
-        drop(h);
-        // same knob, existing log: the bootstrap argument is ignored,
-        // the logged state wins
-        let h2 = DbHandle::with_durability(geo_db(), d).unwrap();
-        assert!(h2.recovery_info().is_some());
-        assert_eq!(h2.committed().atom_count(state), 1);
-        // non-durable handles refuse CHECKPOINT
-        assert!(DbHandle::new(geo_db()).checkpoint().is_err());
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
     fn checkpoint_bounds_log_and_recovery() {
         let path = wal_path("ckpt");
         let h = DbHandle::create_durable(geo_db(), &path, mad_wal::FsyncPolicy::Group).unwrap();
@@ -954,6 +792,7 @@ mod tests {
             t.commit().unwrap();
         }
         let before = h.wal_len_bytes().unwrap();
+        assert!(DbHandle::new(geo_db()).checkpoint().is_err(), "a non-durable handle refuses CHECKPOINT");
         let stats = h.checkpoint().unwrap();
         assert_eq!(stats.bytes_before, before);
         assert!(h.wal_len_bytes().unwrap() < before);

@@ -13,10 +13,9 @@
 //! * [`Wal`] ([`log`]) — the log itself: a **manifest** file listing
 //!   numbered **segment** files (`wal.0001`, `wal.0002`, …). Appends go
 //!   to the last segment and rotate to a fresh one past a size
-//!   threshold, so checkpoints stop rewriting one ever-growing file;
-//!   pre-segmentation single-file logs migrate in place on first
-//!   recovery. [`Wal::append_commit`] is a buffered append (called in
-//!   commit order by the publisher, under its commit ticket);
+//!   threshold, so checkpoints stop rewriting one ever-growing file.
+//!   [`Wal::append_commit`] is a buffered append of a borrowed op log
+//!   (called in commit order by the publisher, under its commit ticket);
 //!   [`Wal::wait_durable`] implements the [`FsyncPolicy`]:
 //!   - [`FsyncPolicy::PerCommit`] — one fsync per commit (the baseline),
 //!   - [`FsyncPolicy::Group`] — **group commit**: records that arrive
@@ -27,10 +26,11 @@
 //!   order, **truncate the torn tail** at the first incomplete or
 //!   checksum-failing frame of the *last* segment (a torn frame in an
 //!   interior segment is corruption and a hard error), restore the
-//!   bootstrap image and replay every complete commit record. Replay
-//!   re-runs the full integrity machinery of `mad_storage` and verifies
-//!   that every logged insert re-lands on its recorded slot (slot
-//!   allocation is deterministic), so a log that does not match its
+//!   bootstrap image and replay every complete commit record through
+//!   [`apply_op`] — the one apply a rebasing commit and a standby use
+//!   too. Replay re-runs the full integrity machinery of `mad_storage`
+//!   and verifies that every logged insert re-lands on its recorded slot
+//!   (slot allocation is deterministic), so a log that does not match its
 //!   bootstrap errors instead of silently corrupting.
 //! * [`Wal::checkpoint`] — fold the log into a fresh bootstrap image
 //!   written into the **next** segment (atomic manifest swap, old

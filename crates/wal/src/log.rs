@@ -25,15 +25,10 @@
 //! frame inside an interior segment is a hard error — interior segments
 //! were completed and fsynced before the manifest grew past them, so a
 //! tear there is corruption, not a crash artifact.
-//!
-//! Pre-segmentation logs (a single file starting with the WAL magic) are
-//! migrated in place on the first [`Wal::recover`]: the file is renamed
-//! to segment `0001` and a manifest is journaled into its place (the
-//! journal file makes the two renames crash-safe).
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::record::{
-    apply_op, frame, frame_len, read_frame, FrameRead, WalRecord, MAGIC,
+    apply_op, frame, frame_commit, frame_len, read_frame, FrameRead, WalRecord, MAGIC,
 };
 use crate::WalOp;
 use mad_model::{MadError, Result};
@@ -67,8 +62,7 @@ pub enum FsyncPolicy {
 }
 
 /// First bytes of a log **manifest** file (the segment list). Distinct
-/// from [`MAGIC`], which opens every segment (and pre-segmentation
-/// single-file logs).
+/// from [`MAGIC`], which opens every segment.
 pub const MANIFEST_MAGIC: &[u8] = b"MADWALM1\n";
 
 /// Default rotation threshold: a segment past this size closes at the
@@ -170,8 +164,7 @@ pub struct RecoveryInfo {
     pub last_seq: u64,
     /// Bytes of torn tail discarded (0 for a cleanly closed log).
     pub truncated_bytes: u64,
-    /// Log segments the recovery walked (1 for a freshly migrated
-    /// pre-segmentation log).
+    /// Log segments the recovery walked.
     pub segments: u64,
 }
 
@@ -373,6 +366,19 @@ fn parse_manifest(buf: &[u8]) -> Result<Vec<String>> {
     Ok(names)
 }
 
+/// The segment file names the manifest at `path` lists.
+fn read_manifest(path: &Path) -> Result<Vec<String>> {
+    let head = std::fs::read(path)
+        .map_err(|e| io_err(&format!("open log `{}`", path.display()), e))?;
+    if !head.starts_with(MANIFEST_MAGIC) {
+        return Err(MadError::wal(format!(
+            "`{}` is not a MAD write-ahead log (bad magic)",
+            path.display()
+        )));
+    }
+    parse_manifest(&head)
+}
+
 /// Atomically (re)write the manifest at `path`: journal file + fsync +
 /// rename + directory fsync.
 fn write_manifest(path: &Path, names: &[String]) -> Result<()> {
@@ -398,22 +404,10 @@ fn write_manifest(path: &Path, names: &[String]) -> Result<()> {
 }
 
 /// The segment file the log at `path` is currently appending to — what a
-/// crash scenario must cut to simulate a torn tail. Returns `path` itself
-/// for a pre-segmentation single-file log.
+/// crash scenario must cut to simulate a torn tail.
 pub fn active_segment_path(path: impl AsRef<Path>) -> Result<PathBuf> {
     let path = path.as_ref();
-    let head = std::fs::read(path).map_err(|e| io_err("read log manifest", e))?;
-    if head.starts_with(MAGIC) {
-        return Ok(path.to_path_buf());
-    }
-    if !head.starts_with(MANIFEST_MAGIC) {
-        return Err(MadError::wal(format!(
-            "`{}` is not a MAD write-ahead log (bad magic)",
-            path.display()
-        )));
-    }
-    let names = parse_manifest(&head)?;
-    match names.last() {
+    match read_manifest(path)?.last() {
         Some(name) => Ok(path.with_file_name(name)),
         None => Err(MadError::wal("log manifest lists no segments")),
     }
@@ -449,12 +443,11 @@ impl Wal {
         Ok(Self::assemble(path, policy, file, 1, image))
     }
 
-    /// Replace whatever log lives at `path` (segmented, pre-segmentation,
-    /// or nothing) with a fresh one bootstrapped from `db` at `base_seq`,
-    /// atomically: the new bootstrap goes into the **next** segment
-    /// number and the manifest swap is the commit point, so a crash
-    /// leaves either the old or the new log. Old segment files are
-    /// deleted best-effort afterwards. This is the standby-resync
+    /// Replace whatever log lives at `path` (or nothing) with a fresh one
+    /// bootstrapped from `db` at `base_seq`, atomically: the new bootstrap
+    /// goes into the **next** segment number and the manifest swap is the
+    /// commit point, so a crash leaves either the old or the new log. Old
+    /// segment files are deleted best-effort afterwards. This is the standby-resync
     /// operation — the primary's checkpoint horizon passed our cursor and
     /// a snapshot replaces local history.
     pub fn reinitialize(
@@ -529,8 +522,6 @@ impl Wal {
     /// interior segment is corruption and a hard error), replay the
     /// bootstrap image plus every complete commit record, and return the
     /// log (positioned for appending) with the recovered database.
-    ///
-    /// A pre-segmentation single-file log is migrated in place first.
     pub fn recover(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -542,9 +533,8 @@ impl Wal {
             // interrupted swap that never reached its rename — stale
             let _ = std::fs::remove_file(&journal);
         } else if journal.exists() {
-            // the legacy migration crashed between its two renames: the
-            // file became segment 0001 but the journaled manifest never
-            // landed — finish the swap
+            // a `create` crashed between journaling its first manifest
+            // and renaming it into place — finish the swap
             let head = std::fs::read(&journal).map_err(|e| io_err("read manifest journal", e))?;
             if head.starts_with(MANIFEST_MAGIC) {
                 std::fs::rename(&journal, &path)
@@ -552,18 +542,7 @@ impl Wal {
                 sync_parent_dir(&path)?;
             }
         }
-        let head = std::fs::read(&path)
-            .map_err(|e| io_err(&format!("open log `{}`", path.display()), e))?;
-        let names = if head.starts_with(MAGIC) {
-            migrate_legacy(&path)?
-        } else if head.starts_with(MANIFEST_MAGIC) {
-            parse_manifest(&head)?
-        } else {
-            return Err(MadError::wal(format!(
-                "`{}` is not a MAD write-ahead log (bad magic)",
-                path.display()
-            )));
-        };
+        let names = read_manifest(&path)?;
 
         // scan every segment; stop at the first incomplete/corrupt frame
         // of the LAST segment (the torn tail); a torn interior is fatal
@@ -655,8 +634,8 @@ impl Wal {
                             last_seq + 1
                         )));
                     }
-                    for op in &ops {
-                        apply_op(&mut db, op)?;
+                    for mut op in ops {
+                        apply_op(&mut db, &mut op, None)?;
                     }
                     last_seq = seq;
                     commits += 1;
@@ -748,10 +727,7 @@ impl Wal {
     pub fn append_commit(&self, seq: u64, ops: &[WalOp]) -> Result<Lsn> {
         self.check_poisoned()?;
         let at = StageTimer::start(StageKind::WalAppend);
-        let framed = frame(&WalRecord::Commit {
-            seq,
-            ops: ops.to_vec(),
-        })?;
+        let framed = frame_commit(seq, ops)?;
         let mut files = self.files.lock().unwrap();
         if files.active.len >= files.max_seg_bytes {
             // rotate BEFORE the record goes anywhere: a rotation failure
@@ -1115,38 +1091,6 @@ impl Wal {
     }
 }
 
-/// Migrate a pre-segmentation single-file log at `path` into the
-/// manifest + segment layout: journal the manifest beside it, rename the
-/// file to segment `0001`, then rename the journal into place. Crash
-/// windows: before the first rename the file is still a valid legacy log
-/// (migration simply reruns); between the renames, [`Wal::recover`]'s
-/// journal-repair step completes the swap.
-fn migrate_legacy(path: &Path) -> Result<Vec<String>> {
-    let name = segment_name(path, 1);
-    let journal = manifest_journal(path);
-    let mut buf = Vec::from(MANIFEST_MAGIC);
-    buf.extend_from_slice(name.as_bytes());
-    buf.push(b'\n');
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&journal)
-        .map_err(|e| io_err("create migration manifest journal", e))?;
-    file.write_all(&buf)
-        .map_err(|e| io_err("write migration manifest", e))?;
-    file.sync_data()
-        .map_err(|e| io_err("fsync migration manifest", e))?;
-    drop(file);
-    std::fs::rename(path, path.with_file_name(&name))
-        .map_err(|e| io_err("rename legacy log to segment 0001", e))?;
-    sync_parent_dir(path)?;
-    std::fs::rename(&journal, path)
-        .map_err(|e| io_err("swap migration manifest into place", e))?;
-    sync_parent_dir(path)?;
-    Ok(vec![name])
-}
-
 /// Write `db` at `base_seq` as the bootstrap image of a fresh, fsynced
 /// segment `n` of the log at `path`, then make that segment the only one
 /// the manifest lists.
@@ -1353,51 +1297,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_log_migrates_on_recover() {
-        let dir = tmpdir("legacy");
+    fn recover_rejects_a_bare_single_file_log_unchanged() {
+        // a lone segment at the manifest path (magic + bootstrap + commit,
+        // no manifest) is not a log: recovery refuses it and writes nothing
+        let dir = tmpdir("bare");
         let path = dir.join("mad.wal");
         let mut db = small_db();
         let state = db.schema().atom_type_id("state").unwrap();
-        // hand-write a pre-segmentation log: magic + bootstrap + 1 commit,
-        // all in the single file at `path`
         let mut file = File::create(&path).unwrap();
         write_bootstrap(&mut file, &db, 0).unwrap();
         let id = db.insert_atom(state, vec![Value::from("MG")]).unwrap();
-        let framed = frame(&WalRecord::Commit {
-            seq: 1,
-            ops: vec![WalOp::Insert {
-                ty: state,
-                tuple: vec![Value::from("MG")],
-                id,
-            }],
-        })
-        .unwrap();
-        file.write_all(&framed).unwrap();
+        let ops = [WalOp::Insert { ty: state, tuple: vec![Value::from("MG")], id }];
+        file.write_all(&frame_commit(1, &ops).unwrap()).unwrap();
         drop(file);
-
-        let (wal, recovered, info) = Wal::recover(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(info.commits_replayed, 1);
-        assert_eq!(info.segments, 1);
-        assert_eq!(recovered.atom_count(state), 2);
-        // the file at `path` is now a manifest pointing at segment 0001
-        let head = std::fs::read(&path).unwrap();
-        assert!(head.starts_with(MANIFEST_MAGIC));
-        assert!(dir.join("mad.wal.0001").exists());
-        // and the migrated log still appends and re-recovers
-        let lsn = wal
-            .append_commit(
-                2,
-                &[WalOp::Insert {
-                    ty: state,
-                    tuple: vec![Value::from("RJ")],
-                    id: mad_model::AtomId::new(state, 2),
-                }],
-            )
-            .unwrap();
-        wal.wait_durable(lsn).unwrap();
-        drop(wal);
-        let (_, _, info) = Wal::recover(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(info.commits_replayed, 2);
+        let before = std::fs::read(&path).unwrap();
+        let err = Wal::recover(&path, FsyncPolicy::Never).map(|_| ()).unwrap_err();
+        assert!(matches!(err, MadError::Wal { .. }), "got {err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "the file is left as it was");
+        assert!(!dir.join("mad.wal.0001").exists(), "no segment was split off");
         std::fs::remove_dir_all(&dir).ok();
     }
 

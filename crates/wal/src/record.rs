@@ -15,13 +15,19 @@
 //!
 //! The first frame of a log is always a bootstrap (the full database image
 //! the following commits apply to — written at create and rewritten by
-//! checkpoint); every further frame is one committed transaction's op log
-//! with **resolved** atom ids: provisional-id remapping has already
-//! happened at commit publication, so replay is deterministic — inserts
-//! re-land on exactly the recorded slots, which recovery verifies.
+//! checkpoint); every further frame is one committed transaction's op log.
+//! [`WalOp`] is the transaction's own record of its writes: a transaction
+//! logs its ops with provisional ids, a commit that rebases re-applies
+//! them through [`apply_op`], which resolves the ids in place, and the
+//! publisher frames the resolved log from a borrow. Logged ids are
+//! therefore **resolved**, replay is deterministic, and inserts re-land on
+//! exactly the recorded slots, which recovery and standbys verify with the
+//! same [`apply_op`].
 
-use mad_model::bin::{put_u32, put_u64, u64_of_usize, usize_of_u32, BinDecode, BinEncode, Reader};
-use mad_model::{AtomId, AtomTypeId, LinkTypeId, MadError, Result, Value};
+use mad_model::bin::{
+    len_u32, put_u32, put_u64, u64_of_usize, usize_of_u32, BinDecode, BinEncode, Reader,
+};
+use mad_model::{AtomId, AtomTypeId, FxHashMap, LinkTypeId, MadError, Result, Value};
 use mad_storage::{Database, DatabaseSnapshot};
 
 /// The 8-byte file magic ("MADWAL" + format version 1 + newline).
@@ -30,18 +36,18 @@ pub const MAGIC: &[u8; 8] = b"MADWAL1\n";
 /// Size of a frame header (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
-/// One replayable operation of a committed transaction, with all atom ids
-/// **resolved** (never provisional).
+/// One logged operation of a transaction. Inside an open transaction its
+/// ids may be provisional; in a committed record they are **resolved**.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {
-    /// An atom insert; `id` is the slot the insert landed on at commit,
-    /// which replay re-derives and verifies.
+    /// An atom insert; `id` is where it landed (provisional inside an open
+    /// transaction), which recovery re-derives and verifies.
     Insert {
         /// The atom type.
         ty: AtomTypeId,
         /// The attribute tuple.
         tuple: Vec<Value>,
-        /// The committed id (replay must land here).
+        /// The landed id (recovery must land here).
         id: AtomId,
     },
     /// A batched insert of several atoms of one type.
@@ -50,7 +56,7 @@ pub enum WalOp {
         ty: AtomTypeId,
         /// The attribute tuples.
         tuples: Vec<Vec<Value>>,
-        /// The committed ids, parallel to `tuples`.
+        /// The landed ids, parallel to `tuples`.
         ids: Vec<AtomId>,
     },
     /// An atom delete (incident links cascade, as in
@@ -167,38 +173,68 @@ impl BinDecode for WalOp {
     }
 }
 
-/// Apply one logged operation to a database during recovery replay,
-/// verifying that inserts land on the recorded slots (slot allocation is
-/// deterministic, so a divergence means the log does not belong to this
-/// bootstrap image).
-pub fn apply_op(db: &mut Database, op: &WalOp) -> Result<()> {
+/// Apply one logged operation through the storage engine and rewrite the
+/// op's ids to where it landed.
+///
+/// `moved` says what an insert landing off its recorded slot means. With
+/// `None` (recovery, standbys) the op's ids are committed ids and slot
+/// allocation is deterministic, so a moved insert is a replay divergence:
+/// the log does not belong to this image. With `Some(moved)` (a commit
+/// rebasing onto a newer image) the ids may be provisional: every
+/// reference is first resolved through `moved`, and a moved insert is
+/// recorded there as `recorded → landed`. Either way the op leaves
+/// resolved, ready to log.
+pub fn apply_op(
+    db: &mut Database,
+    op: &mut WalOp,
+    moved: Option<&mut FxHashMap<AtomId, AtomId>>,
+) -> Result<()> {
+    let resolve = |moved: &Option<&mut FxHashMap<AtomId, AtomId>>, id: &mut AtomId| {
+        if let Some(&to) = moved.as_ref().and_then(|m| m.get(id)) {
+            *id = to;
+        }
+    };
     match op {
         WalOp::Insert { ty, tuple, id } => {
             let actual = db.insert_atom(*ty, tuple.clone())?;
             if actual != *id {
-                return Err(MadError::wal(format!(
-                    "replay divergence: logged insert landed on {actual}, log says {id}"
-                )));
+                let Some(moved) = moved else {
+                    return Err(MadError::wal(format!(
+                        "replay divergence: logged insert landed on {actual}, log says {id}"
+                    )));
+                };
+                moved.insert(*id, actual);
+                *id = actual;
             }
         }
         WalOp::InsertBatch { ty, tuples, ids } => {
             let actual = db.insert_atoms(*ty, tuples.iter().cloned())?;
             if actual != *ids {
-                return Err(MadError::wal(format!(
-                    "replay divergence: logged batch insert landed on {actual:?}, log says {ids:?}"
-                )));
+                let Some(moved) = moved else {
+                    return Err(MadError::wal(format!(
+                        "replay divergence: logged batch insert landed on {actual:?}, log says {ids:?}"
+                    )));
+                };
+                moved.extend(ids.iter().copied().zip(actual.iter().copied()).filter(|(p, a)| p != a));
+                *ids = actual;
             }
         }
         WalOp::Delete { id } => {
+            resolve(&moved, id);
             db.delete_atom(*id)?;
         }
         WalOp::UpdateAttr { id, attr, value } => {
+            resolve(&moved, id);
             db.update_attr(*id, usize_of_u32(*attr), value.clone())?;
         }
         WalOp::Connect { lt, side0, side1 } => {
+            resolve(&moved, side0);
+            resolve(&moved, side1);
             db.connect(*lt, *side0, *side1)?;
         }
         WalOp::Disconnect { lt, side0, side1 } => {
+            resolve(&moved, side0);
+            resolve(&moved, side1);
             db.disconnect(*lt, *side0, *side1)?;
         }
     }
@@ -233,12 +269,19 @@ impl BinEncode for WalRecord {
                 put_u64(out, *base_seq);
                 snapshot.encode(out);
             }
-            WalRecord::Commit { seq, ops } => {
-                out.push(1);
-                put_u64(out, *seq);
-                ops.encode(out);
-            }
+            WalRecord::Commit { seq, ops } => encode_commit(out, *seq, ops),
         }
+    }
+}
+
+/// Append a commit payload encoded from a borrowed op log: the bytes
+/// `WalRecord::Commit { seq, ops }` encodes to, with no copy of `ops`.
+fn encode_commit(out: &mut Vec<u8>, seq: u64, ops: &[WalOp]) {
+    out.push(1);
+    put_u64(out, seq);
+    put_u32(out, len_u32(ops.len()));
+    for op in ops {
+        op.encode(out);
     }
 }
 
@@ -264,7 +307,19 @@ impl BinDecode for WalRecord {
 /// Errors if the payload exceeds the `u32` length field — a silently
 /// wrapped length would render the whole log unrecoverable.
 pub fn frame(record: &WalRecord) -> Result<Vec<u8>> {
-    let payload = record.to_bytes();
+    seal(&record.to_bytes())
+}
+
+/// Frame one commit record straight from a borrowed op log; the bytes
+/// equal [`frame`] of the owning [`WalRecord::Commit`].
+pub(crate) fn frame_commit(seq: u64, ops: &[WalOp]) -> Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    encode_commit(&mut payload, seq, ops);
+    seal(&payload)
+}
+
+/// Prefix `payload` with its frame header.
+fn seal(payload: &[u8]) -> Result<Vec<u8>> {
     let Ok(len) = u32::try_from(payload.len()) else {
         return Err(MadError::wal(format!(
             "record payload of {} bytes exceeds the 4 GiB frame limit \
@@ -274,8 +329,8 @@ pub fn frame(record: &WalRecord) -> Result<Vec<u8>> {
     };
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
     put_u32(&mut out, len);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    put_u32(&mut out, crc32(payload));
+    out.extend_from_slice(payload);
     Ok(out)
 }
 
@@ -488,6 +543,7 @@ mod tests {
             ops: sample_ops(),
         };
         let framed = frame(&rec).unwrap();
+        assert_eq!(frame_commit(7, &sample_ops()).unwrap(), framed, "one commit encoding");
         match read_frame(&framed, 0) {
             FrameRead::Ok(WalRecord::Commit { seq, ops }, end) => {
                 assert_eq!(seq, 7);
@@ -516,12 +572,12 @@ mod tests {
         let mut db = Database::new(schema);
         let ty = db.schema().atom_type_id("a").unwrap();
         // log says the insert landed on slot 5, but the db is empty
-        let op = WalOp::Insert {
+        let mut op = WalOp::Insert {
             ty,
             tuple: vec![Value::from(1)],
             id: AtomId::new(ty, 5),
         };
-        let err = apply_op(&mut db, &op).unwrap_err();
+        let err = apply_op(&mut db, &mut op, None).unwrap_err();
         assert!(matches!(err, MadError::Wal { .. }), "got {err}");
     }
 }

@@ -8,7 +8,7 @@ use mad_model::bin::BinEncode;
 use mad_model::{AtomId, AttrType, SchemaBuilder, Value};
 use mad_storage::{Database, DatabaseSnapshot};
 use mad_wal::record::{frame, MAGIC};
-use mad_wal::{crc32, FsyncPolicy, Wal, WalOp, WalRecord};
+use mad_wal::{crc32, FsyncPolicy, Wal, WalOp, WalRecord, MANIFEST_MAGIC};
 
 /// CRC-32/IEEE one bit at a time: reflected polynomial `0xEDB88320`,
 /// initial value and final xor `0xFFFFFFFF`.
@@ -147,8 +147,11 @@ fn a_log_framed_by_the_reference_recovers_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mad.wal");
-    // a pre-segmentation single-file log, migrated on recovery
-    std::fs::write(&path, &image).unwrap();
+    // the reference frames as the one segment its manifest lists
+    std::fs::write(dir.join("mad.wal.0001"), &image).unwrap();
+    let mut manifest = MANIFEST_MAGIC.to_vec();
+    manifest.extend_from_slice(b"mad.wal.0001\n");
+    std::fs::write(&path, manifest).unwrap();
     let (_, recovered, info) = Wal::recover(&path, FsyncPolicy::Never).unwrap();
     assert_eq!(info.commits_replayed, 21);
     assert_eq!(info.last_seq, 21);

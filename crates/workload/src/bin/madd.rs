@@ -41,7 +41,7 @@
 
 use mad_net::{Server, ServerConfig};
 use mad_repl::{ReplPrimary, Standby, StandbyConfig};
-use mad_txn::{DbHandle, Durability, FsyncPolicy, ReplAck};
+use mad_txn::{DbHandle, FsyncPolicy, ReplAck};
 use mad_workload::{brazil_database, mixed_database};
 
 fn main() {
@@ -141,11 +141,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "brazil" => brazil_database()?.0,
         other => return Err(format!("unknown bootstrap fixture `{other}`").into()),
     };
-    let durability = match wal {
-        Some(path) => Durability::Wal { path, fsync },
-        None => Durability::None,
+    // an existing log wins over the bootstrap fixture
+    let handle = match wal {
+        Some(path) if path.exists() => DbHandle::open_durable(path, fsync)?,
+        Some(path) => DbHandle::create_durable(db, path, fsync)?,
+        None => DbHandle::new(db),
     };
-    let handle = DbHandle::with_durability(db, durability)?;
     if let Some(info) = handle.recovery_info() {
         eprintln!(
             "madd: recovered {} commit(s), truncated {} torn byte(s)",

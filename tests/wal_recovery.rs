@@ -10,9 +10,9 @@
 use mad::model::Value;
 use mad::storage::DatabaseSnapshot;
 use mad::txn::{CheckpointPolicy, DbHandle, FsyncPolicy, Transaction};
-use mad::wal::{active_segment_path, frame_boundaries};
+use mad::wal::{active_segment_path, frame_boundaries, MANIFEST_MAGIC};
 use mad::workload::{run_crash_recovery, CrashParams, MixedParams};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mad-walrec-{name}-{}", std::process::id()));
@@ -48,15 +48,25 @@ fn build_history(path: &std::path::Path) -> Vec<String> {
     images
 }
 
+/// Lay `segment` out as a one-segment log at `path`: the segment file
+/// beside a manifest that lists it.
+fn write_one_segment_log(path: &Path, segment: &[u8]) {
+    let name = format!("{}.0001", path.file_name().unwrap().to_str().unwrap());
+    std::fs::write(path.with_file_name(&name), segment).unwrap();
+    let mut manifest = MANIFEST_MAGIC.to_vec();
+    manifest.extend_from_slice(name.as_bytes());
+    manifest.push(b'\n');
+    std::fs::write(path, manifest).unwrap();
+}
+
 #[test]
 fn torn_final_record_recovers_to_previous_commit_at_every_byte_offset() {
     let dir = tmpdir("everybyte");
     let path = dir.join("mad.wal");
     let images = build_history(&path);
     // the record bytes live in the active segment (one segment here —
-    // the history is far below the rotation threshold); a prefix of them
-    // is itself a valid pre-segmentation log, which `open_durable`
-    // migrates on the fly
+    // the history is far below the rotation threshold); each prefix of
+    // them is laid out as the one segment of a log of its own
     let full = std::fs::read(active_segment_path(&path).unwrap()).unwrap();
     let boundaries = frame_boundaries(&full);
     assert_eq!(boundaries.len(), 4, "bootstrap + 3 commits");
@@ -66,7 +76,7 @@ fn torn_final_record_recovers_to_previous_commit_at_every_byte_offset() {
 
     let torn = dir.join("torn.wal");
     for cut in last_start..last_end {
-        std::fs::write(&torn, &full[..cut]).unwrap();
+        write_one_segment_log(&torn, &full[..cut]);
         let handle = DbHandle::open_durable(&torn, FsyncPolicy::Never)
             .unwrap_or_else(|e| panic!("cut at byte {cut} failed recovery: {e}"));
         let info = handle.recovery_info().unwrap();
