@@ -10,11 +10,18 @@
 //! shared border `edge`) can appear in many molecules. Fig. 2's lower half
 //! — `mt state` molecules SP and MG sharing edge/point atoms — is exactly
 //! this, and [`MoleculeSet::shared_atoms`] reports it.
+//!
+//! [`Molecule::write_tree`] renders a molecule as the indented tree a text
+//! reply carries, one line per atom occurrence (`^id` for an atom already
+//! printed in the molecule). Every line is written by `write_atom_line`
+//! through [`mad_model::text`], which also serves the recursive
+//! molecules' trees, so ids and values print without `core::fmt`.
 
 use crate::structure::MoleculeStructure;
+use mad_model::text::TextWriter;
 use mad_model::{AtomId, FxHashMap, FxHashSet, Value};
 use mad_storage::Database;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// One molecule: a rooted occurrence of a molecule structure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,12 +121,12 @@ impl Molecule {
     /// reached a second time within this molecule is printed once in full
     /// and subsequently as a `^ref`.
     pub fn render_tree(&self, db: &Database, md: &MoleculeStructure) -> String {
-        let mut out = String::new();
+        let mut out = TextWriter::new();
         self.write_tree(db, md, &[], &mut FxHashSet::default(), &mut out);
-        out
+        out.into_string()
     }
 
-    /// [`Molecule::render_tree`], appended to `out`, showing only the
+    /// [`Molecule::render_tree`], written to `out`, showing only the
     /// tuple positions `attrs[n]` at node `n` (see [`MoleculeType::attrs`]).
     /// `seen` is scratch space for the `^ref` markers, cleared first, so
     /// one set serves a whole molecule set.
@@ -129,7 +136,7 @@ impl Molecule {
         md: &MoleculeStructure,
         attrs: &[Option<Vec<usize>>],
         seen: &mut FxHashSet<AtomId>,
-        out: &mut String,
+        out: &mut TextWriter,
     ) {
         seen.clear();
         self.write_atom(db, md, attrs, md.root(), self.root, 0, seen, out);
@@ -145,7 +152,7 @@ impl Molecule {
         atom: AtomId,
         depth: usize,
         seen: &mut FxHashSet<AtomId>,
-        out: &mut String,
+        out: &mut TextWriter,
     ) {
         let alias = Some(md.nodes()[node].alias.as_str());
         let shown = attrs.get(node).and_then(Option::as_deref);
@@ -181,7 +188,7 @@ pub(crate) fn children(
 /// given), or `id <dead>` for an atom deleted since derivation. Returns
 /// whether the atom was new, i.e. whether its children follow.
 pub(crate) fn write_atom_line(
-    out: &mut String,
+    out: &mut TextWriter,
     db: &Database,
     seen: &mut FxHashSet<AtomId>,
     depth: usize,
@@ -194,20 +201,23 @@ pub(crate) fn write_atom_line(
     }
     if let Some(alias) = alias {
         out.push_str(alias);
-        out.push(' ');
+        out.push_char(' ');
     }
     if !seen.insert(atom) {
-        let _ = writeln!(out, "^{atom}");
+        out.push_char('^');
+        out.push_atom_id(atom);
+        out.push_char('\n');
         return false;
     }
-    let _ = write!(out, "{atom} <");
+    out.push_atom_id(atom);
+    out.push_str(" <");
     match db.atom(atom) {
         Ok(tuple) => {
             let mut put = |i: usize, v: &Value| {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{v}");
+                out.push_value(v);
             };
             match shown {
                 None => tuple.iter().enumerate().for_each(|(i, v)| put(i, v)),
@@ -292,13 +302,14 @@ impl MoleculeType {
     /// The number of atoms appearing in ≥ 2 molecules — the length of
     /// [`MoleculeType::shared_atoms`], counted on the sorted concatenation
     /// of the per-molecule atom sets instead of through a map of roots.
+    /// The ids are sorted packed into `u64`s, which compare in one step.
     pub fn shared_atom_count(&self) -> usize {
-        let mut all: Vec<AtomId> =
+        let mut all: Vec<u64> =
             Vec::with_capacity(self.molecules.iter().map(Molecule::atom_occurrences).sum());
-        let mut one: Vec<AtomId> = Vec::new();
+        let mut one: Vec<u64> = Vec::new();
         for m in &self.molecules {
             one.clear();
-            one.extend(m.atoms.iter().flatten());
+            one.extend(m.atoms.iter().flatten().map(|a| a.pack()));
             one.sort_unstable();
             one.dedup();
             all.extend_from_slice(&one);

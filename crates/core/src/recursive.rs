@@ -22,6 +22,7 @@
 //! across all roots.
 
 use crate::molecule::{children, write_atom_line};
+use mad_model::text::TextWriter;
 use mad_model::{AtomId, AtomTypeId, BitSet, FxHashSet, LinkTypeId, MadError, Result};
 use mad_storage::database::Direction;
 use mad_storage::{CsrSnapshot, Database};
@@ -96,14 +97,14 @@ impl RecursiveMolecule {
     /// Render as an indented tree; atoms revisited (shared or cyclic) are
     /// shown as `^ref`, guaranteeing finite output on cyclic data.
     pub fn render_tree(&self, db: &Database) -> String {
-        let mut out = String::new();
+        let mut out = TextWriter::new();
         self.write_tree(db, &mut FxHashSet::default(), &mut out);
-        out
+        out.into_string()
     }
 
-    /// [`RecursiveMolecule::render_tree`], appended to `out`; `seen` is
+    /// [`RecursiveMolecule::render_tree`], written to `out`; `seen` is
     /// cleared first, as in [`crate::Molecule::write_tree`].
-    pub fn write_tree(&self, db: &Database, seen: &mut FxHashSet<AtomId>, out: &mut String) {
+    pub fn write_tree(&self, db: &Database, seen: &mut FxHashSet<AtomId>, out: &mut TextWriter) {
         seen.clear();
         self.write_node(db, self.root, 0, seen, out);
     }
@@ -114,7 +115,7 @@ impl RecursiveMolecule {
         atom: AtomId,
         depth: usize,
         seen: &mut FxHashSet<AtomId>,
-        out: &mut String,
+        out: &mut TextWriter,
     ) {
         if !write_atom_line(out, db, seen, depth, None, atom, None) {
             return;

@@ -62,8 +62,11 @@ impl fmt::Debug for LinkTypeId {
 }
 
 impl fmt::Debug for AtomId {
+    /// `a<ty>.<slot>`, written by [`crate::text::TextWriter::push_atom_id`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "a{}.{}", self.ty.0, self.slot)
+        let mut out = crate::text::TextWriter::with_capacity(24);
+        out.push_atom_id(*self);
+        f.write_str(&out.into_string())
     }
 }
 

@@ -12,7 +12,8 @@
 //!   including the *extended* link-type definition with cardinality
 //!   restrictions the paper mentions in §3.1,
 //! * [`Schema`] — the database schema `<AT, LT>` of Def. 3,
-//! * [`MadError`] — the error domain shared by all crates.
+//! * [`MadError`] — the error domain shared by all crates,
+//! * [`text`] — the text writer every reply renderer writes through.
 //!
 //! The correspondence to the relational model is exactly Fig. 3 of the paper:
 //! attribute ↔ attribute, relation schema ↔ atom-type description, tuple ↔
@@ -26,6 +27,7 @@ pub mod fxhash;
 pub mod ids;
 pub mod json;
 pub mod schema;
+pub mod text;
 pub mod types;
 pub mod value;
 

@@ -225,21 +225,11 @@ impl Hash for Value {
 }
 
 impl fmt::Display for Value {
+    /// The reply text of a value, written by [`crate::text::TextWriter::push_value`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Value::Text(s) => write!(f, "'{s}'"),
-            Value::Id(a) => write!(f, "@{a}"),
-        }
+        let mut out = crate::text::TextWriter::new();
+        out.push_value(self);
+        f.write_str(&out.into_string())
     }
 }
 

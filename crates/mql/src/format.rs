@@ -1,9 +1,18 @@
 //! Rendering of MQL statement results for terminal output.
+//!
+//! The text reply is a wire format: [`render_result`] writes molecule sets
+//! (Fig.-2 style trees, through `Molecule::write_tree`) and the other
+//! result kinds, and [`render_bin_result`] renders a decoded binary result
+//! on the client. Both write atom ids, counts and tuple values through
+//! [`mad_model::text`], the one definition of how a value prints; no
+//! `core::fmt` runs per tree line. `tests/render_equivalence.rs` and
+//! `tests/served_scan_golden.rs` pin the bytes.
 
 use crate::exec::StatementResult;
 use mad_core::MoleculeType;
 use mad_model::bin::{len_u32, usize_of_u32, BinAtom, BinMolecules, BinNode, BinResult};
 use mad_model::json::Json;
+use mad_model::text::TextWriter;
 use mad_model::FxHashSet;
 use mad_obs::MetricValue;
 use mad_storage::Database;
@@ -14,33 +23,35 @@ use std::fmt::Write as _;
 pub fn render_result(db: &Database, result: &StatementResult) -> String {
     match result {
         StatementResult::Molecules(mt) => {
-            let mut out = String::with_capacity(rendered_size_hint(mt));
-            let _ = writeln!(out, "molecule type `{}`: {} molecule(s)", mt.name, mt.len());
-            let _ = writeln!(
-                out,
-                "structure: {}",
-                mt.structure.render_compact(db.schema())
-            );
+            let mut out = TextWriter::with_capacity(rendered_size_hint(mt));
+            out.push_str("molecule type `");
+            out.push_str(&mt.name);
+            out.push_str("`: ");
+            push_count(&mut out, mt.len());
+            out.push_str(" molecule(s)\nstructure: ");
+            out.push_str(&mt.structure.render_compact(db.schema()));
+            out.push_char('\n');
             let mut seen = FxHashSet::default();
             for m in &mt.molecules {
                 m.write_tree(db, &mt.structure, &mt.attrs, &mut seen, &mut out);
             }
             let shared = mt.shared_atom_count();
             if shared > 0 {
-                let _ = writeln!(
-                    out,
-                    "shared subobjects: {shared} atom(s) appear in ≥ 2 molecules"
-                );
+                out.push_str("shared subobjects: ");
+                push_count(&mut out, shared);
+                out.push_str(" atom(s) appear in ≥ 2 molecules\n");
             }
-            out
+            out.into_string()
         }
         StatementResult::Recursive(ms) => {
-            let mut out = format!("{} recursive molecule(s)\n", ms.len());
+            let mut out = TextWriter::new();
+            push_count(&mut out, ms.len());
+            out.push_str(" recursive molecule(s)\n");
             let mut seen = FxHashSet::default();
             for m in ms {
                 m.write_tree(db, &mut seen, &mut out);
             }
-            out
+            out.into_string()
         }
         StatementResult::Plan(plan) => plan.to_string(),
         StatementResult::Defined(name) => format!("defined molecule type `{name}`\n"),
@@ -177,20 +188,19 @@ pub fn render_bin_result(result: &BinResult) -> String {
     match result {
         BinResult::Text(s) => s.clone(),
         BinResult::Molecules(bm) => {
-            let mut out = format!(
-                "molecule type `{}`: {} molecule(s) (binary)\n",
-                bm.name,
-                bm.molecules.len()
-            );
-            let _ = writeln!(
-                out,
-                "nodes: {}",
-                bm.nodes
-                    .iter()
-                    .map(|n| n.alias.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+            let mut out = TextWriter::new();
+            out.push_str("molecule type `");
+            out.push_str(&bm.name);
+            out.push_str("`: ");
+            push_count(&mut out, bm.molecules.len());
+            out.push_str(" molecule(s) (binary)\nnodes: ");
+            for (i, n) in bm.nodes.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(&n.alias);
+            }
+            out.push_char('\n');
             for m in &bm.molecules {
                 out.push_str("molecule:\n");
                 for a in m {
@@ -199,13 +209,28 @@ pub fn render_bin_result(result: &BinResult) -> String {
                         .get(usize_of_u32(a.node))
                         .map(|n| n.alias.as_str())
                         .unwrap_or("?");
-                    let vals: Vec<String> = a.tuple.iter().map(|v| v.to_string()).collect();
-                    let _ = writeln!(out, "  {alias} {} <{}>", a.id, vals.join(", "));
+                    out.push_str("  ");
+                    out.push_str(alias);
+                    out.push_char(' ');
+                    out.push_atom_id(a.id);
+                    out.push_str(" <");
+                    for (i, v) in a.tuple.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        out.push_value(v);
+                    }
+                    out.push_str(">\n");
                 }
             }
-            out
+            out.into_string()
         }
     }
+}
+
+/// Append a count (a collection length) in decimal.
+fn push_count(out: &mut TextWriter, n: usize) {
+    out.push_u64(u64::try_from(n).unwrap_or(u64::MAX));
 }
 
 /// Render a registry snapshot as an aligned name/value table (the

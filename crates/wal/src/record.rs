@@ -395,23 +395,31 @@ pub fn frame_boundaries(buf: &[u8]) -> Vec<usize> {
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), computed
-/// slicing-by-8: eight bytes per step through eight 256-entry tables built
-/// at compile time, the tail byte-at-a-time through the first. The value
-/// is the plain CRC-32 of `data` — frames checked by older peers and logs
-/// written by older builds verify unchanged.
+/// slicing-by-16: sixteen bytes per step through sixteen 256-entry tables
+/// built at compile time, the tail byte-at-a-time through the first. The
+/// value is the plain CRC-32 of `data` — frames checked by older peers and
+/// logs written by older builds verify unchanged.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
-    let (blocks, tail) = data.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
+    let (blocks, tail) = data.as_chunks::<16>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in blocks {
         let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
-        crc = crc_entry(7, c0)
-            ^ crc_entry(6, c1)
-            ^ crc_entry(5, c2)
-            ^ crc_entry(4, c3)
-            ^ crc_entry(3, b4)
-            ^ crc_entry(2, b5)
-            ^ crc_entry(1, b6)
-            ^ crc_entry(0, b7);
+        crc = crc_entry(15, c0)
+            ^ crc_entry(14, c1)
+            ^ crc_entry(13, c2)
+            ^ crc_entry(12, c3)
+            ^ crc_entry(11, b4)
+            ^ crc_entry(10, b5)
+            ^ crc_entry(9, b6)
+            ^ crc_entry(8, b7)
+            ^ crc_entry(7, b8)
+            ^ crc_entry(6, b9)
+            ^ crc_entry(5, b10)
+            ^ crc_entry(4, b11)
+            ^ crc_entry(3, b12)
+            ^ crc_entry(2, b13)
+            ^ crc_entry(1, b14)
+            ^ crc_entry(0, b15);
     }
     for &b in tail {
         let [c0, ..] = crc.to_le_bytes();
@@ -420,13 +428,16 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// Slicing tables: one per byte of a 16-byte step.
+const CRC_SLICES: usize = 16;
+
 /// `CRC_TABLES[k][b]`: the CRC register contribution of byte `b` followed
 /// by `k` zero bytes.
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+const CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc32_tables();
 
-/// One slicing-table entry; `k < 8` at every call site.
+/// One slicing-table entry; `k < 16` at every call site.
 #[inline(always)]
-#[expect(clippy::indexing_slicing, reason = "k is a literal below 8; a u8 indexes 256 entries")]
+#[expect(clippy::indexing_slicing, reason = "k is a literal below 16; a u8 indexes 256 entries")]
 fn crc_entry(k: usize, b: u8) -> u32 {
     CRC_TABLES[k][usize::from(b)]
 }
@@ -435,8 +446,8 @@ fn crc_entry(k: usize, b: u8) -> u32 {
     clippy::indexing_slicing,
     reason = "const evaluation: an out-of-range index fails the build"
 )]
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut t = [[0u32; 256]; CRC_SLICES];
     let mut i = 0;
     while i < 256 {
         #[expect(
@@ -458,7 +469,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < CRC_SLICES {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];

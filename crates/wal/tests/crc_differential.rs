@@ -1,4 +1,4 @@
-//! CRC-32 differential test: the slicing-by-8 [`mad_wal::crc32`] against a
+//! CRC-32 differential test: the slicing-by-16 [`mad_wal::crc32`] against a
 //! bitwise reference of the same polynomial. The checksum guards both the
 //! WAL and the network frames, so it may not change a single output bit —
 //! logs written and frames sent before the table-driven version must still
@@ -28,10 +28,10 @@ fn crc32_bitwise(data: &[u8]) -> u32 {
 }
 
 #[test]
-fn slicing_by_8_equals_the_bitwise_reference() {
+fn slicing_by_16_equals_the_bitwise_reference() {
     // xorshift bytes, so every (offset, length) window holds different data
     let mut x = 0x1234_5678_9abc_def0u64;
-    let data: Vec<u8> = (0..308)
+    let data: Vec<u8> = (0..316)
         .map(|_| {
             x ^= x << 13;
             x ^= x >> 7;
@@ -39,8 +39,8 @@ fn slicing_by_8_equals_the_bitwise_reference() {
             x.to_le_bytes()[3]
         })
         .collect();
-    // every length across the 8-byte block boundary, at every alignment
-    for offset in 0..8 {
+    // every length across the 16-byte block boundary, at every alignment
+    for offset in 0..16 {
         for len in 0..=300 {
             let window = &data[offset..offset + len];
             assert_eq!(

@@ -42,6 +42,7 @@ mod reference {
     use mad::model::{AtomId, FxHashMap, FxHashSet, Value};
     use mad::mql::StatementResult;
     use mad::storage::Database;
+    use std::fmt;
 
     pub fn render_result(db: &Database, result: &StatementResult) -> String {
         match result {
@@ -115,6 +116,32 @@ mod reference {
         }
     }
 
+    /// `Display for Value` as it was before values were written by
+    /// `mad_model::text` (std's `{x:.1}` and `{x}` for floats), kept here
+    /// so the oracle does not run the writer it checks.
+    fn value_to_string(v: &Value) -> String {
+        struct Shown<'a>(&'a Value);
+        impl fmt::Display for Shown<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Value::Null => f.write_str("NULL"),
+                    Value::Bool(b) => write!(f, "{b}"),
+                    Value::Int(i) => write!(f, "{i}"),
+                    Value::Float(x) => {
+                        if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
+                            write!(f, "{x:.1}")
+                        } else {
+                            write!(f, "{x}")
+                        }
+                    }
+                    Value::Text(s) => write!(f, "'{s}'"),
+                    Value::Id(a) => write!(f, "@{a}"),
+                }
+            }
+        }
+        Shown(v).to_string()
+    }
+
     fn render_tree(m: &Molecule, db: &Database, md: &MoleculeStructure) -> String {
         let mut out = String::new();
         let mut seen: FxHashSet<AtomId> = FxHashSet::default();
@@ -143,7 +170,7 @@ mod reference {
         }
         match db.atom(atom) {
             Ok(tuple) => {
-                let vals: Vec<String> = tuple.iter().map(Value::to_string).collect();
+                let vals: Vec<String> = tuple.iter().map(value_to_string).collect();
                 out.push_str(&format!("{alias} {atom} <{}>\n", vals.join(", ")));
             }
             Err(_) => out.push_str(&format!("{alias} {atom} <dead>\n")),
@@ -195,7 +222,7 @@ mod reference {
         }
         match db.atom(atom) {
             Ok(t) => {
-                let vals: Vec<String> = t.iter().map(|v| v.to_string()).collect();
+                let vals: Vec<String> = t.iter().map(value_to_string).collect();
                 out.push_str(&format!("{atom} <{}>\n", vals.join(", ")));
             }
             Err(_) => out.push_str(&format!("{atom} <dead>\n")),
@@ -325,8 +352,9 @@ fn assert_reply(s: &mut Session, mql: &str) {
 
 /// Floats around every branch of `Value`'s float formatting: integral
 /// below 1e15 (`{:.1}`), integral at or above it, fractional, signed
-/// zero, subnormal-ish, non-finite.
-const FLOATS: [f64; 14] = [
+/// zero, subnormal-ish, non-finite, exact ties between two shortest
+/// decimals (std rounds them up), and the ends of the range.
+const FLOATS: [f64; 21] = [
     0.0,
     -0.0,
     2.0,
@@ -341,6 +369,13 @@ const FLOATS: [f64; 14] = [
     1e-7,
     f64::INFINITY,
     f64::NAN,
+    1_658_206_780_088_562.0 + 0.25,
+    233_115_890_514_796.0 + 0.125,
+    1.0 / 33_554_432.0, // 2^-25
+    5e-324,
+    f64::MIN_POSITIVE,
+    f64::MAX,
+    -1e300,
 ];
 
 const TEXTS: [&str; 6] = ["SP", "", "a, b", "Minas Gerais", "ü ∑ ≥", "it's"];
