@@ -201,14 +201,9 @@ fn conjunct_bitset(
             return ids.iter().map(|id| id.slot as usize).collect();
         }
     }
-    db.atoms_of(ty)
-        .filter(|(_, tuple)| {
-            tuple
-                .get(c.attr)
-                .and_then(|v| v.sql_cmp(&c.value))
-                .is_some_and(|ord| c.op.test(ord))
-        })
-        .map(|(id, _)| id.slot as usize)
+    db.slots_where(ty, c.attr, c.op, &c.value)
+        .into_iter()
+        .map(|slot| slot as usize)
         .collect()
 }
 

@@ -21,51 +21,8 @@ use crate::molecule::Molecule;
 use crate::structure::MoleculeStructure;
 use mad_model::{AttrType, FxHashMap, MadError, Result, Schema, Value};
 use mad_storage::Database;
-use std::cmp::Ordering;
-use std::fmt;
 
-/// Comparison operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Apply to an ordering.
-    pub fn test(self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-        }
-    }
-
-    /// The SQL-ish token.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
+pub use mad_model::CmpOp;
 
 /// Aggregate functions over a node's atom set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -584,12 +541,6 @@ impl QualExpr {
                 value
             ),
         }
-    }
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.symbol())
     }
 }
 

@@ -4,7 +4,8 @@
 //! from Mitschang, *Extending the Relational Algebra to Capture Complex
 //! Objects*, VLDB 1989:
 //!
-//! * [`Value`] / [`AttrType`] — attribute values and their domains,
+//! * [`Value`] / [`AttrType`] — attribute values and their domains, and
+//!   [`CmpOp`], the comparisons qualification formulas apply to them,
 //! * [`AttrDef`] — attribute descriptions,
 //! * [`AtomTypeDef`] — atom-type descriptions (Def. 1: the pair
 //!   `<aname, ad>`; occurrences live in `mad-storage`),
@@ -37,4 +38,4 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{AtomId, AtomTypeId, LinkPair, LinkTypeId};
 pub use schema::{attrs, Schema, SchemaBuilder};
 pub use types::{AtomTypeDef, AttrDef, Cardinality, LinkTypeDef};
-pub use value::{AttrType, Value};
+pub use value::{AttrType, CmpOp, Value};

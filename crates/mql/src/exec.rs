@@ -14,7 +14,7 @@ use mad_core::ops::{evaluate_restricted, project_set};
 use mad_core::qual::QualExpr;
 use mad_core::recursive::{derive_recursive, RecursiveMolecule, RecursiveSpec};
 use mad_core::structure::MoleculeStructure;
-use mad_model::{AtomId, FxHashMap, MadError, Result, Value};
+use mad_model::{AtomId, CmpOp, FxHashMap, MadError, Result, Value};
 use mad_obs::trace::{StageKind, StageTimer};
 use mad_obs::StmtTrace;
 use mad_storage::database::Direction;
@@ -244,9 +244,9 @@ fn select_atoms(db: &Database, sel: &AtomSelector) -> Result<Vec<AtomId>> {
         return Ok(hits.to_vec());
     }
     Ok(db
-        .atoms_of(ty)
-        .filter(|(_, t)| t[pos].sql_cmp(&needle) == Some(std::cmp::Ordering::Equal))
-        .map(|(id, _)| id)
+        .slots_where(ty, pos, CmpOp::Eq, &needle)
+        .into_iter()
+        .map(|slot| AtomId::new(ty, slot))
         .collect())
 }
 

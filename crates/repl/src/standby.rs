@@ -158,6 +158,10 @@ impl Standby {
         };
         ingest.wal.set_fault_plan(ingest.fault);
 
+        // every replicated commit publishes a clone of `ingest.db`, and a
+        // clone inherits its CSR cache: warm the image replay keeps
+        // applying to, not only the handle's first copy of it
+        let _ = ingest.db.csr_snapshot();
         let handle = DbHandle::new_read_only(ingest.db.clone(), ingest.have);
         shared.replicated_seq.store(ingest.have, Ordering::SeqCst);
         register_standby_gauges(&handle, &shared);

@@ -101,6 +101,32 @@ fn fresh_standby_bootstraps_and_follows_live_commits() {
 }
 
 #[test]
+fn a_standby_publishes_warm_images_after_attribute_only_commits() {
+    let dir = tmpdir("warm");
+    let primary =
+        DbHandle::create_durable(small_db(), dir.join("primary.wal"), FsyncPolicy::Group).unwrap();
+    commit_item(&primary, "a", 1);
+    let mut repl = ReplPrimary::start(primary.clone(), "127.0.0.1:0").unwrap();
+    let standby = Standby::start(StandbyConfig::new(
+        repl.local_addr().to_string(),
+        dir.join("standby.wal"),
+        FsyncPolicy::Group,
+    ))
+    .unwrap();
+    let item = primary.committed().schema().atom_type_id("item").unwrap();
+    let mut t = Transaction::begin(&primary);
+    t.update_attr(AtomId::new(item, 0), 1, Value::from(2))
+        .unwrap();
+    t.commit().unwrap();
+    await_seq(&standby, 2);
+    assert!(
+        standby.handle().fork().0.csr_is_warm(),
+        "a replicated attribute-only commit published a cold image"
+    );
+    repl.shutdown();
+}
+
+#[test]
 fn replication_metrics_report_cursor_lag_and_halt_state() {
     let dir = tmpdir("obs");
     let primary =

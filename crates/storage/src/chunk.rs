@@ -3,23 +3,35 @@
 //! Atom rows and link postings are slot-addressed arrays. Both are split
 //! into chunks of [`CHUNK`] slots behind a small directory of `Arc`s — the
 //! directory → bucket layout of grid files (Joshi et al.), used here as the
-//! unit of copying rather than of search. Cloning a [`Chunked`] copies the
+//! unit of copying rather than of search. Cloning a store copies the
 //! directory only; the first write to a slot afterwards copies the one chunk
 //! that holds it (`Arc::make_mut`), and every other chunk stays shared with
 //! the origin. A write after a fork therefore costs O(directory + `CHUNK`),
 //! not O(store).
+//!
+//! Link postings use [`Chunked`], an array of `CHUNK` values per chunk.
+//! Atom rows keep their tuples inline in a block of `CHUNK × arity` values
+//! instead (`crate::atom_store`); both split a slot with [`split`].
 
 use std::sync::Arc;
 
 /// Slots per chunk. A power of two, so a slot splits into a directory
-/// index and an offset by shift and mask. At 32, a chunk of rows (16 B a
-/// slot) or of postings (24 B a slot) plus its `Arc` header stays below
-/// 1 KiB, the largest block glibc's allocator serves from its per-thread
-/// cache; a 64-slot row chunk is 1040 B, and copying one measured 1.6×
-/// slower than copying 63 slots (2-vCPU x86-64 host).
+/// index and an offset by shift and mask. At 32, a chunk of postings (24 B
+/// a slot) plus its `Arc` header stays below 1 KiB, the largest block
+/// glibc's allocator serves from its per-thread cache, and a chunk's live
+/// atoms fit one `u32` mask. A row chunk holds 32 × arity values of 32 B:
+/// 1 KiB a column, one allocation per chunk where the boxed rows it
+/// replaced took one per atom.
 pub const CHUNK: usize = 32;
 const SHIFT: u32 = CHUNK.trailing_zeros();
 const MASK: usize = CHUNK - 1;
+
+/// `(directory index, offset in the chunk)` of `slot`.
+#[inline]
+pub(crate) fn split(slot: u32) -> (usize, usize) {
+    let s = slot as usize;
+    (s >> SHIFT, s & MASK)
+}
 
 /// A slot-addressed array stored as `Arc`-shared chunks of [`CHUNK`]
 /// slots. Slots past the last chunk read as absent.
@@ -38,17 +50,17 @@ impl<T: Clone + Default> Chunked<T> {
     /// The value in `slot`, or `None` past the directory.
     #[inline]
     pub(crate) fn get(&self, slot: u32) -> Option<&T> {
-        let s = slot as usize;
-        self.chunks.get(s >> SHIFT).and_then(|c| c.get(s & MASK))
+        let (ci, i) = split(slot);
+        self.chunks.get(ci).and_then(|c| c.get(i))
     }
 
     /// Mutable access to `slot` without growing the directory; copies the
     /// chunk first if a fork still shares it.
     #[inline]
     pub(crate) fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
-        let s = slot as usize;
-        let chunk = self.chunks.get_mut(s >> SHIFT)?;
-        Arc::make_mut(chunk).get_mut(s & MASK)
+        let (ci, i) = split(slot);
+        let chunk = self.chunks.get_mut(ci)?;
+        Arc::make_mut(chunk).get_mut(i)
     }
 
     /// Mutable access to `slot`, growing the directory with empty chunks
@@ -58,13 +70,12 @@ impl<T: Clone + Default> Chunked<T> {
         reason = "the directory was grown past ci above, and a masked offset is below CHUNK"
     )]
     pub(crate) fn entry(&mut self, slot: u32) -> &mut T {
-        let s = slot as usize;
-        let ci = s >> SHIFT;
+        let (ci, i) = split(slot);
         if ci >= self.chunks.len() {
             self.chunks
                 .resize_with(ci + 1, || Arc::new(std::array::from_fn(|_| T::default())));
         }
-        &mut Arc::make_mut(&mut self.chunks[ci])[s & MASK]
+        &mut Arc::make_mut(&mut self.chunks[ci])[i]
     }
 
     /// Every slot's value in slot order, from slot 0 to the end of the last
@@ -75,6 +86,7 @@ impl<T: Clone + Default> Chunked<T> {
     }
 
     /// The chunk directory.
+    #[cfg(test)]
     pub(crate) fn chunks(&self) -> &[Arc<[T; CHUNK]>] {
         &self.chunks
     }

@@ -23,8 +23,8 @@ use crate::csr::CsrSnapshot;
 use crate::index::{AttrIndex, IndexKind};
 use crate::link_store::LinkStore;
 use mad_model::{
-    AtomId, AtomTypeDef, AtomTypeId, FxHashMap, LinkTypeDef, LinkTypeId, MadError, Result,
-    Schema, Value,
+    AtomId, AtomTypeDef, AtomTypeId, CmpOp, FxHashMap, LinkTypeDef, LinkTypeId, MadError,
+    Result, Schema, Value,
 };
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -80,6 +80,10 @@ struct CsrCacheState {
     snap: Option<(u64, Arc<CsrSnapshot>)>,
     /// `(rebuilt, total)` link-type CSR pairs of the last rebuild.
     last_rebuild: Option<(usize, usize)>,
+}
+
+fn missing(id: AtomId) -> MadError {
+    MadError::integrity(format!("atom {id} does not exist"))
 }
 
 impl CsrCache {
@@ -150,8 +154,9 @@ impl AsRef<Database> for Database {
 impl Database {
     /// A database over the given schema, with empty occurrences.
     pub fn new(schema: Schema) -> Self {
-        let atoms = (0..schema.atom_type_count())
-            .map(|_| Arc::new(AtomStore::new()))
+        let atoms = schema
+            .atom_types()
+            .map(|(_, def)| Arc::new(AtomStore::new(def.arity())))
             .collect();
         let links = schema
             .link_types()
@@ -188,8 +193,9 @@ impl Database {
 
     /// Add an atom type (with empty occurrence).
     pub fn add_atom_type(&mut self, def: AtomTypeDef) -> Result<AtomTypeId> {
+        let arity = def.arity();
         let id = Arc::make_mut(&mut self.schema).add_atom_type(def)?;
-        self.atoms.push(Arc::new(AtomStore::new()));
+        self.atoms.push(Arc::new(AtomStore::new(arity)));
         self.structural_version += 1;
         Ok(id)
     }
@@ -223,13 +229,20 @@ impl Database {
     fn insert_atom_unstamped(&mut self, ty: AtomTypeId, tuple: Vec<Value>) -> Result<AtomId> {
         let def = self.schema.atom_type(ty);
         let tuple = def.check_tuple(tuple)?;
-        let slot = Arc::make_mut(&mut self.atoms[ty.0 as usize]).insert(tuple);
+        // the index keys, before the tuple moves into its chunk
+        let keys: Vec<(usize, Value)> = self
+            .indexes
+            .iter()
+            .enumerate()
+            .filter(|(_, idx)| idx.ty == ty)
+            .filter_map(|(pos, idx)| Some((pos, tuple.get(idx.attr)?.clone())))
+            .collect();
+        let slot = self.store_mut(ty)?.insert(tuple);
         let id = AtomId::new(ty, slot);
-        // maintain indexes
-        for idx_pos in self.indexes_of_type(ty) {
-            let attr = self.indexes[idx_pos].attr;
-            let key = self.atoms[ty.0 as usize].get(slot).unwrap()[attr].clone();
-            Arc::make_mut(&mut self.indexes[idx_pos]).insert(&key, id);
+        for (pos, key) in keys {
+            if let Some(idx) = self.indexes.get_mut(pos) {
+                Arc::make_mut(idx).insert(&key, id);
+            }
         }
         Ok(id)
     }
@@ -270,15 +283,17 @@ impl Database {
     /// no-dangling-references guarantee). Returns the number of links
     /// removed.
     pub fn delete_atom(&mut self, id: AtomId) -> Result<usize> {
+        // checked before `store_mut`, which would copy the chunk
+        // directory out of a fork
         if !self.atom_exists(id) {
-            return Err(MadError::integrity(format!("atom {id} does not exist")));
+            return Err(missing(id));
         }
-        let removed_tuple = Arc::make_mut(&mut self.atoms[id.ty.0 as usize])
-            .remove(id.slot)
-            .expect("existence checked above");
-        for idx_pos in self.indexes_of_type(id.ty) {
-            let idx = Arc::make_mut(&mut self.indexes[idx_pos]);
-            idx.remove(&removed_tuple[idx.attr], id);
+        let removed_tuple = self.store_mut(id.ty)?.remove(id.slot).ok_or_else(|| missing(id))?;
+        for idx in self.indexes.iter_mut().filter(|idx| idx.ty == id.ty) {
+            let idx = Arc::make_mut(idx);
+            if let Some(key) = removed_tuple.get(idx.attr) {
+                idx.remove(key, id);
+            }
         }
         let mut removed_links = 0;
         // `link_types_of` lists each incident link type once (reflexive
@@ -316,13 +331,14 @@ impl Database {
         }
         let value = value.coerce(attr_def.ty);
         if !self.atom_exists(id) {
-            return Err(MadError::integrity(format!("atom {id} does not exist")));
+            return Err(missing(id));
         }
-        let store = Arc::make_mut(&mut self.atoms[id.ty.0 as usize]);
-        let row = store.get_mut(id.slot).expect("existence checked above");
-        let old = std::mem::replace(&mut row[attr], value.clone());
-        if let Some(&idx_pos) = self.index_map.get(&(id.ty, attr)) {
-            let idx = Arc::make_mut(&mut self.indexes[idx_pos]);
+        let row = self.store_mut(id.ty)?.get_mut(id.slot).ok_or_else(|| missing(id))?;
+        // `attr` is below the arity: it names an attribute of the type
+        let old = std::mem::replace(row.get_mut(attr).ok_or_else(|| missing(id))?, value.clone());
+        let idx_pos = self.index_map.get(&(id.ty, attr)).copied();
+        if let Some(idx) = idx_pos.and_then(|pos| self.indexes.get_mut(pos)) {
+            let idx = Arc::make_mut(idx);
             idx.remove(&old, id);
             idx.insert(&value, id);
         }
@@ -330,6 +346,14 @@ impl Database {
         // invalidate the CSR snapshot (structural version stays put)
         self.attr_version += 1;
         Ok(())
+    }
+
+    /// The store of `ty`, copied out of a fork first if still shared.
+    fn store_mut(&mut self, ty: AtomTypeId) -> Result<&mut AtomStore> {
+        self.atoms
+            .get_mut(ty.0 as usize)
+            .map(Arc::make_mut)
+            .ok_or_else(|| MadError::unknown("atom type", ty.0.to_string()))
     }
 
     // ------------------------------------------------------------------
@@ -346,7 +370,7 @@ impl Database {
         self.atoms
             .get(id.ty.0 as usize)
             .and_then(|s| s.get(id.slot))
-            .ok_or_else(|| MadError::integrity(format!("atom {id} does not exist")))
+            .ok_or_else(|| missing(id))
     }
 
     /// One attribute value of atom `id`.
@@ -359,6 +383,17 @@ impl Database {
     /// Iterate the occurrence of atom type `ty` as `(id, tuple)`.
     pub fn atoms_of(&self, ty: AtomTypeId) -> impl Iterator<Item = (AtomId, &[Value])> {
         self.atoms[ty.0 as usize].iter_ids(ty)
+    }
+
+    /// The slots of the live atoms of `ty` whose attribute `attr` compares
+    /// to `needle` under `op`, in slot order: the selection
+    /// `atoms_of(ty)` filtered by [`Value::sql_cmp`], as one typed scan
+    /// ([`AtomStore::slots_where`]). Empty for an unknown type or an
+    /// attribute past the arity.
+    pub fn slots_where(&self, ty: AtomTypeId, attr: usize, op: CmpOp, needle: &Value) -> Vec<u32> {
+        self.atoms
+            .get(ty.0 as usize)
+            .map_or_else(Vec::new, |s| s.slots_where(attr, op, needle))
     }
 
     /// Ids of the occurrence of atom type `ty`, in slot order.
@@ -395,10 +430,10 @@ impl Database {
             )));
         }
         if !self.atom_exists(side0) {
-            return Err(MadError::integrity(format!("atom {side0} does not exist")));
+            return Err(missing(side0));
         }
         if !self.atom_exists(side1) {
-            return Err(MadError::integrity(format!("atom {side1} does not exist")));
+            return Err(missing(side1));
         }
         let store = &self.links[lt.0 as usize];
         if store.contains(side0, side1) {
@@ -711,15 +746,6 @@ impl Database {
         self.index_map
             .get(&(ty, attr))
             .and_then(|&pos| self.indexes[pos].lookup_range(lo, hi))
-    }
-
-    fn indexes_of_type(&self, ty: AtomTypeId) -> Vec<usize> {
-        self.indexes
-            .iter()
-            .enumerate()
-            .filter(|(_, idx)| idx.ty == ty)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1250,10 +1276,10 @@ mod tests {
         let mut fork = db.clone();
         fork.update_attr(AtomId::new(state, 130), 1, Value::from(0.5)).unwrap();
         // the touched store copied one chunk and shares every other one
-        let (origin_rows, fork_rows) = (db.atoms[0].rows.chunks(), fork.atoms[0].rows.chunks());
+        let (origin_rows, fork_rows) = (&db.atoms[0].chunks, &fork.atoms[0].chunks);
         assert_eq!(origin_rows.len(), 300usize.div_ceil(crate::CHUNK));
         let copied: Vec<usize> = (0..origin_rows.len())
-            .filter(|&i| !Arc::ptr_eq(&origin_rows[i], &fork_rows[i]))
+            .filter(|&i| !Arc::ptr_eq(&origin_rows[i].vals, &fork_rows[i].vals))
             .collect();
         assert_eq!(copied, vec![130 / crate::CHUNK], "only the chunk of slot 130 is copied");
         // every other store is shared whole

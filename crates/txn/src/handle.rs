@@ -277,6 +277,10 @@ impl DbHandle {
         recovery: Option<RecoveryInfo>,
         read_only: bool,
     ) -> Self {
+        // every image the handle publishes descends from this one, and a
+        // fork inherits its CSR cache: build the snapshot once here, or
+        // every transaction clones a cold cache and publishes one
+        let _ = db.csr_snapshot();
         let obs = Registry::new();
         let metrics = TxnMetrics {
             commits: obs.counter("txn.commits"),
