@@ -22,7 +22,7 @@ use mad_relational::closure::{reachable_from, transitive_closure};
 use mad_relational::derive_join::{derive_via_algebra, derive_via_hash_joins};
 use mad_relational::{Relation, RelationalImage};
 use mad_storage::database::Direction;
-use mad_storage::{Database, IndexKind};
+use mad_storage::Database;
 use mad_workload::{generate_bom, generate_geo, GeoParams};
 
 /// What a table returns: any engine or baseline error, or a failed
@@ -229,8 +229,7 @@ pub fn b4() -> Res {
         cities: 0,
         seed: 21,
     })?;
-    let mut engine = Engine::new(db);
-    engine.create_index("state", "hectare", IndexKind::Ordered)?;
+    let engine = Engine::new(db);
     let md = path(engine.db().schema(), &["state", "area", "edge", "point"])?;
     let mut rows = Vec::new();
     // hectare is uniform in 100..2000

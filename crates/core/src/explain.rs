@@ -6,15 +6,15 @@
 //! qualification) against the database and produces the plan the engine
 //! will execute, with statistics-based cardinality estimates:
 //!
-//! * **root selection** — which Σ conjuncts can be pushed below the
-//!   derivation, and whether an index serves them;
+//! * **root selection** — which Σ conjuncts are pushed below the
+//!   derivation, each evaluated by one scan of the root occurrence;
 //! * **per-node fan-out estimates** — from the live link-type degree
 //!   statistics, the expected number of atoms per structure node and the
 //!   expected total work (adjacency lookups);
 //! * **traversal** — whether the CSR snapshot the bitset engine expands
 //!   over is warm, and how much of it the last rebuild re-froze.
 
-use crate::ops::{classify_pushdown, index_probe_key, AccessPath};
+use crate::ops::classify_pushdown;
 use crate::qual::{CmpOp, QualExpr};
 use crate::structure::MoleculeStructure;
 use mad_model::Value;
@@ -29,13 +29,6 @@ pub enum RootSelection {
     FullOccurrence {
         /// Number of root atoms.
         atoms: usize,
-    },
-    /// Root conjuncts evaluated through secondary indexes.
-    IndexAssisted {
-        /// The pushed conjuncts, rendered.
-        conjuncts: Vec<String>,
-        /// Estimated surviving roots.
-        estimated_roots: f64,
     },
     /// Root conjuncts evaluated by scanning the root occurrence.
     ScanFiltered {
@@ -57,23 +50,14 @@ pub struct NodeEstimate {
     pub total: f64,
 }
 
-/// One pushed conjunct in the EXPLAIN report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PushedConjunct {
-    /// The conjunct, rendered (`alias.attr op value`).
-    pub rendered: String,
-    /// How this conjunct's candidate set is produced (index vs. scan) —
-    /// decided per conjunct, exactly like the execution-time planner.
-    pub access: AccessPath,
-}
-
 /// Conjuncts pushed to one structure node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PushedNode {
     /// The node's alias.
     pub alias: String,
-    /// The pushed conjuncts with their access paths.
-    pub conjuncts: Vec<PushedConjunct>,
+    /// The pushed conjuncts, rendered (`alias.attr op value`); each is
+    /// evaluated by a scan of the node's atom-type occurrence.
+    pub conjuncts: Vec<String>,
 }
 
 /// The explanation of a molecule-type definition.
@@ -133,12 +117,10 @@ pub fn explain(db: &Database, md: &MoleculeStructure, qual: Option<&QualExpr>) -
         .map(|q| q.root_conjuncts(md.root()))
         .unwrap_or_default();
     let mut est_roots = root_atoms as f64;
-    let mut indexed = true;
     let mut rendered = Vec::new();
     let root_def = db.schema().atom_type(root_ty);
     for (attr, op, value) in &conjuncts {
         est_roots *= selectivity(*op);
-        indexed &= index_probe_key(db, root_ty, *attr, *op, value).is_some();
         rendered.push(format!(
             "{}.{} {} {}",
             md.root_node().alias,
@@ -154,11 +136,6 @@ pub fn explain(db: &Database, md: &MoleculeStructure, qual: Option<&QualExpr>) -
     let root_selection = if conjuncts.is_empty() {
         est_roots = root_atoms as f64;
         RootSelection::FullOccurrence { atoms: root_atoms }
-    } else if indexed {
-        RootSelection::IndexAssisted {
-            conjuncts: rendered,
-            estimated_roots: est_roots,
-        }
     } else {
         RootSelection::ScanFiltered {
             conjuncts: rendered,
@@ -223,15 +200,14 @@ pub fn explain(db: &Database, md: &MoleculeStructure, qual: Option<&QualExpr>) -
                     conjuncts: entry
                         .conjuncts
                         .iter()
-                        .map(|(c, access)| PushedConjunct {
-                            rendered: format!(
+                        .map(|c| {
+                            format!(
                                 "{}.{} {} {}",
                                 md.nodes()[c.node].alias,
                                 attr_name(c.node, c.attr),
                                 c.op.symbol(),
                                 c.value
-                            ),
-                            access: *access,
+                            )
                         })
                         .collect(),
                 })
@@ -257,14 +233,6 @@ impl fmt::Display for Plan {
             RootSelection::FullOccurrence { atoms } => {
                 writeln!(f, "  roots: full occurrence scan ({atoms} atoms)")?
             }
-            RootSelection::IndexAssisted {
-                conjuncts,
-                estimated_roots,
-            } => writeln!(
-                f,
-                "  roots: index lookup on [{}] (≈{estimated_roots:.1} roots)",
-                conjuncts.join(" AND ")
-            )?,
             RootSelection::ScanFiltered {
                 conjuncts,
                 estimated_roots,
@@ -282,20 +250,8 @@ impl fmt::Display for Plan {
             )?;
         }
         for p in &self.pushdown {
-            let rendered: Vec<String> = p
-                .conjuncts
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{} (via {})",
-                        c.rendered,
-                        match c.access {
-                            AccessPath::Index => "index",
-                            AccessPath::Scan => "scan",
-                        }
-                    )
-                })
-                .collect();
+            let rendered: Vec<String> =
+                p.conjuncts.iter().map(|c| format!("{c} (via scan)")).collect();
             writeln!(f, "  pushdown @{:<10} [{}]", p.alias, rendered.join(" AND "))?;
         }
         writeln!(f, "  estimated adjacency lookups: ≈{:.0}", self.estimated_lookups)?;
@@ -321,7 +277,6 @@ mod tests {
     use crate::qual::QualExpr;
     use crate::structure::path;
     use mad_model::{AttrType, SchemaBuilder};
-    use mad_storage::IndexKind;
 
     fn db() -> Database {
         let schema = SchemaBuilder::new()
@@ -371,58 +326,36 @@ mod tests {
 
     #[test]
     fn report_matches_what_execution_would_do() {
-        // a hash index cannot serve a range probe: the report must say
-        // "scan", exactly like the execution-time planner decides
-        let mut db = db();
-        let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "hectare", IndexKind::Hash).unwrap();
+        // the report lists exactly the conjuncts the execution-time
+        // planner pushes, per node
+        let db = db();
         let md = path(db.schema(), &["state", "area"]).unwrap();
-        let range = QualExpr::cmp_const(0, 1, CmpOp::Gt, 5.0);
-        let plan = explain(&db, &md, Some(&range));
-        assert!(matches!(plan.root_selection, RootSelection::ScanFiltered { .. }));
-        assert_eq!(plan.pushdown[0].conjuncts[0].access, AccessPath::Scan);
-        let eq = QualExpr::cmp_const(0, 1, CmpOp::Eq, 5.0);
-        let plan = explain(&db, &md, Some(&eq));
-        assert!(matches!(plan.root_selection, RootSelection::IndexAssisted { .. }));
-        assert_eq!(plan.pushdown[0].conjuncts[0].access, AccessPath::Index);
+        for op in [CmpOp::Gt, CmpOp::Eq] {
+            let q = QualExpr::cmp_const(0, 1, op, 5.0);
+            let plan = explain(&db, &md, Some(&q));
+            assert!(matches!(plan.root_selection, RootSelection::ScanFiltered { .. }));
+            let executed = crate::ops::plan_pushdown(&db, &md, &q);
+            assert_eq!(plan.pushdown.len(), executed.nodes.len());
+            assert_eq!(plan.pushdown[0].conjuncts.len(), executed.nodes[0].conjuncts.len());
+        }
     }
 
     #[test]
     fn pushdown_report_covers_non_root_nodes() {
-        let mut db = db();
-        let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "hectare", IndexKind::Ordered).unwrap();
+        let db = db();
         let md = path(db.schema(), &["state", "area", "edge"]).unwrap();
         let q = QualExpr::cmp_const(0, 1, CmpOp::Gt, 5.0)
             .and(QualExpr::cmp_const(2, 0, CmpOp::Lt, 8));
         let plan = explain(&db, &md, Some(&q));
         assert_eq!(plan.pushdown.len(), 2);
         let root = plan.pushdown.iter().find(|p| p.alias == "state").unwrap();
-        assert_eq!(root.conjuncts[0].access, AccessPath::Index);
-        assert!(root.conjuncts[0].rendered.contains("state.hectare > 5"));
+        assert!(root.conjuncts[0].contains("state.hectare > 5"));
         let edge = plan.pushdown.iter().find(|p| p.alias == "edge").unwrap();
-        assert_eq!(edge.conjuncts[0].access, AccessPath::Scan);
+        assert!(edge.conjuncts[0].contains("edge.eid < 8"));
         let text = plan.to_string();
         assert!(text.contains("pushdown @state"), "got: {text}");
-        assert!(text.contains("via index"), "got: {text}");
         assert!(text.contains("via scan"), "got: {text}");
         assert!(text.contains("CSR snapshot"), "got: {text}");
-    }
-
-    #[test]
-    fn index_assisted_when_index_exists() {
-        let mut db = db();
-        let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "hectare", IndexKind::Ordered).unwrap();
-        let md = path(db.schema(), &["state", "area"]).unwrap();
-        let q = QualExpr::cmp_const(0, 1, CmpOp::Gt, 5.0);
-        let plan = explain(&db, &md, Some(&q));
-        assert!(matches!(
-            plan.root_selection,
-            RootSelection::IndexAssisted { .. }
-        ));
-        assert!(plan.estimated_roots < 10.0);
-        assert!(plan.residual_filter.is_some());
     }
 
     #[test]
@@ -435,6 +368,8 @@ mod tests {
             plan.root_selection,
             RootSelection::ScanFiltered { .. }
         ));
+        assert!(plan.estimated_roots < 10.0);
+        assert!(plan.residual_filter.is_some());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod prelude {
     };
     pub use crate::explain::{explain, Plan};
     pub use crate::molecule::{Molecule, MoleculeType};
-    pub use crate::ops::{plan_pushdown, AccessPath, Engine, PushdownPlan};
+    pub use crate::ops::{plan_pushdown, Engine, PushdownPlan};
     pub use crate::qual::{AggFn, CmpOp, Operand, QualExpr};
     pub use crate::recursive::{derive_recursive, RecursiveMolecule, RecursiveSpec};
     pub use crate::structure::{path, MoleculeStructure, MsEdge, MsNode, StructureBuilder};

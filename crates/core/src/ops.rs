@@ -36,7 +36,7 @@ use crate::derive::{
 };
 use crate::molecule::{Molecule, MoleculeType};
 use crate::provenance::Provenance;
-use crate::qual::{CmpOp, NodeConjunct, QualExpr};
+use crate::qual::{NodeConjunct, QualExpr};
 use crate::structure::{finalize, MoleculeStructure, MsEdge, MsNode};
 use crate::trace::{OpTrace, Stage, TraceLog};
 use mad_model::{
@@ -44,30 +44,20 @@ use mad_model::{
     Schema, Value,
 };
 use mad_storage::database::Direction;
-use mad_storage::{Database, IndexKind};
-use std::ops::Bound;
+use mad_storage::Database;
 
-/// How a pushed conjunct's candidate bitset was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Postings of a secondary [`mad_storage::AttrIndex`].
-    Index,
-    /// A filtered scan of the atom-type occurrence.
-    Scan,
-}
-
-/// The pushed conjuncts of one structure node and how they were evaluated.
+/// The pushed conjuncts of one structure node.
 #[derive(Clone, Debug)]
 pub struct NodePushdown {
     /// The structure node the conjuncts restrict.
     pub node: usize,
-    /// Each pushed conjunct with its access path.
-    pub conjuncts: Vec<(NodeConjunct, AccessPath)>,
+    /// The pushed conjuncts, each evaluated by a scan of the node's
+    /// atom-type occurrence.
+    pub conjuncts: Vec<NodeConjunct>,
 }
 
 /// The qualification-pushdown plan for one derivation: per-node candidate
-/// bitsets (`prune[n]`) plus the per-conjunct access-path report EXPLAIN
-/// renders.
+/// bitsets (`prune[n]`) plus the per-node conjunct report EXPLAIN renders.
 #[derive(Clone, Debug, Default)]
 pub struct PushdownPlan {
     /// Per structure node: the slots satisfying all pushed conjuncts of the
@@ -77,13 +67,12 @@ pub struct PushdownPlan {
     pub nodes: Vec<NodePushdown>,
 }
 
-/// Classify the pushable conjuncts of `qual` per structure node: which
-/// access path each would use, without materializing any candidate bitset.
-/// EXPLAIN consumes this directly; [`plan_pushdown`] builds the bitsets on
-/// top of it, so report and execution can never disagree. Conjuncts with
-/// out-of-range node or attribute references (possible when the
-/// qualification was never validated against `md`) are skipped rather than
-/// panicking.
+/// Group the pushable conjuncts of `qual` per structure node, without
+/// materializing any candidate bitset. EXPLAIN consumes this directly;
+/// [`plan_pushdown`] builds the bitsets on top of it, so report and
+/// execution can never disagree. Conjuncts with out-of-range node or
+/// attribute references (possible when the qualification was never
+/// validated against `md`) are skipped rather than panicking.
 pub(crate) fn classify_pushdown(
     db: &Database,
     md: &MoleculeStructure,
@@ -97,16 +86,11 @@ pub(crate) fn classify_pushdown(
         if db.schema().atom_type(node.ty).attrs.get(c.attr).is_none() {
             continue;
         }
-        let access = if index_probe_key(db, node.ty, c.attr, c.op, &c.value).is_some() {
-            AccessPath::Index
-        } else {
-            AccessPath::Scan
-        };
         match nodes.iter_mut().find(|n| n.node == c.node) {
-            Some(entry) => entry.conjuncts.push((c, access)),
+            Some(entry) => entry.conjuncts.push(c),
             None => nodes.push(NodePushdown {
                 node: c.node,
-                conjuncts: vec![(c, access)],
+                conjuncts: vec![c],
             }),
         }
     }
@@ -114,17 +98,21 @@ pub(crate) fn classify_pushdown(
 }
 
 /// Extract the top-level `node.attr op const` conjuncts of `qual` and
-/// evaluate each into a slot bitset — through a secondary index when one
-/// serves the comparison, by scanning the occurrence otherwise. This is
-/// restriction pushdown (benchmark B4) generalized from the root to
-/// *every* structure node; `derive_bitset_pruned` consumes the result.
+/// evaluate each into a slot bitset by one typed scan of the occurrence
+/// ([`Database::slots_where`]). This is restriction pushdown (benchmark
+/// B4) generalized from the root to *every* structure node;
+/// `derive_bitset_pruned` consumes the result.
 pub fn plan_pushdown(db: &Database, md: &MoleculeStructure, qual: &QualExpr) -> PushdownPlan {
     let nodes = classify_pushdown(db, md, qual);
     let mut prune: Vec<Option<BitSet>> = vec![None; md.node_count()];
     for entry in &nodes {
         let ty = md.nodes()[entry.node].ty;
-        for (c, access) in &entry.conjuncts {
-            let bits = conjunct_bitset(db, ty, c, *access);
+        for c in &entry.conjuncts {
+            let bits: BitSet = db
+                .slots_where(ty, c.attr, c.op, &c.value)
+                .into_iter()
+                .map(|slot| slot as usize)
+                .collect();
             match &mut prune[entry.node] {
                 slot @ None => *slot = Some(bits),
                 Some(prev) => prev.intersect_with(&bits),
@@ -132,79 +120,6 @@ pub fn plan_pushdown(db: &Database, md: &MoleculeStructure, qual: &QualExpr) -> 
         }
     }
     PushdownPlan { prune, nodes }
-}
-
-/// Can a secondary index serve `(attr, op, value)` on atom type `ty` with
-/// the *same semantics* as the `sql_cmp` scan path? Returns the probe key
-/// when it can.
-///
-/// Index keys compare with `Value`'s total order, which ranks variants
-/// before values (`Int(5) < Float(0.0)`), while scans and the final
-/// qualification filter compare numerically via `sql_cmp`. A probe is
-/// therefore only sound once the constant is coerced into the attribute's
-/// declared domain and actually lands there (an `Int` constant widens into
-/// a `Float` attribute; a fractional `Float` against an `Int` attribute
-/// does not, and must fall back to the scan). Range probes additionally
-/// need an ordered backend.
-pub(crate) fn index_probe_key(
-    db: &Database,
-    ty: mad_model::AtomTypeId,
-    attr: usize,
-    op: CmpOp,
-    value: &Value,
-) -> Option<Value> {
-    let attr_ty = db.schema().atom_type(ty).attrs.get(attr)?.ty;
-    let key = value.clone().coerce(attr_ty);
-    if key.attr_type() != Some(attr_ty) {
-        return None;
-    }
-    let kind = db.index_kind(ty, attr)?;
-    let served = match op {
-        CmpOp::Eq => true,
-        CmpOp::Ne => false,
-        _ => kind == IndexKind::Ordered,
-    };
-    served.then_some(key)
-}
-
-/// Index lookup for `(attr, op, key)` — the one place that maps a
-/// comparison operator onto index probes, shared by root preselection and
-/// per-node pushdown. `key` must come from [`index_probe_key`].
-fn index_lookup(
-    db: &Database,
-    ty: mad_model::AtomTypeId,
-    attr: usize,
-    op: CmpOp,
-    key: &Value,
-) -> Option<Vec<AtomId>> {
-    match op {
-        CmpOp::Eq => db.lookup_eq(ty, attr, key).map(|s| s.to_vec()),
-        CmpOp::Lt => db.lookup_range(ty, attr, Bound::Unbounded, Bound::Excluded(key)),
-        CmpOp::Le => db.lookup_range(ty, attr, Bound::Unbounded, Bound::Included(key)),
-        CmpOp::Gt => db.lookup_range(ty, attr, Bound::Excluded(key), Bound::Unbounded),
-        CmpOp::Ge => db.lookup_range(ty, attr, Bound::Included(key), Bound::Unbounded),
-        CmpOp::Ne => None,
-    }
-}
-
-/// Evaluate one classified conjunct into the bitset of satisfying slots.
-fn conjunct_bitset(
-    db: &Database,
-    ty: mad_model::AtomTypeId,
-    c: &NodeConjunct,
-    access: AccessPath,
-) -> BitSet {
-    if access == AccessPath::Index {
-        if let Some(ids) = index_probe_key(db, ty, c.attr, c.op, &c.value)
-            .and_then(|key| index_lookup(db, ty, c.attr, c.op, &key))
-        {
-            return ids.iter().map(|id| id.slot as usize).collect();
-        }
-    }
-    db.slots_where(ty, c.attr, c.op, &c.value)
-        .into_iter()
-        .map(|slot| slot as usize)
-        .collect()
 }
 
 /// Restriction pushdown without propagation: the molecules of `md` over
@@ -259,53 +174,21 @@ fn pushdown_candidates(
 }
 
 /// Root pre-selection for pushdown: evaluate the root-level `attr op
-/// const` conjuncts of `qual` against indexes or a root scan. Returns
-/// `None` when no conjunct exists (full derivation required).
+/// const` conjuncts of `qual` by scanning the root occurrence once per
+/// conjunct and intersecting the slot lists. Returns `None` when no
+/// conjunct exists (full derivation required).
 fn preselect_roots(db: &Database, md: &MoleculeStructure, qual: &QualExpr) -> Option<Vec<AtomId>> {
-    let conjuncts = qual.root_conjuncts(md.root());
-    if conjuncts.is_empty() {
-        return None;
-    }
     let root_ty = md.root_node().ty;
-    let mut selected: Option<Vec<AtomId>> = None;
-    let mut residual: Vec<(usize, CmpOp, Value)> = Vec::new();
-    for (attr, op, value) in conjuncts {
-        let via_index: Option<Vec<AtomId>> = index_probe_key(db, root_ty, attr, op, &value)
-            .and_then(|key| index_lookup(db, root_ty, attr, op, &key));
-        match via_index {
-            Some(ids) => {
-                selected = Some(match selected {
-                    None => ids,
-                    Some(prev) => prev.into_iter().filter(|i| ids.contains(i)).collect(),
-                });
-            }
-            None => residual.push((attr, op, value)),
-        }
+    let mut slots: Option<Vec<u32>> = None;
+    for (attr, op, value) in qual.root_conjuncts(md.root()) {
+        let hits = db.slots_where(root_ty, attr, op, &value);
+        // `hits` is in slot order, so membership is a binary search
+        slots = Some(match slots {
+            None => hits,
+            Some(prev) => prev.into_iter().filter(|s| hits.binary_search(s).is_ok()).collect(),
+        });
     }
-    // apply residual conjuncts by scanning (either the index-selected
-    // candidates or the whole root occurrence)
-    let base: Vec<AtomId> = match selected {
-        Some(ids) => ids,
-        None => db.atom_ids_of(root_ty),
-    };
-    if residual.is_empty() {
-        return Some(base);
-    }
-    let out: Vec<AtomId> = base
-        .into_iter()
-        .filter(|&id| {
-            let tuple = match db.atom(id) {
-                Ok(t) => t,
-                Err(_) => return false,
-            };
-            residual.iter().all(|(attr, op, value)| {
-                tuple[*attr]
-                    .sql_cmp(value)
-                    .is_some_and(|ord| op.test(ord))
-            })
-        })
-        .collect();
-    Some(out)
+    slots.map(|slots| slots.into_iter().map(|slot| AtomId::new(root_ty, slot)).collect())
 }
 
 /// The copy propagation made of atom `a` at node `ni`.
@@ -572,8 +455,8 @@ impl Engine {
 
     /// Restriction *pushed into* the definition (the PRIMA evaluation
     /// style, benchmark B4): root-level conjuncts of `qual` pre-select root
-    /// atoms (via secondary indexes when available, a root-type scan
-    /// otherwise) before any molecule is built; the full formula is then
+    /// atoms (one typed scan of the root type per conjunct) before any
+    /// molecule is built; the full formula is then
     /// applied to the derived candidates. Produces the same molecule type
     /// as `Σ[qual](α[name](md))`, minus the intermediate propagation.
     pub fn define_restricted(
@@ -1187,24 +1070,12 @@ impl Engine {
     pub fn derive_single(&self, md: &MoleculeStructure, root: AtomId) -> Result<Molecule> {
         derive_one(&self.db, md, root)
     }
-
-    /// Create an index on the underlying database (pushdown support).
-    pub fn create_index(
-        &mut self,
-        atom_type: &str,
-        attr: &str,
-        kind: IndexKind,
-    ) -> Result<()> {
-        let db = self.db_mut();
-        let ty = db.schema().atom_type_id(atom_type)?;
-        db.create_index(ty, attr, kind)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qual::Operand;
+    use crate::qual::{CmpOp, Operand};
     use crate::structure::{path, StructureBuilder};
     use mad_model::{AttrType, SchemaBuilder};
 
@@ -1336,7 +1207,6 @@ mod tests {
     #[test]
     fn pushdown_equals_restrict_after_define() {
         let mut e = engine();
-        e.create_index("state", "sname", IndexKind::Ordered).unwrap();
         let md = path(e.db().schema(), &["state", "area", "edge", "point"]).unwrap();
         let q = QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP")
             .and(QualExpr::cmp_const(3, 0, CmpOp::Eq, "p1"));
@@ -1362,11 +1232,10 @@ mod tests {
 
     #[test]
     fn bitset_pushdown_matches_classic_paths() {
-        let mut e = engine();
-        e.create_index("state", "sname", IndexKind::Ordered).unwrap();
+        let e = engine();
         let md = path(e.db().schema(), &["state", "area", "edge", "point"]).unwrap();
-        // root conjunct (index), child conjunct (scan) and a residual OR
-        // that cannot be pushed
+        // root conjunct, child conjunct and a residual OR that cannot be
+        // pushed
         let q = QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP")
             .and(QualExpr::cmp_const(3, 0, CmpOp::Eq, "p1"))
             .and(
@@ -1388,12 +1257,10 @@ mod tests {
     }
 
     #[test]
-    fn index_probe_coerces_cross_type_constants() {
-        // Value's total order ranks variants (every Int below every Float),
-        // so probing a Float-keyed BTree with an Int constant finds nothing
-        // unless the planner coerces into the attribute's domain first.
-        let mut e = engine();
-        e.create_index("state", "hectare", IndexKind::Ordered).unwrap();
+    fn scan_compares_cross_type_constants_numerically() {
+        // Value's total order ranks variants (every Int below every Float);
+        // the selection scan must compare numerically, like `sql_cmp`.
+        let e = engine();
         let md = path(e.db().schema(), &["state", "area"]).unwrap();
         // hectare: SP = 1000.0, MG = 900.0; Int constant 950
         let q = QualExpr::cmp_const(0, 1, CmpOp::Gt, 950);
@@ -1401,9 +1268,7 @@ mod tests {
         assert_eq!(naive.len(), 1, "only SP exceeds 950");
         assert_eq!(e.evaluate_restricted(&md, &q, Strategy::Bitset).unwrap(), naive);
         assert_eq!(e.evaluate_restricted(&md, &q, Strategy::PerRoot).unwrap(), naive);
-        // a fractional Float constant cannot land in an Int domain: the
-        // planner must fall back to the numeric scan, not probe the index
-        e.create_index("area", "aid", IndexKind::Ordered).unwrap();
+        // a fractional Float constant against an Int attribute
         let q = QualExpr::cmp_const(1, 0, CmpOp::Lt, 1.5); // aid ∈ {1, 2}
         let naive = e.evaluate_filtered(&md, &q, Strategy::PerRoot).unwrap();
         assert_eq!(naive.len(), 1, "only a1 has aid < 1.5");
@@ -1412,34 +1277,17 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_does_not_serve_ranges() {
-        let mut e = engine();
-        e.create_index("state", "hectare", IndexKind::Hash).unwrap();
-        let md = path(e.db().schema(), &["state", "area"]).unwrap();
-        let range = QualExpr::cmp_const(0, 1, CmpOp::Gt, 950.0);
-        let plan = plan_pushdown(e.db(), &md, &range);
-        assert_eq!(plan.nodes[0].conjuncts[0].1, AccessPath::Scan);
-        let eq = QualExpr::cmp_const(0, 1, CmpOp::Eq, 900.0);
-        let plan = plan_pushdown(e.db(), &md, &eq);
-        assert_eq!(plan.nodes[0].conjuncts[0].1, AccessPath::Index);
-        // results agree either way
-        let naive = e.evaluate_filtered(&md, &range, Strategy::PerRoot).unwrap();
-        assert_eq!(e.evaluate_restricted(&md, &range, Strategy::Bitset).unwrap(), naive);
-    }
-
-    #[test]
     fn pushdown_plan_reports_access_paths() {
-        let mut e = engine();
-        e.create_index("state", "sname", IndexKind::Ordered).unwrap();
+        let e = engine();
         let md = path(e.db().schema(), &["state", "area", "edge", "point"]).unwrap();
         let q = QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP")
             .and(QualExpr::cmp_const(2, 0, CmpOp::Ge, 3));
         let plan = plan_pushdown(e.db(), &md, &q);
         assert_eq!(plan.nodes.len(), 2);
         let root_entry = plan.nodes.iter().find(|n| n.node == 0).unwrap();
-        assert_eq!(root_entry.conjuncts[0].1, AccessPath::Index);
+        assert_eq!(root_entry.conjuncts.len(), 1);
         let edge_entry = plan.nodes.iter().find(|n| n.node == 2).unwrap();
-        assert_eq!(edge_entry.conjuncts[0].1, AccessPath::Scan);
+        assert_eq!(edge_entry.conjuncts.len(), 1);
         // prune bitsets hold exactly the satisfying slots
         assert_eq!(plan.prune[0].as_ref().unwrap().len(), 1, "one SP state");
         assert_eq!(plan.prune[2].as_ref().unwrap().len(), 1, "one edge ≥ 3");

@@ -438,8 +438,8 @@ impl QualExpr {
     }
 
     /// [`QualExpr::node_conjuncts`] restricted to the root node (the
-    /// original benchmark-B4 extraction; kept for the scan/index root
-    /// preselection path).
+    /// original benchmark-B4 extraction; kept for the root preselection
+    /// path).
     pub fn root_conjuncts(&self, root: usize) -> Vec<(usize, CmpOp, Value)> {
         self.node_conjuncts()
             .into_iter()

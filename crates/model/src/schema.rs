@@ -51,7 +51,7 @@ impl Schema {
     }
 
     /// Rebuild the derived lookup maps (after deserialization).
-    pub fn rebuild_indexes(&mut self) {
+    pub fn rebuild_lookup_maps(&mut self) {
         self.atom_by_name = self
             .atom_types
             .iter()
@@ -470,13 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_indexes_after_clear() {
+    fn rebuild_lookup_maps_after_clear() {
         let mut s = geo_schema();
         // Simulate a deserialized schema: wipe the skip-serialized maps.
         s.atom_by_name.clear();
         s.link_by_name.clear();
         s.links_of_atom.clear();
-        s.rebuild_indexes();
+        s.rebuild_lookup_maps();
         assert!(s.atom_type_id("state").is_ok());
         assert_eq!(s.link_types_of(s.atom_type_id("area").unwrap()).len(), 2);
     }

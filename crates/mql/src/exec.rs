@@ -238,13 +238,8 @@ fn select_atoms(db: &Database, sel: &AtomSelector) -> Result<Vec<AtomId>> {
             sel.atom_type, sel.attr
         ),
     })?;
-    let needle = sel.value.to_value();
-    // use an index when one exists
-    if let Some(hits) = db.lookup_eq(ty, pos, &needle) {
-        return Ok(hits.to_vec());
-    }
     Ok(db
-        .slots_where(ty, pos, CmpOp::Eq, &needle)
+        .slots_where(ty, pos, CmpOp::Eq, &sel.value.to_value())
         .into_iter()
         .map(|slot| AtomId::new(ty, slot))
         .collect())

@@ -1009,38 +1009,24 @@ mod tests {
 
     #[test]
     fn explain_reports_plan() {
-        let mut db = mini_geo();
-        let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "sname", mad_storage::IndexKind::Ordered)
-            .unwrap();
-        let mut s = Session::new(db);
-        let index_assisted = |s: &mut Session| {
-            let r = s
-                .execute("EXPLAIN SELECT ALL FROM state-area-edge WHERE state.sname = 'SP'")
-                .unwrap();
-            let StatementResult::Plan(plan) = r else {
+        let mut s = Session::new(mini_geo());
+        let scan_filtered = |s: &mut Session, mql: &str| {
+            let StatementResult::Plan(plan) = s.execute(mql).unwrap() else {
                 panic!("expected a plan")
             };
             matches!(
                 plan.root_selection,
-                mad_core::explain::RootSelection::IndexAssisted { .. }
+                mad_core::explain::RootSelection::ScanFiltered { .. }
             )
         };
-        assert!(index_assisted(&mut s));
-        // the index lives in the committed image, so an autocommit's
-        // re-fork keeps it
+        assert!(scan_filtered(
+            &mut s,
+            "EXPLAIN SELECT ALL FROM state-area-edge WHERE state.sname = 'SP'"
+        ));
         s.execute("INSERT ATOM state (sname = 'RJ', hectare = 500.0)").unwrap();
-        assert!(index_assisted(&mut s));
-        // without an index on the attribute the plan falls back to a scan
-        let r = s
-            .execute("EXPLAIN SELECT ALL FROM state-area WHERE state.hectare > 900.0")
-            .unwrap();
-        let StatementResult::Plan(plan) = r else {
-            panic!()
-        };
-        assert!(matches!(
-            plan.root_selection,
-            mad_core::explain::RootSelection::ScanFiltered { .. }
+        assert!(scan_filtered(
+            &mut s,
+            "EXPLAIN SELECT ALL FROM state-area WHERE state.hectare > 900.0"
         ));
         // no WHERE → full occurrence (SP, MG and the inserted RJ)
         let r = s.execute("EXPLAIN SELECT ALL FROM state-area").unwrap();

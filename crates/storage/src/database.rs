@@ -20,13 +20,11 @@
 
 use crate::atom_store::AtomStore;
 use crate::csr::CsrSnapshot;
-use crate::index::{AttrIndex, IndexKind};
 use crate::link_store::LinkStore;
 use mad_model::{
-    AtomId, AtomTypeDef, AtomTypeId, CmpOp, FxHashMap, LinkTypeDef, LinkTypeId, MadError,
-    Result, Schema, Value,
+    AtomId, AtomTypeDef, AtomTypeId, CmpOp, LinkTypeDef, LinkTypeId, MadError, Result, Schema,
+    Value,
 };
-use std::ops::Bound;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Traversal direction through a link type.
@@ -109,15 +107,14 @@ impl Clone for CsrCache {
 
 /// A MAD database: schema plus atom-type and link-type occurrences.
 ///
-/// Every bulky component (schema, per-type atom and link stores, secondary
-/// indexes) lives behind an [`Arc`], and DML clones a store lazily via
+/// Every bulky component (schema, per-type atom and link stores) lives
+/// behind an [`Arc`], and DML clones a store lazily via
 /// [`Arc::make_mut`] on first write. `Database::clone` is therefore **O(number
 /// of types)**, not O(data): a clone is a *copy-on-write fork* that shares
 /// all untouched stores with its origin. Inside a store the unit of copying
 /// is smaller still: atom rows and link postings sit in `Arc`'d chunks of
-/// [`CHUNK`](crate::CHUNK) slots and a hash index in `Arc`'d buckets,
-/// so the first write to a forked store copies its chunk directory plus the
-/// one chunk (or bucket) it touches. This is the substrate of the `mad_txn`
+/// [`CHUNK`](crate::CHUNK) slots, so the first write to a forked store
+/// copies its chunk directory plus the one chunk it touches. This is the substrate of the `mad_txn`
 /// transaction overlay — a transaction's fork physically *is* the committed
 /// image plus privately-rewritten chunks for exactly the touched slots —
 /// and it makes an `Arc<Database>` a cheap immutable published snapshot for
@@ -128,8 +125,6 @@ pub struct Database {
     schema: Arc<Schema>,
     atoms: Vec<Arc<AtomStore>>,
     links: Vec<Arc<LinkStore>>,
-    indexes: Vec<Arc<AttrIndex>>,
-    index_map: FxHashMap<(AtomTypeId, usize), usize>,
     /// Bumped by every **structural** change (atom/link DML, DDL); keys the
     /// CSR snapshot cache. Attribute-only DML bumps `attr_version` instead
     /// — it cannot change adjacency, so it must not invalidate the
@@ -167,8 +162,6 @@ impl Database {
             schema: Arc::new(schema),
             atoms,
             links,
-            indexes: Vec::new(),
-            index_map: FxHashMap::default(),
             structural_version: 0,
             attr_version: 0,
             link_versions,
@@ -229,22 +222,8 @@ impl Database {
     fn insert_atom_unstamped(&mut self, ty: AtomTypeId, tuple: Vec<Value>) -> Result<AtomId> {
         let def = self.schema.atom_type(ty);
         let tuple = def.check_tuple(tuple)?;
-        // the index keys, before the tuple moves into its chunk
-        let keys: Vec<(usize, Value)> = self
-            .indexes
-            .iter()
-            .enumerate()
-            .filter(|(_, idx)| idx.ty == ty)
-            .filter_map(|(pos, idx)| Some((pos, tuple.get(idx.attr)?.clone())))
-            .collect();
         let slot = self.store_mut(ty)?.insert(tuple);
-        let id = AtomId::new(ty, slot);
-        for (pos, key) in keys {
-            if let Some(idx) = self.indexes.get_mut(pos) {
-                Arc::make_mut(idx).insert(&key, id);
-            }
-        }
-        Ok(id)
+        Ok(AtomId::new(ty, slot))
     }
 
     /// Insert many atoms of one type; returns their ids in order.
@@ -288,13 +267,7 @@ impl Database {
         if !self.atom_exists(id) {
             return Err(missing(id));
         }
-        let removed_tuple = self.store_mut(id.ty)?.remove(id.slot).ok_or_else(|| missing(id))?;
-        for idx in self.indexes.iter_mut().filter(|idx| idx.ty == id.ty) {
-            let idx = Arc::make_mut(idx);
-            if let Some(key) = removed_tuple.get(idx.attr) {
-                idx.remove(key, id);
-            }
-        }
+        self.store_mut(id.ty)?.remove(id.slot).ok_or_else(|| missing(id))?;
         let mut removed_links = 0;
         // `link_types_of` lists each incident link type once (reflexive
         // types included), and `remove_atom` clears both orientations in
@@ -335,13 +308,7 @@ impl Database {
         }
         let row = self.store_mut(id.ty)?.get_mut(id.slot).ok_or_else(|| missing(id))?;
         // `attr` is below the arity: it names an attribute of the type
-        let old = std::mem::replace(row.get_mut(attr).ok_or_else(|| missing(id))?, value.clone());
-        let idx_pos = self.index_map.get(&(id.ty, attr)).copied();
-        if let Some(idx) = idx_pos.and_then(|pos| self.indexes.get_mut(pos)) {
-            let idx = Arc::make_mut(idx);
-            idx.remove(&old, id);
-            idx.insert(&value, id);
-        }
+        *row.get_mut(attr).ok_or_else(|| missing(id))? = value;
         // attribute-only DML: adjacency is untouched, so this must not
         // invalidate the CSR snapshot (structural version stays put)
         self.attr_version += 1;
@@ -683,72 +650,6 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Indexes
-    // ------------------------------------------------------------------
-
-    /// Create a secondary index on `(ty, attr_name)`, backfilling it from
-    /// the current occurrence.
-    pub fn create_index(
-        &mut self,
-        ty: AtomTypeId,
-        attr_name: &str,
-        kind: IndexKind,
-    ) -> Result<()> {
-        let def = self.schema.atom_type(ty);
-        let attr = def.attr_index(attr_name).ok_or_else(|| {
-            MadError::unknown("attribute", format!("{attr_name} of `{}`", def.name))
-        })?;
-        if self.index_map.contains_key(&(ty, attr)) {
-            return Err(MadError::duplicate(
-                "index",
-                format!("{}.{attr_name}", def.name),
-            ));
-        }
-        let mut idx = AttrIndex::new(ty, attr, kind);
-        for (id, tuple) in self.atoms[ty.0 as usize].iter_ids(ty) {
-            idx.insert(&tuple[attr], id);
-        }
-        self.index_map.insert((ty, attr), self.indexes.len());
-        self.indexes.push(Arc::new(idx));
-        Ok(())
-    }
-
-    /// Does an index on `(ty, attr)` exist?
-    pub fn has_index(&self, ty: AtomTypeId, attr: usize) -> bool {
-        self.index_map.contains_key(&(ty, attr))
-    }
-
-    /// The kind of the index on `(ty, attr)`, if one exists. Planners use
-    /// this to decide whether a range predicate can be index-served (a hash
-    /// index cannot).
-    pub fn index_kind(&self, ty: AtomTypeId, attr: usize) -> Option<IndexKind> {
-        self.index_map
-            .get(&(ty, attr))
-            .map(|&pos| self.indexes[pos].kind())
-    }
-
-    /// Index-backed equality lookup; `None` when no index exists (caller
-    /// falls back to a scan).
-    pub fn lookup_eq(&self, ty: AtomTypeId, attr: usize, key: &Value) -> Option<&[AtomId]> {
-        self.index_map
-            .get(&(ty, attr))
-            .map(|&pos| self.indexes[pos].lookup_eq(key))
-    }
-
-    /// Index-backed range lookup; `None` when no ordered index exists.
-    pub fn lookup_range(
-        &self,
-        ty: AtomTypeId,
-        attr: usize,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-    ) -> Option<Vec<AtomId>> {
-        self.index_map
-            .get(&(ty, attr))
-            .and_then(|&pos| self.indexes[pos].lookup_range(lo, hi))
-    }
-
-    // ------------------------------------------------------------------
     // Integrity
     // ------------------------------------------------------------------
 
@@ -993,49 +894,20 @@ mod tests {
     }
 
     #[test]
-    fn update_attr_checks_and_updates_index() {
+    fn update_attr_checks_and_updates_the_row() {
         let mut db = geo_db();
         let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "sname", IndexKind::Hash).unwrap();
         let s = db.insert_atom(state, vec![Value::from("SP"), Value::from(1)]).unwrap();
-        assert_eq!(
-            db.lookup_eq(state, 0, &Value::from("SP")).unwrap(),
-            &[s]
-        );
         db.update_attr(s, 0, Value::from("MG")).unwrap();
-        assert!(db.lookup_eq(state, 0, &Value::from("SP")).unwrap().is_empty());
-        assert_eq!(db.lookup_eq(state, 0, &Value::from("MG")).unwrap(), &[s]);
+        assert_eq!(db.atom(s).unwrap()[0], Value::from("MG"));
+        // an Int widens into the Float domain, as on insert
+        db.update_attr(s, 1, Value::from(7)).unwrap();
+        assert_eq!(db.atom(s).unwrap()[1], Value::Float(7.0));
         // type error
         assert!(db.update_attr(s, 0, Value::from(3)).is_err());
         // unknown attr
         assert!(db.update_attr(s, 9, Value::Null).is_err());
-    }
-
-    #[test]
-    fn index_backfills_and_tracks_deletes() {
-        let mut db = geo_db();
-        let state = db.schema().atom_type_id("state").unwrap();
-        let s1 = db.insert_atom(state, vec![Value::from("SP"), Value::from(1)]).unwrap();
-        let s2 = db.insert_atom(state, vec![Value::from("SP"), Value::from(2)]).unwrap();
-        db.create_index(state, "sname", IndexKind::Ordered).unwrap();
-        assert_eq!(
-            db.lookup_eq(state, 0, &Value::from("SP")).unwrap(),
-            &[s1, s2]
-        );
-        db.delete_atom(s1).unwrap();
-        assert_eq!(db.lookup_eq(state, 0, &Value::from("SP")).unwrap(), &[s2]);
-        // range over ordered index
-        let hits = db
-            .lookup_range(
-                state,
-                0,
-                Bound::Included(&Value::from("SP")),
-                Bound::Unbounded,
-            )
-            .unwrap();
-        assert_eq!(hits, vec![s2]);
-        // duplicate index rejected
-        assert!(db.create_index(state, "sname", IndexKind::Hash).is_err());
+        assert_eq!(db.atom(s).unwrap(), &[Value::from("MG"), Value::Float(7.0)]);
     }
 
     #[test]
@@ -1213,10 +1085,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_atoms_batch_maintains_indexes() {
+    fn insert_atoms_batch_is_visible_to_the_scan() {
         let mut db = geo_db();
         let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "sname", IndexKind::Hash).unwrap();
         let ids = db
             .insert_atoms(
                 state,
@@ -1226,7 +1097,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert_eq!(db.lookup_eq(state, 0, &Value::from("MG")).unwrap(), &[ids[1]]);
+        assert_eq!(db.slots_where(state, 0, CmpOp::Eq, &Value::from("MG")), vec![ids[1].slot]);
     }
 
     #[test]

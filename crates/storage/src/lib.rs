@@ -18,6 +18,10 @@
 //! prototype (§5): an atom-oriented interface on which the molecule
 //! processing of `mad-core` is layered.
 //!
+//! Like the model, the store has no secondary attribute index: every
+//! selection (`alias.attr op const`) is one typed scan of the atom-type
+//! occurrence, [`Database::slots_where`].
+//!
 //! One deliberate refinement of the formalism: Def. 2 models a link as an
 //! *unsorted* pair, which is ambiguous for **reflexive** link types (both
 //! endpoints the same atom type — e.g. `composition` on `parts`). We store
@@ -30,7 +34,6 @@ pub mod atom_store;
 mod chunk;
 pub mod csr;
 pub mod database;
-pub mod index;
 pub mod link_store;
 mod merge;
 pub mod snapshot;
@@ -40,7 +43,6 @@ pub use atom_store::AtomStore;
 pub use chunk::CHUNK;
 pub use csr::{CsrAdjacency, CsrSnapshot};
 pub use database::Database;
-pub use index::{AttrIndex, IndexKind};
 pub use link_store::LinkStore;
 pub use snapshot::DatabaseSnapshot;
 pub use stats::DatabaseStats;

@@ -7,7 +7,6 @@
 //! human-readable equality image tests compare databases by.
 
 use crate::database::Database;
-use crate::index::IndexKind;
 use mad_model::bin::{BinDecode, BinEncode, Reader};
 use mad_model::json::{Json, ToJson};
 use mad_model::{AtomId, MadError, Result, Schema, Value};
@@ -21,8 +20,6 @@ pub struct DatabaseSnapshot {
     pub atoms: Vec<Vec<(u32, Vec<Value>)>>,
     /// Per link type: the list of oriented `(side0, side1)` pairs.
     pub links: Vec<Vec<(AtomId, AtomId)>>,
-    /// Indexes to re-create: `(atom type name, attribute name, ordered?)`.
-    pub indexes: Vec<(String, String, bool)>,
 }
 
 impl ToJson for DatabaseSnapshot {
@@ -31,7 +28,6 @@ impl ToJson for DatabaseSnapshot {
             ("schema".into(), self.schema.to_json()),
             ("atoms".into(), self.atoms.to_json()),
             ("links".into(), self.links.to_json()),
-            ("indexes".into(), self.indexes.to_json()),
         ])
     }
 }
@@ -41,12 +37,9 @@ impl BinEncode for DatabaseSnapshot {
         self.schema.encode(out);
         self.atoms.encode(out);
         self.links.encode(out);
-        mad_model::bin::put_u32(out, self.indexes.len() as u32);
-        for (ty, attr, ordered) in &self.indexes {
-            ty.encode(out);
-            attr.encode(out);
-            out.push(*ordered as u8);
-        }
+        // the layout's attribute-index count, always 0: the slot stays so
+        // that the binary layout, and every image's bytes, are unchanged
+        mad_model::bin::put_u32(out, 0);
     }
 }
 
@@ -55,19 +48,17 @@ impl BinDecode for DatabaseSnapshot {
         let schema = Schema::decode(r)?;
         let atoms = Vec::decode(r)?;
         let links = Vec::decode(r)?;
-        let n = r.seq_len()?;
-        let mut indexes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ty = r.str()?;
-            let attr = r.str()?;
-            let ordered = r.u8()? != 0;
-            indexes.push((ty, attr, ordered));
+        // an image that lists attribute indexes asks for something this
+        // engine cannot rebuild: refuse it rather than drop the list
+        if r.u32()? != 0 {
+            return Err(MadError::Snapshot {
+                detail: "attribute indexes are not supported".into(),
+            });
         }
         Ok(DatabaseSnapshot {
             schema,
             atoms,
             links,
-            indexes,
         })
     }
 }
@@ -93,23 +84,10 @@ impl DatabaseSnapshot {
             .link_types()
             .map(|(lt, _)| db.links_of(lt).collect())
             .collect();
-        // Note: index kinds are re-created from this listing; the capture
-        // relies on Database exposing which (ty, attr) pairs are indexed.
-        let mut indexes = Vec::new();
-        for (ty, def) in schema.atom_types() {
-            for (attr, adef) in def.attrs.iter().enumerate() {
-                if db.has_index(ty, attr) {
-                    // We cannot see the kind through the public API; ordered
-                    // is the safe superset (supports eq + range).
-                    indexes.push((def.name.clone(), adef.name.clone(), true));
-                }
-            }
-        }
         DatabaseSnapshot {
             schema,
             atoms,
             links,
-            indexes,
         }
     }
 
@@ -117,7 +95,7 @@ impl DatabaseSnapshot {
     /// preserved, so stored [`AtomId`]s (e.g. in `Id`-valued attributes)
     /// stay valid.
     pub fn restore(mut self) -> Result<Database> {
-        self.schema.rebuild_indexes();
+        self.schema.rebuild_lookup_maps();
         let mut db = Database::new(self.schema.clone());
         for (ty, _) in self.schema.atom_types() {
             let rows = std::mem::take(&mut self.atoms[ty.0 as usize]);
@@ -144,15 +122,6 @@ impl DatabaseSnapshot {
             for (a, b) in std::mem::take(&mut self.links[lt.0 as usize]) {
                 db.connect(lt, a, b)?;
             }
-        }
-        for (ty_name, attr_name, ordered) in &self.indexes {
-            let ty = db.schema().atom_type_id(ty_name)?;
-            let kind = if *ordered {
-                IndexKind::Ordered
-            } else {
-                IndexKind::Hash
-            };
-            db.create_index(ty, attr_name, kind)?;
         }
         Ok(db)
     }
@@ -219,7 +188,6 @@ mod tests {
     fn binary_roundtrip_preserves_everything() {
         let mut db = sample_db();
         let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "sname", IndexKind::Hash).unwrap();
         // a tombstone, so slot gaps travel through the binary form too
         db.delete_atom(AtomId::new(state, 0)).unwrap();
         let snap = DatabaseSnapshot::capture(&db);
@@ -230,7 +198,6 @@ mod tests {
             snap.to_json_string(),
             "binary round-trip must agree with the JSON image"
         );
-        assert!(db2.has_index(state, 0));
     }
 
     #[test]
@@ -241,16 +208,46 @@ mod tests {
         }
     }
 
+    /// `sample_db`'s image as written before attribute indexes were
+    /// removed: schema, atoms, links, then a `u32` index count of 0.
+    const SAMPLE_IMAGE: [u8; 189] = [
+        0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x73, 0x74, 0x61, 0x74, 0x65, 0x01, 0x00,
+        0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x73, 0x6e, 0x61, 0x6d, 0x65, 0x03, 0x00, 0x04, 0x00,
+        0x00, 0x00, 0x61, 0x72, 0x65, 0x61, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61,
+        0x69, 0x64, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x73, 0x74, 0x61,
+        0x74, 0x65, 0x2d, 0x61, 0x72, 0x65, 0x61, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x02, 0x00,
+        0x00, 0x00, 0x53, 0x50, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x02, 0x00,
+        0x00, 0x00, 0x4d, 0x47, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
+
     #[test]
-    fn indexes_survive_roundtrip() {
-        let mut db = sample_db();
-        let state = db.schema().atom_type_id("state").unwrap();
-        db.create_index(state, "sname", IndexKind::Hash).unwrap();
-        let db2 = DatabaseSnapshot::capture(&db).restore().unwrap();
-        assert!(db2.has_index(state, 0));
-        assert_eq!(
-            db2.lookup_eq(state, 0, &Value::from("MG")).unwrap().len(),
-            1
-        );
+    fn image_bytes_are_unchanged() {
+        let snap = DatabaseSnapshot::capture(&sample_db());
+        assert_eq!(snap.to_bytes(), SAMPLE_IMAGE);
+        let back = DatabaseSnapshot::from_bytes(&SAMPLE_IMAGE).unwrap();
+        assert_eq!(back.to_json_string(), snap.to_json_string());
+    }
+
+    #[test]
+    fn an_image_listing_an_index_is_refused() {
+        // the same image with one entry in its index list: count 1, then
+        // `state`, `sname` and an ordered flag
+        let mut bytes = SAMPLE_IMAGE[..SAMPLE_IMAGE.len() - 4].to_vec();
+        mad_model::bin::put_u32(&mut bytes, 1);
+        mad_model::bin::put_str(&mut bytes, "state");
+        mad_model::bin::put_str(&mut bytes, "sname");
+        bytes.push(1);
+        match DatabaseSnapshot::from_bytes(&bytes) {
+            Err(MadError::Snapshot { detail }) => {
+                assert_eq!(detail, "attribute indexes are not supported")
+            }
+            other => panic!("an indexed image must be refused, got {other:?}"),
+        }
     }
 }

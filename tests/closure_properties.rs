@@ -133,10 +133,7 @@ proptest! {
     #[test]
     fn pushdown_equivalent(params in geo_params(), threshold in 100.0f64..2000.0) {
         let (db, _) = generate_geo(&params).unwrap();
-        let mut engine = Engine::new(db);
-        engine
-            .create_index("state", "hectare", mad::storage::IndexKind::Ordered)
-            .unwrap();
+        let engine = Engine::new(db);
         let md = path(engine.db().schema(), &["state", "area", "edge"]).unwrap();
         let qual = QualExpr::cmp_const(0, 1, CmpOp::Gt, threshold);
         let naive = engine

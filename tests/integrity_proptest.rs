@@ -1,9 +1,9 @@
 //! Property test: under *any* sequence of DML operations the storage engine
 //! preserves the §3.1 guarantee — "there are no dangling references" — and
-//! keeps its secondary indexes exact.
+//! honours the link type's cardinality bound.
 
 use mad::model::{AtomId, AttrType, Cardinality, SchemaBuilder, Value};
-use mad::storage::{Database, IndexKind};
+use mad::storage::Database;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -42,10 +42,7 @@ fn fresh_db() -> Database {
         )
         .build()
         .unwrap();
-    let mut db = Database::new(schema);
-    let state = db.schema().atom_type_id("state").unwrap();
-    db.create_index(state, "v", IndexKind::Ordered).unwrap();
-    db
+    Database::new(schema)
 }
 
 proptest! {
@@ -114,26 +111,13 @@ proptest! {
             let problems = db.audit_referential_integrity();
             prop_assert!(problems.is_empty(), "{problems:?}");
         }
-        // invariant 2: the index is exact — lookup(v) returns precisely the
-        // live atoms whose attribute equals v
-        for v in 0..100i64 {
-            let via_index: Vec<AtomId> =
-                db.lookup_eq(state, 0, &Value::Int(v)).unwrap().to_vec();
-            let mut via_scan: Vec<AtomId> = db
-                .atoms_of(state)
-                .filter(|(_, t)| t[0] == Value::Int(v))
-                .map(|(id, _)| id)
-                .collect();
-            via_scan.sort_unstable();
-            prop_assert_eq!(via_index, via_scan);
-        }
-        // invariant 3: cardinality bound was honoured (≤ 3 states per area)
+        // invariant 2: cardinality bound was honoured (≤ 3 states per area)
         for (a, _) in db.atoms_of(area) {
             prop_assert!(db.link_store(sa).degree_bwd(a) <= 3);
         }
     }
 
-    /// Snapshot round-trips preserve atoms, links and indexes exactly.
+    /// Snapshot round-trips preserve atoms and links exactly.
     #[test]
     fn snapshot_roundtrip(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut db = fresh_db();

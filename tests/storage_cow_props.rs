@@ -2,14 +2,14 @@
 //! attribute updates, connects and disconnects go to a fork and,
 //! interleaved, to its origin, and after every step both images must match
 //! a `BTreeMap` reference model of their own — atoms, tombstones, links in
-//! both directions, indexes and the CSR snapshot. The populated slots
+//! both directions and the CSR snapshot. The populated slots
 //! straddle the copy-on-write chunk boundaries, one link type is reflexive and
 //! carries self-links, and at the end the fork's ops are replayed onto the
 //! origin's later image, the shape of a rebase under the commit ticket.
 
 use mad::model::{AtomId, AtomTypeId, AttrType, LinkTypeId, SchemaBuilder, Value};
 use mad::storage::database::Direction;
-use mad::storage::{Database, IndexKind, CHUNK};
+use mad::storage::{Database, CHUNK};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -172,19 +172,6 @@ fn check(db: &Database, m: &Model, what: &str) {
                 "{what}: {id}"
             );
         }
-        // the index on attribute 0 holds exactly the live atoms per key
-        let mut by_key: BTreeMap<&Value, Vec<AtomId>> = BTreeMap::new();
-        for (&s, row) in &m.atoms[t] {
-            by_key.entry(&row[0]).or_default().push(AtomId::new(ty, s));
-        }
-        for v in 0..20 {
-            let want = by_key.get(&Value::Int(v)).map_or(&[][..], Vec::as_slice);
-            assert_eq!(
-                db.lookup_eq(ty, 0, &Value::Int(v)).unwrap(),
-                want,
-                "{what}: index"
-            );
-        }
     }
     let snap = db.csr_snapshot();
     for (l, lt) in LINKS.into_iter().enumerate() {
@@ -228,8 +215,7 @@ fn check(db: &Database, m: &Model, what: &str) {
 
 /// The image the fork is taken from: `BASE` atoms of each type with a
 /// tombstone in the second chunk, links across chunk boundaries and
-/// self-links on the reflexive type, and a hash index on `a` and an
-/// ordered one on `b`.
+/// self-links on the reflexive type.
 fn base() -> (Database, Model) {
     let schema = SchemaBuilder::new()
         .atom_type("a", &[("v", AttrType::Int), ("t", AttrType::Text)])
@@ -239,8 +225,6 @@ fn base() -> (Database, Model) {
         .build()
         .unwrap();
     let mut db = Database::new(schema);
-    db.create_index(TYPES[0], "v", IndexKind::Hash).unwrap();
-    db.create_index(TYPES[1], "w", IndexKind::Ordered).unwrap();
     let mut m = Model::default();
     for i in 0..BASE {
         for t in 0..2 {
